@@ -31,15 +31,14 @@ import numpy as np
 
 from . import datagen, encoders, evaluate, library, recover, train
 
-PRESETS_DIR = Path(__file__).resolve().parents[2] / "presets"
-
-# fallback training schedules per system, overridable by a JSON config
+# training schedules per system, overridable by a JSON config; on the staged
+# path "width" > 0 distills the embedding into a conv encoder of that width
 DEFAULT_CONFIGS = {
-    "rossler": {"steps": 20500, "lr": 1e-3, "width": 128, "order": 2,
+    "rossler": {"steps": 20500, "lr": 2e-3, "width": 0, "order": 2,
                 "alphas": [1.0, 1.0], "sparsify_every": 5000,
                 "theta_threshold": 1e-3, "n_time": 2500,
                 "pipeline": "staged"},
-    "lorenz": {"steps": 20500, "lr": 1e-3, "width": 128, "order": 2,
+    "lorenz": {"steps": 20500, "lr": 2e-3, "width": 0, "order": 2,
                "alphas": [1.0, 1.0], "sparsify_every": 5000,
                "theta_threshold": 1e-3, "n_time": 2500,
                "pipeline": "staged"},
@@ -71,10 +70,6 @@ class CliError(Exception):
 
 def load_config(preset_name, config_path=None):
     cfg = dict(DEFAULT_CONFIGS.get(preset_name, DEFAULT_CONFIGS["lorenz"]))
-    if config_path is None:
-        packaged = PRESETS_DIR / f"{preset_name}.json"
-        if packaged.exists():
-            config_path = packaged
     if config_path is not None:
         path = Path(config_path)
         if not path.exists():
@@ -150,14 +145,11 @@ def cmd_train(args):
     tcfg = train.TrainConfig(
         steps=cfg["steps"], lr=cfg["lr"],
         optimizer=cfg.get("optimizer", "adabelief"),
-        order=cfg["order"], alphas=tuple(cfg["alphas"]),
-        beta_phase=cfg.get("beta_phase", 0.0),
         sparsify_every=cfg["sparsify_every"],
         theta_threshold=cfg["theta_threshold"],
         divergence_limit=cfg.get("divergence_limit",
                                  train.DIVERGENCE_LIMIT),
         chunk_time=cfg.get("chunk_time", 0),
-        batch_time=cfg.get("batch_time", 0),
         lr_final=cfg.get("lr_final"), seed=args.seed)
     try:
         train.fit(prob, tcfg, out_dir=args.out, log=print)
@@ -172,17 +164,24 @@ def _train_staged(args, ds, cfg):
 
     `steps` is the total descent budget, split over the recovery phases; a
     budget below 20000 picks the reduced schedule, which skips elimination.
-    Elimination trials add history rows beyond the budget. `--width`
+    Elimination trials add history rows beyond the budget. `lr` is the
+    recovery's peak rate (warmup runs at half of it). A `width` above 0
     additionally distills the embedding into a temporal-conv encoder of
-    that width, which is then the encoder saved."""
-    rcfg = recover.RecoveryConfig.from_budget(cfg["steps"], seed=args.seed)
+    that width in `recover.DISTILL_STEPS` further steps, which write no
+    history rows; that encoder is then the one saved."""
+    rcfg = recover.RecoveryConfig.from_budget(cfg["steps"], seed=args.seed,
+                                              lr=cfg["lr"])
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset,
                                                             seed=args.seed),
                                     rcfg)
-    res = rec.fit()
-    enc = res.encoder
-    if args.width:
-        enc = recover.distill(rec, width=args.width, seed=args.seed)
+    width = cfg["width"] or None
+    try:
+        res = rec.fit()
+        enc = res.encoder
+        if width:
+            enc = recover.distill(rec, width=width, seed=args.seed)
+    except train.TrainingDiverged as e:
+        raise CliError(f"training diverged: {e}", EXIT_FAIL)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "model.json").write_text(rec.model.to_json())
@@ -190,8 +189,10 @@ def _train_staged(args, ds, cfg):
     train.write_history(out_dir / "history.csv", res.history)
     (out_dir / "config.json").write_text(json.dumps(
         {"pipeline": "staged", "steps": cfg["steps"],
-         "distill_width": args.width, "recovery": asdict(rcfg),
-         "loss": res.loss, "events": res.events}, indent=1))
+         "distill_width": width,
+         "distill_steps": recover.DISTILL_STEPS if width else 0,
+         "recovery": asdict(rcfg), "loss": res.loss, "events": res.events},
+        indent=1))
     print(f"wrote {args.out}: {rec.model.active_terms()} active terms "
           f"(staged, loss {res.loss:.3g})")
     return EXIT_OK

@@ -93,10 +93,6 @@ def get_preset(name, n_time=None, nx=None):
     raise ValueError(f"unknown preset {name!r}")
 
 
-PRESET_NAMES = ["rossler", "lorenz", "diffusion_source", "diffusive_lv",
-                "nlse"]
-
-
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------

@@ -126,11 +126,6 @@ def truth_normalized_table(dataset, s_t=10.0, s_x=None):
     return out
 
 
-def prune_table(table, threshold=PATTERN_THRESHOLD):
-    return {eq: {k: c for k, c in row.items() if abs(c) >= threshold}
-            for eq, row in table.items()}
-
-
 def pattern_of(table, threshold=PATTERN_THRESHOLD):
     return {(eq, k) for eq, row in table.items()
             for k, c in row.items() if abs(c) >= threshold}
@@ -218,7 +213,7 @@ def phase_errors(phase_est, phase_truth, dx):
 # ---------------------------------------------------------------------------
 
 def prediction_horizon(model, dataset, align, hidden_estimate, start=0,
-                       threshold=0.1, max_time=None, substeps=10):
+                       threshold=0.1, substeps=10):
     """Forecast with the learned equations from a reconstructed state and
     report how long the visible trajectory stays within `threshold` of the
     truth (RMS amplitude units). Returns the horizon in Lyapunov times when
@@ -230,8 +225,6 @@ def prediction_horizon(model, dataset, align, hidden_estimate, start=0,
     vis_idx = dataset.preset.visible
     truth_vis = dataset.visible_raw[start:]
     n_steps = truth_vis.shape[0] - 1
-    if max_time is not None:
-        n_steps = min(n_steps, int(max_time / dataset.norm.dt))
     x = np.empty(model.state_dim)
     x[vis_idx] = dataset.visible_raw[start]
     hid = align.a * np.atleast_1d(hidden_estimate) + align.b

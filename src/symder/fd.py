@@ -1,9 +1,9 @@
 """Finite-difference estimators.
 
-Second-order-accurate central differences in time (loss targets) and periodic
-central stencils in space (used by the PDE term libraries). Time derivatives
-drop boundary samples rather than falling back to one-sided estimates; the
-valid index range is returned alongside the values.
+Central differences in time (loss targets) and periodic central stencils in
+space (used by the PDE term libraries). Time derivatives drop boundary
+samples rather than falling back to one-sided estimates; the valid index
+range is returned alongside the values.
 """
 
 from __future__ import annotations
@@ -21,6 +21,13 @@ CENTRAL_STENCILS = {
     3: np.array([-0.5, 1.0, 0.0, -1.0, 0.5]),
     4: np.array([1.0, -4.0, 6.0, -4.0, 1.0]),
 }
+# accuracy order 4; the staged ODE pipeline matches derivatives with these so
+# that the truncation floor sits well below coefficient-level loss gaps
+CENTRAL_STENCILS_4 = {
+    1: np.array([1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12]),
+    2: np.array([-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12]),
+}
+_BY_ACCURACY = {2: CENTRAL_STENCILS, 4: CENTRAL_STENCILS_4}
 
 
 @dataclass(frozen=True)
@@ -31,59 +38,60 @@ class StencilSpec:
     accuracy: int = 2
 
     def __post_init__(self):
-        if self.order not in CENTRAL_STENCILS:
-            raise ValueError(f"unsupported derivative order {self.order}")
-        if self.accuracy != 2:
-            raise ValueError("only second-order central stencils implemented")
+        stencil_weights(self.order, self.spacing, self.accuracy)
 
 
-def stencil_weights(p, spacing):
-    return CENTRAL_STENCILS[p] / spacing ** p
+def stencil_weights(p, spacing, accuracy=2):
+    if accuracy not in _BY_ACCURACY:
+        raise ValueError(f"no central stencils of accuracy order {accuracy}")
+    if p not in _BY_ACCURACY[accuracy]:
+        raise ValueError(f"unsupported derivative order {p}")
+    return _BY_ACCURACY[accuracy][p] / spacing ** p
+
+
+def apply_stencil(series, w):
+    """sum_k w[k] * series[k:k + n_out] along axis 0, where n_out is the
+    length less the stencil's; works on ndarray or Tensor."""
+    tensor = isinstance(series, T.Tensor)
+    if not tensor:
+        series = np.asarray(series)
+    n = series.shape[0]
+    if n < len(w):
+        raise ValueError(f"series length {n} too short for a "
+                         f"{len(w)}-point stencil")
+    nout = n - len(w) + 1
+    out = None if tensor else np.zeros((nout,) + series.shape[1:])
+    for k, wk in enumerate(w):
+        if wk == 0.0:
+            continue
+        if tensor:
+            term = T.mul(series[k:k + nout], wk)
+            out = term if out is None else T.add(out, term)
+        else:
+            out += wk * series[k:k + nout]
+    return out
 
 
 def time_derivative(series, p, dt):
-    """Central p-th time derivative along axis 0.
+    """Central p-th time derivative along axis 0, of an ndarray or a Tensor.
 
     Returns (deriv, valid) where `deriv` has the same leading extent as
     `series` with boundary samples excluded, and `valid` is the slice of
     input indices the estimates correspond to.
     """
-    series = np.asarray(series)
-    if p not in CENTRAL_STENCILS:
-        raise ValueError(f"unsupported derivative order {p}")
     w = stencil_weights(p, dt)
     half = len(w) // 2
-    n = series.shape[0]
-    if n < len(w):
-        raise ValueError(f"series length {n} too short for order-{p} stencil")
-    nout = n - 2 * half
-    out = np.zeros((nout,) + series.shape[1:])
-    for k, wk in enumerate(w):
-        if wk != 0.0:
-            out += wk * series[k:k + nout]
-    return out, slice(half, n - half)
+    out = apply_stencil(series, w)
+    return out, slice(half, half + out.shape[0])
 
 
-def time_derivative_tensor(series, p, dt):
-    """Tape-aware version of :func:`time_derivative` for Tensor inputs."""
-    w = stencil_weights(p, dt)
-    half = len(w) // 2
-    n = series.shape[0]
-    if n < len(w):
-        raise ValueError(f"series length {n} too short for order-{p} stencil")
-    nout = n - 2 * half
-    out = None
-    for k, wk in enumerate(w):
-        if wk == 0.0:
-            continue
-        term = T.mul(series[k:k + nout], wk)
-        out = term if out is None else T.add(out, term)
-    return out, slice(half, n - half)
+# the tape-aware name; time_derivative dispatches on its input
+time_derivative_tensor = time_derivative
 
 
 def spatial_stencil(field, spec: StencilSpec):
     """Periodic central stencil along one axis; works on ndarray or Tensor."""
-    w = stencil_weights(spec.order, spec.spacing)
+    w = stencil_weights(spec.order, spec.spacing, spec.accuracy)
     half = len(w) // 2
     if isinstance(field, T.Tensor):
         out = None

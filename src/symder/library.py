@@ -177,10 +177,6 @@ class SymbolicModel:
         return Geometry(axes=tuple(self.spatial_axes),
                         spacing=tuple(self.s_x * d for d in self.grid_spacing))
 
-    @property
-    def n_equations(self):
-        return self.theta.shape[0] if self.kind == "real" else 1
-
     # -- evaluation ---------------------------------------------------------
     def sync(self):
         """Push the master numpy coefficients into the tape leaf."""
@@ -236,10 +232,6 @@ class SymbolicModel:
                 f = T.mul(f, np.ones(state.shape[:-1]))
             fields.append(T.reshape(f, f.shape + (1,)))
         return T.concat(fields, axis=-1)
-
-    def evaluate_numpy(self, state):
-        """Plain-ndarray evaluation (used by rollout integrators)."""
-        return self.evaluate(np.asarray(state)).data
 
     # -- sparsification -----------------------------------------------------
     def sparsify(self, threshold):

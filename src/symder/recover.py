@@ -41,30 +41,20 @@ a conv encoder to the embedding for deployment-style reconstruction.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import encoders, jets
+from . import encoders, fd, jets
 from . import tensor as T
 from . import train as training
-from .tensor import backward, square, tmean
-
-# High-order central stencils; the pipeline matches derivatives with these so
-# that the truncation floor sits well below coefficient-level loss gaps.
-# Keyed by accuracy order, then derivative order; margin = samples lost per end.
-_STENCILS = {
-    4: {1: np.array([1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12]),
-        2: np.array([-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12])},
-    6: {1: np.array([-1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60]),
-        2: np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])},
-}
-_MARGINS = {4: 2, 6: 3}
-# the pipeline runs at accuracy order 4
-_STEN4, _MARGIN = _STENCILS[4], _MARGINS[4]
+from .tensor import square, tmean
 
 # descent budgets below this run the reduced schedule (no elimination)
 FULL_BUDGET = 20000
+# conv-fit steps of `distill`, on top of the descent budget
+DISTILL_STEPS = 3000
 
 
 @dataclass
@@ -75,14 +65,12 @@ class RecoveryConfig:
     baseline_steps: int = 2000
     trial_steps: int = 3000
     polish_steps: int = 8000
-    lr: float = 2e-3
-    warmup_lr: float = 1e-3
+    lr: float = 2e-3           # warmup runs at lr / 2
     pin_every: int = 200
     stlsq_threshold: float = 0.05
     gate: float = 1.5          # accept a pruning if trial loss <= gate * baseline
     eliminate: bool = True
     seed: int = 0
-    verbose: bool = False
 
     @classmethod
     def reduced(cls, seed=0, **kw):
@@ -97,7 +85,7 @@ class RecoveryConfig:
         return cls(seed=seed, **kw)
 
     @classmethod
-    def from_budget(cls, steps, seed=0):
+    def from_budget(cls, steps, seed=0, **kw):
         """Schedule with a total descent budget of exactly `steps`.
 
         The budget picks the schedule, `reduced()` below FULL_BUDGET and the
@@ -105,8 +93,10 @@ class RecoveryConfig:
         baseline and polish in that schedule's proportions; polish takes the
         integer remainder. Elimination trials, which only the default
         schedule runs, take data-dependent steps on top of the budget.
+        Other fields (such as `lr`) are passed through as keywords.
         """
-        base = cls.reduced(seed=seed) if steps < FULL_BUDGET else cls(seed=seed)
+        base = (cls.reduced(seed=seed, **kw) if steps < FULL_BUDGET
+                else cls(seed=seed, **kw))
         total = base.descent_steps
         warmup = steps * base.warmup_steps // total
         round_steps = steps * base.round_steps // total
@@ -142,8 +132,12 @@ class EmbeddingRecovery:
         if model.state_dim != self.n_vis + 1:
             raise ValueError("recovery pipeline expects exactly one hidden channel")
         self.n_time = ds.visible.shape[0]
-        self.lo, self.hi = _MARGIN, self.n_time - _MARGIN
-        self.nout = self.n_time - 2 * _MARGIN
+        # derivatives are matched with the accuracy-4 central stencils, so
+        # that the truncation floor sits well below coefficient-level loss
+        # gaps; they lose `lo` samples at each end of a series
+        self.lo = len(fd.CENTRAL_STENCILS_4[1]) // 2
+        self.hi = self.n_time - self.lo
+        self.nout = self.hi - self.lo
         self.dt = ds.norm.dt
         self.vis = ds.visible
         self.names = [t.name for t in model.terms]
@@ -160,10 +154,8 @@ class EmbeddingRecovery:
         prob.projection = jets.Projection("subset", list(range(self.n_vis)))
         prob.lo, prob.hi = self.lo, self.hi
         for p in (1, 2):
-            d = np.zeros((self.nout,) + self.vis.shape[1:])
-            for k, wk in enumerate(_STEN4[p] / self.dt ** p):
-                if wk != 0.0:
-                    d += wk * self.vis[k:k + self.nout]
+            d = fd.apply_stencil(self.vis,
+                                fd.stencil_weights(p, self.dt, accuracy=4))
             prob.targets[p] = d / np.asarray(ds.norm.deriv_std[p])
         prob.vis_trim = T.Tensor(self.vis[self.lo:self.hi])
         self.prob = prob
@@ -179,15 +171,9 @@ class EmbeddingRecovery:
         base, parts = self.prob.compute_loss(self.lo, self.hi)
         state = self.prob.reconstruct(self.lo, self.hi)
         F = self.model.evaluate(state)
-        w = state[:, self.n_vis:]
-        n = w.shape[0] - 2 * _MARGIN
-        fd = None
-        for k, wk in enumerate(_STEN4[1] * self.model.s_t):
-            if wk == 0.0:
-                continue
-            piece = T.mul(w[k:k + n], wk)
-            fd = piece if fd is None else T.add(fd, piece)
-        resid = T.sub(F[_MARGIN:-_MARGIN, self.n_vis:], fd)
+        dw = fd.apply_stencil(state[:, self.n_vis:],
+                              fd.CENTRAL_STENCILS_4[1] * self.model.s_t)
+        resid = T.sub(F[self.lo:-self.lo, self.n_vis:], dw)
         reg = tmean(square(resid))
         parts["reg"] = reg.item()
         return T.add(base, reg), parts
@@ -242,8 +228,7 @@ class EmbeddingRecovery:
         new *= (sd ** powers)[None, :]
         new[h] /= sd
         new[~self.model.mask] = 0.0
-        self.model.theta[...] = new
-        self.model.theta_t.data[...] = new
+        self._set_theta(new)
 
     def gauge_standardize(self):
         """Shift/scale the hidden series to zero mean, unit std (exact)."""
@@ -272,36 +257,34 @@ class EmbeddingRecovery:
 
     # --------------------------------------------------------------- descent
 
-    def run(self, nsteps, lr0=None, lr1=None, pin=True):
+    def run(self, nsteps, lr0=None, pin=True):
         """Cosine-decayed descent of (theta, embedding); appends one history
-        row per step and returns the final loss."""
+        row per step and returns the final loss. Raises TrainingDiverged on
+        a loss that is not finite or exceeds train.DIVERGENCE_LIMIT."""
         cfg = self.cfg
         lr0 = cfg.lr if lr0 is None else lr0
-        lr1 = 0.1 * lr0 if lr1 is None else lr1
-        params = [self.model.theta_t, self.phi]
-        opt = training.GradientOptimizer(params, lr=lr0)
-        loss = float("nan")
-        for step in range(nsteps):
-            if nsteps > 1:
-                opt.lr = lr1 + (lr0 - lr1) * 0.5 * (1 + np.cos(np.pi * step / (nsteps - 1)))
+        lr1 = 0.1 * lr0
+        opt = training.GradientOptimizer([self.model.theta_t, self.phi],
+                                         lr=lr0)
+
+        def lr(step):
+            if nsteps <= 1:
+                return lr0
+            cos = np.cos(np.pi * step / (nsteps - 1))
+            return lr1 + (lr0 - lr1) * 0.5 * (1 + cos)
+
+        def pin_gauge(step):
             if pin and step and step % cfg.pin_every == 0:
                 self.gauge_standardize()
-            for p in params:
-                p.grad = None
-            total, parts = self.loss_fn()
-            backward(total)
-            opt.step()
-            self.model.theta_t.data[~self.model.mask] = 0.0
-            self.model.theta[...] = self.model.theta_t.data
-            loss = float(total.data)
-            self.history.append({
-                "step": len(self.history), "total_loss": loss,
-                "loss_p1": parts["loss_p1"], "loss_p2": parts["loss_p2"],
-                "reg": parts["reg"],
-                "n_active_terms": self.model.active_terms()})
+
+        training.descend(opt, training.backpropagated(self.loss_fn), nsteps,
+                         lr, model=self.model, before=pin_gauge,
+                         history=self.history)
+        loss = self.history[-1]["total_loss"] if nsteps else float("nan")
         if pin:
             self.gauge_standardize()
             loss = float(self.loss_fn()[0].data)
+            training.check_loss(loss, nsteps)
         return loss
 
     # ------------------------------------------------------------ regression
@@ -310,12 +293,8 @@ class EmbeddingRecovery:
         state = np.concatenate([self.vis, self.phi.data], axis=-1)
         X = np.stack([np.prod(state ** np.asarray(t.exponents), axis=-1)
                       for t in self.model.terms], axis=1)
-        y = np.zeros((self.nout, state.shape[-1]))
-        for k, wk in enumerate(_STEN4[1]):
-            if wk != 0.0:
-                y += wk * state[k:k + self.nout]
-        y /= self.dt
-        return X[_MARGIN:-_MARGIN], y
+        y = fd.apply_stencil(state, fd.CENTRAL_STENCILS_4[1]) / self.dt
+        return X[self.lo:self.hi], y
 
     def ls_fit(self, mask):
         """Least squares on the given support; returns theta in model units."""
@@ -328,12 +307,11 @@ class EmbeddingRecovery:
                 th[eq, sup] = sol
         return th * (self.model.s_t * self.dt)
 
-    def stlsq(self, threshold=None, protect_linear=True):
+    def stlsq(self):
         """Sequentially thresholded LSQ; degree<=1 terms are never dropped."""
-        threshold = self.cfg.stlsq_threshold if threshold is None else threshold
+        threshold = self.cfg.stlsq_threshold
         X, y = self._features_targets()
-        degrees = np.array([sum(t.exponents) for t in self.model.terms])
-        keep = (degrees <= 1) if protect_linear else np.zeros(len(degrees), bool)
+        keep = np.array([sum(t.exponents) <= 1 for t in self.model.terms])
         mask = np.zeros_like(self.model.mask)
         for eq in range(self.model.state_dim):
             sup = np.ones(X.shape[1], dtype=bool)
@@ -355,16 +333,21 @@ class EmbeddingRecovery:
         return (self.model.theta.copy(), self.model.mask.copy(),
                 self.phi.data.copy())
 
+    def _set_theta(self, th):
+        self.model.theta[...] = th
+        self.model.theta_t.data[...] = th
+
+    def _drop(self, terms):
+        """Mask out and zero the given (equation, term) coefficients."""
+        for e, j in terms:
+            self.model.mask[e, j] = False
+            self.model.theta[e, j] = 0.0
+        self.model.theta_t.data[...] = self.model.theta
+
     def _restore(self, snap):
-        self.model.theta[...] = snap[0]
-        self.model.theta_t.data[...] = snap[0]
+        self._set_theta(snap[0])
         self.model.mask[...] = snap[1]
         self.phi.data[...] = snap[2]
-
-    def _log(self, msg):
-        self.events.append(msg)
-        if self.cfg.verbose:
-            print(msg, flush=True)
 
     def eliminate(self, baseline):
         """Greedy backward elimination: nonlinear terms first, then linear."""
@@ -378,32 +361,28 @@ class EmbeddingRecovery:
                 trials = {}
                 for e, j in cand:
                     self._restore(snap)
-                    self.model.mask[e, j] = False
-                    self.model.theta[e, j] = 0.0
-                    self.model.theta_t.data[...] = self.model.theta
-                    trials[(e, j)] = self.run(cfg.trial_steps)
+                    self._drop([(e, j)])
+                    try:
+                        trials[(e, j)] = self.run(cfg.trial_steps)
+                    except training.TrainingDiverged:
+                        trials[(e, j)] = float("inf")   # rejected by the gate
                 self._restore(snap)
                 gated = {k: L for k, L in trials.items() if L <= cfg.gate * baseline}
                 if not gated:
                     break
-                for e, j in gated:
-                    self.model.mask[e, j] = False
-                    self.model.theta[e, j] = 0.0
-                self.model.theta_t.data[...] = self.model.theta
+                self._drop(gated)
                 new_loss = self.run(cfg.baseline_steps)
                 if len(gated) > 1 and new_loss > cfg.gate * baseline:
                     # jointly too aggressive; fall back to the single best prune
                     self._restore(snap)
                     e, j = min(gated, key=gated.get)
-                    self.model.mask[e, j] = False
-                    self.model.theta[e, j] = 0.0
-                    self.model.theta_t.data[...] = self.model.theta
+                    self._drop([(e, j)])
                     new_loss = self.run(cfg.baseline_steps)
                     gated = {(e, j): new_loss}
                 baseline = min(new_loss, baseline)
                 dropped = ", ".join(f"eq{e} {self.names[j]}" for e, j in gated)
-                self._log(f"eliminate[{phase}]: dropped {dropped} "
-                          f"loss {new_loss:.4g}")
+                self.events.append(f"eliminate[{phase}]: dropped {dropped} "
+                                   f"loss {new_loss:.4g}")
         return baseline
 
     # --------------------------------------------------------------- routine
@@ -412,80 +391,78 @@ class EmbeddingRecovery:
         cfg = self.cfg
         t0 = time.time()
         self.model.mask[...] = True
-        loss = self.run(cfg.warmup_steps, lr0=cfg.warmup_lr, pin=False)
-        self._log(f"warmup: loss {loss:.4g} t {time.time() - t0:.0f}s")
+        loss = self.run(cfg.warmup_steps, lr0=cfg.lr / 2, pin=False)
+        self.events.append(
+            f"warmup: loss {loss:.4g} t {time.time() - t0:.0f}s")
         for rd in range(cfg.gauge_rounds):
             self.gauge_orthogonalize()
-            th = self.ls_fit(self.model.mask)
-            self.model.theta[...] = th
-            self.model.theta_t.data[...] = th
+            self._set_theta(self.ls_fit(self.model.mask))
             loss = self.run(cfg.round_steps, pin=False)
-            self._log(f"round {rd}: loss {loss:.4g} t {time.time() - t0:.0f}s")
+            self.events.append(
+                f"round {rd}: loss {loss:.4g} t {time.time() - t0:.0f}s")
         self.gauge_orthogonalize()
         mask = self.stlsq()
         self.model.mask[...] = mask
-        th = self.ls_fit(mask)
-        self.model.theta[...] = th
-        self.model.theta_t.data[...] = th
+        self._set_theta(self.ls_fit(mask))
         baseline = self.run(cfg.baseline_steps)
-        self._log(f"support: {int(mask.sum())} active, loss {baseline:.4g} "
-                  f"t {time.time() - t0:.0f}s")
+        self.events.append(
+            f"support: {int(mask.sum())} active, loss {baseline:.4g} "
+            f"t {time.time() - t0:.0f}s")
         if cfg.eliminate:
             baseline = self.eliminate(baseline)
         # refit + polish on the final support, kept only when they help
         baseline = float(self.loss_fn()[0].data)
         snap = self._snapshot()
-        th = self.ls_fit(self.model.mask)
-        self.model.theta[...] = th
-        self.model.theta_t.data[...] = th
+        self._set_theta(self.ls_fit(self.model.mask))
         loss = self.run(cfg.polish_steps)
         if loss > baseline:
             self._restore(snap)
             loss = baseline
-        self._log(f"polish: loss {loss:.4g} active {int(self.model.mask.sum())} "
-                  f"t {time.time() - t0:.0f}s")
+        self.events.append(
+            f"polish: loss {loss:.4g} active {int(self.model.mask.sum())} "
+            f"t {time.time() - t0:.0f}s")
         return RecoveryResult(model=self.model, encoder=self.emb,
                               history=self.history, events=self.events,
                               loss=loss)
 
 
-def distill(recovery: EmbeddingRecovery, width=64, steps=3000, lr=3e-3,
-            joint_steps=0, seed=None):
+def distill(recovery: EmbeddingRecovery, width=64, steps=DISTILL_STEPS,
+            lr=3e-3, joint_steps=0, seed=None):
     """Fit a temporal-conv encoder to the recovered hidden series.
 
     Returns the conv encoder; with joint_steps > 0 it is additionally
-    polished jointly with the coefficients on the recovery loss.
+    polished jointly with the coefficients on the recovery loss. Appends a
+    `distill:` event with the fit's last loss and the wall time to
+    `recovery.events`; the descent rows are not kept.
     """
+    t0 = time.time()
     ds = recovery.ds
     seed = recovery.cfg.seed if seed is None else seed
     spec = encoders.ode_encoder_spec(n_visible=recovery.n_vis, width=width)
     enc = encoders.Encoder(spec, seed=seed)
     r = enc.radius
-    target = recovery.phi.data[r:recovery.n_time - r]
-    params = [p for _, p in enc.parameters()]
-    opt = training.GradientOptimizer(params, lr=lr)
     tvis = T.Tensor(ds.visible)
-    ttar = T.Tensor(target)
-    for step in range(steps):
-        opt.lr = lr * (0.1 + 0.9 * 0.5 * (1 + np.cos(np.pi * step / max(steps - 1, 1))))
-        for p in params:
-            p.grad = None
-        out = enc(tvis)
-        loss = tmean(square(T.sub(out, ttar)))
-        backward(loss)
-        opt.step()
+    ttar = T.Tensor(recovery.phi.data[r:recovery.n_time - r])
+
+    def fit_loss():
+        return tmean(square(T.sub(enc(tvis), ttar))), {}
+
+    def fit_lr(step):
+        cos = np.cos(np.pi * step / max(steps - 1, 1))
+        return lr * (0.1 + 0.9 * 0.5 * (1 + cos))
+
+    opt = training.GradientOptimizer([p for _, p in enc.parameters()], lr=lr)
+    # only the last row is read, for the event's loss
+    rows = training.descend(opt, training.backpropagated(fit_loss), steps,
+                            fit_lr, history=deque(maxlen=1))
+    loss = rows[-1]["total_loss"] if rows else float("nan")
     if joint_steps:
-        prob = training.Problem(ds, recovery.model, enc, order=2,
-                                alphas=(1.0, 1.0))
         model = recovery.model
-        params = [model.theta_t] + [p for _, p in enc.parameters()]
-        opt = training.GradientOptimizer(params, lr=1e-4)
-        for _ in range(joint_steps):
-            for p in params:
-                p.grad = None
-            loss, _ = prob.compute_loss()
-            backward(loss)
-            opt.step()
-            model.theta_t.data[~model.mask] = 0.0
-            model.theta[...] = model.theta_t.data
+        prob = training.Problem(ds, model, enc, order=2, alphas=(1.0, 1.0))
+        opt = training.GradientOptimizer(
+            [model.theta_t] + [p for _, p in enc.parameters()], lr=1e-4)
+        training.descend(opt, training.backpropagated(prob.compute_loss),
+                         joint_steps, lambda step: 1e-4, model=model)
+    recovery.events.append(f"distill: loss {loss:.4g} "
+                           f"t {time.time() - t0:.0f}s")
     return enc

@@ -34,15 +34,10 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = None               # default 1e-16 adabelief, 1e-8 adam
-    order: int = 2
-    alphas: tuple = (1.0, 1.0)      # loss weight per derivative order
-    beta_phase: float = 0.0         # wave-system phase regularizer weight
     sparsify_every: int = 0         # 0 disables thresholding
     theta_threshold: float = 1e-3
     divergence_limit: float = DIVERGENCE_LIMIT
     chunk_time: int = 0             # 0 = single full-batch pass per step
-    batch_time: int = 0             # >0: one random window of this many
-                                    # samples per step instead of full batch
     lr_final: float = None          # cosine decay target; None = constant lr
     seed: int = 0
 
@@ -186,7 +181,7 @@ class Problem:
         return out
 
 
-def default_model(preset, seed=0, init_scale=None):
+def default_model(preset, seed=0):
     """Library preset for a system kind with small seeded random starting
     coefficients (symmetry breaking; zeros also train, just slower)."""
     from . import library
@@ -199,10 +194,9 @@ def default_model(preset, seed=0, init_scale=None):
         model = library.nlse_library(dx=preset.spacing[0])
     else:
         raise ValueError(f"unknown system kind {preset.kind!r}")
-    if init_scale is None:
-        # high-order stencils amplify by 1/dx^order, so the wave library
-        # needs a much smaller starting point to keep the first loss finite
-        init_scale = 1e-4 if preset.kind == "nlse" else 0.1
+    # high-order stencils amplify by 1/dx^order, so the wave library needs
+    # a much smaller starting point to keep the first loss finite
+    init_scale = 1e-4 if preset.kind == "nlse" else 0.1
     rng = np.random.default_rng(seed)
     model.theta[...] = rng.uniform(-init_scale, init_scale, model.theta.shape)
     model.theta[~model.mask] = 0.0
@@ -225,6 +219,64 @@ def default_encoder(dataset, width=None, seed=0):
     return encoders.Encoder(spec, seed=seed)
 
 
+def check_loss(value, step, limit=DIVERGENCE_LIMIT):
+    """Raise TrainingDiverged unless the loss is finite and within limit."""
+    if not np.isfinite(value) or value > limit:
+        raise TrainingDiverged(
+            f"loss {value:.3g} at step {step} (limit {limit:g})")
+
+
+def backpropagated(forward):
+    """Losses for `descend` from `forward()`, which returns a scalar loss
+    Tensor and its parts: each item runs forward and backward and yields
+    `(value, parts)`.
+
+    Being a generator, it holds each loss's tape until the next one is
+    built, as a plain training loop does. Freeing the tape before the
+    optimizer step lets malloc hand the heap top back to the OS, and the
+    next forward pass then pays to fault it in again."""
+    while True:
+        total, parts = forward()
+        T.backward(total)
+        yield float(total.data), parts
+
+
+def descend(opt, losses, steps, lr, model=None, before=None, after=None,
+            limit=DIVERGENCE_LIMIT, history=None):
+    """The descent loop every training phase runs.
+
+    Each step sets `opt.lr = lr(step)`, calls `before(step)`, clears the
+    gradients and takes `next(losses)`, which runs forward and backward and
+    yields `(value, parts)` (see `backpropagated`). A loss that is not
+    finite or exceeds `limit` raises TrainingDiverged before the optimizer
+    step. After the step the coefficients of `model` (if given) are
+    re-masked and copied to its master array, `after(step, value)` runs,
+    and one HISTORY_FIELDS row is appended to `history`, numbered on from
+    its length. Returns `history`.
+    """
+    history = [] if history is None else history
+    for step in range(steps):
+        opt.lr = lr(step)
+        if before is not None:
+            before(step)
+        opt.zero_grad()
+        value, parts = next(losses)
+        check_loss(value, step, limit)
+        opt.step()
+        if model is not None:
+            model.theta_t.data[~model.mask] = 0.0
+            model.theta[...] = model.theta_t.data
+        if after is not None:
+            after(step, value)
+        history.append({
+            "step": len(history), "total_loss": value,
+            "loss_p1": parts.get("loss_p1", 0.0),
+            "loss_p2": parts.get("loss_p2", 0.0),
+            "reg": parts.get("reg", 0.0),
+            "n_active_terms": model.active_terms() if model is not None else 0})
+    return history
+
+
 def fit(problem, config, out_dir=None, log=None):
     """Run the training loop; returns the per-step history (list of dicts).
     Writes history.csv, model.json and encoder.ckpt under out_dir if given."""
@@ -233,56 +285,40 @@ def fit(problem, config, out_dir=None, log=None):
     opt = GradientOptimizer(params, lr=config.lr, beta1=config.beta1,
                             beta2=config.beta2, eps=config.eps,
                             variant=config.optimizer)
-    history = []
     chunks = problem.chunks(config.chunk_time)
-    span = problem.hi - problem.lo
-    batch = min(config.batch_time, span) if config.batch_time else 0
-    rng = np.random.default_rng(config.seed)
-    for step in range(config.steps):
-        if config.lr_final is not None and config.steps > 1:
-            frac = step / (config.steps - 1)
-            opt.lr = config.lr_final + (config.lr - config.lr_final) * \
-                0.5 * (1 + np.cos(np.pi * frac))
-        opt.zero_grad()
-        val = 0.0
-        parts = {}
-        if batch:
-            # stochastic variant: score one random contiguous window per
-            # step; cheaper than full batch and the noise helps the joint
-            # coefficient/encoder problem escape dense near-minima
-            a = problem.lo + int(rng.integers(0, span - batch + 1))
-            step_chunks = [(a, a + batch, 1.0)]
-        else:
-            step_chunks = chunks
+
+    def lr(step):
+        if config.lr_final is None or config.steps <= 1:
+            return config.lr
+        frac = step / (config.steps - 1)
+        return config.lr_final + (config.lr - config.lr_final) * \
+            0.5 * (1 + np.cos(np.pi * frac))
+
+    def losses():
         # gradient accumulation over time windows: identical totals to one
         # full-batch pass, but the tape never holds more than one window
-        for lo, hi, w in step_chunks:
-            total, cparts = problem.compute_loss(lo, hi)
-            val += w * float(total.data)
-            for k, v in cparts.items():
-                parts[k] = parts.get(k, 0.0) + w * v
-            T.backward(total if w == 1.0 else T.mul(total, w))
-        if not np.isfinite(val) or val > config.divergence_limit:
-            raise TrainingDiverged(
-                f"loss {val:.3g} at step {step} "
-                f"(limit {config.divergence_limit:g})")
-        opt.step()
-        # keep the master coefficient array in sync with the tape leaf
-        model.theta_t.data[~model.mask] = 0.0
-        model.theta[...] = model.theta_t.data
+        # (a generator, for the reason `backpropagated` gives)
+        while True:
+            val, parts = 0.0, {}
+            for lo, hi, w in chunks:
+                total, cparts = problem.compute_loss(lo, hi)
+                val += w * float(total.data)
+                for k, v in cparts.items():
+                    parts[k] = parts.get(k, 0.0) + w * v
+                T.backward(total if w == 1.0 else T.mul(total, w))
+            yield val, parts
+
+    def after(step, val):
         if (config.sparsify_every
                 and (step + 1) % config.sparsify_every == 0):
             model.sparsify(config.theta_threshold)
-        row = {"step": step, "total_loss": val,
-               "loss_p1": parts.get("loss_p1", 0.0),
-               "loss_p2": parts.get("loss_p2", 0.0),
-               "reg": parts["reg"],
-               "n_active_terms": model.active_terms()}
-        history.append(row)
         if log is not None and (step % max(1, config.steps // 20) == 0
                                 or step == config.steps - 1):
             log(f"step {step:6d}  loss {val:.6g}  "
-                f"active {row['n_active_terms']}")
+                f"active {model.active_terms()}")
+
+    history = descend(opt, losses(), config.steps, lr, model=model,
+                      after=after, limit=config.divergence_limit)
     if out_dir is not None:
         save_run(Path(out_dir), problem, config, history)
     return history
@@ -304,7 +340,6 @@ def save_run(out_dir, problem, config, history):
     out_dir.mkdir(parents=True, exist_ok=True)
     write_history(out_dir / "history.csv", history)
     cfg = asdict(config)
-    cfg["alphas"] = list(cfg["alphas"])
     (out_dir / "model.json").write_text(problem.model.to_json())
     import json
     (out_dir / "config.json").write_text(json.dumps(cfg, indent=1))

@@ -137,3 +137,38 @@ def test_missing_config(workspace, tmp_path):
     assert cli.main(["train", "--data", str(workspace / "data"),
                      "--out", str(tmp_path / "r"),
                      "--config", str(tmp_path / "none.json")]) == 2
+
+
+def test_config_width_distills(workspace, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 3, "width": 8}))
+    out = tmp_path / "run4"
+    assert cli.main(["train", "--data", str(workspace / "data"),
+                     "--out", str(out), "--config", str(cfg)]) == 0
+    from symder import encoders, recover
+    enc = encoders.load_checkpoint(out / "encoder.ckpt")
+    assert enc.spec.kind == "temporal_conv"
+    doc = json.loads((out / "config.json").read_text())
+    assert doc["distill_width"] == 8
+    assert doc["distill_steps"] == recover.DISTILL_STEPS
+    assert doc["events"][-1].startswith("distill:")
+    assert len(train.load_history(out / "history.csv")) == 3
+
+
+def test_staged_lr_changes_history(workspace, tmp_path):
+    out = tmp_path / "run_lr"
+    assert cli.main(["train", "--data", str(workspace / "data"),
+                     "--out", str(out), "--steps", "20", "--lr", "1e-2"]) == 0
+    assert json.loads((out / "config.json").read_text())[
+        "recovery"]["lr"] == 1e-2
+    assert (out / "history.csv").read_bytes() != \
+        (workspace / "run" / "history.csv").read_bytes()
+
+
+def test_staged_divergence_exits_1(workspace, tmp_path, capsys):
+    code = cli.main(["train", "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "run_div"), "--steps", "20",
+                     "--lr", "1e6"])
+    assert code == 1
+    assert "training diverged" in capsys.readouterr().err
+    assert not (tmp_path / "run_div" / "model.json").exists()

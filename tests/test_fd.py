@@ -119,3 +119,30 @@ def test_tensor_paths_match_numpy():
     np.testing.assert_allclose(
         fd.spatial_stencil(T.Tensor(u), spec).data,
         fd.spatial_stencil(u, spec), rtol=1e-14)
+
+
+@pytest.mark.parametrize("p, degree", [(1, 4), (2, 5)])
+def test_accuracy4_stencils_exact_on_polynomials(p, degree):
+    # order-4 central stencils: exact up to degree p + 3, on both paths
+    from math import factorial
+    dt = 0.1
+    t = 0.3 + np.arange(12) * dt
+    w = fd.stencil_weights(p, dt, accuracy=4)
+    for deg in range(degree + 1):
+        x = t ** deg
+        d = fd.apply_stencil(x, w)
+        truth = (factorial(deg) / factorial(deg - p) * t[2:-2] ** (deg - p)
+                 if deg >= p else np.zeros(8))
+        np.testing.assert_allclose(d, truth, rtol=1e-10, atol=1e-10)
+        np.testing.assert_array_equal(fd.apply_stencil(T.Tensor(x), w).data,
+                                      d)
+
+
+def test_stencil_accuracy_validated():
+    w = fd.stencil_weights(2, 0.5, accuracy=4)
+    np.testing.assert_array_equal(w, fd.CENTRAL_STENCILS_4[2] / 0.25)
+    fd.StencilSpec(order=1, axis=0, spacing=1.0, accuracy=4)
+    with pytest.raises(ValueError):
+        fd.StencilSpec(order=3, axis=0, spacing=1.0, accuracy=4)
+    with pytest.raises(ValueError):
+        fd.stencil_weights(1, 1.0, accuracy=6)

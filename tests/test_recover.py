@@ -61,3 +61,48 @@ def test_distill_joint_steps(lorenz_ds):
     hidden = enc(T.Tensor(lorenz_ds.visible)).data
     assert hidden.shape == (lorenz_ds.visible.shape[0] - 2 * enc.radius, 1)
     assert np.all(np.isfinite(hidden))
+
+
+def test_fit_raises_on_divergence(lorenz_ds):
+    rec = _recovery(lorenz_ds, 12)
+    rec.model.theta[...] = 1e6
+    rec.model.sync()
+    with pytest.raises(train.TrainingDiverged):
+        rec.fit()
+
+
+def test_diverging_trial_is_rejected(lorenz_ds):
+    # the first elimination trial runs at a rate that blows it up; it scores
+    # +inf, fails the gate, and elimination carries on
+    cfg = recover.RecoveryConfig(warmup_steps=60, gauge_rounds=1,
+                                 round_steps=10, baseline_steps=10,
+                                 trial_steps=7, polish_steps=10,
+                                 eliminate=True, seed=0)
+    rec = recover.EmbeddingRecovery(
+        lorenz_ds, train.default_model(lorenz_ds.preset, seed=0), cfg)
+    run, diverged = rec.run, []
+
+    def run_first_trial_hot(nsteps, lr0=None, **kw):
+        if nsteps == cfg.trial_steps and not diverged:
+            try:
+                return run(nsteps, lr0=1e6, **kw)
+            except train.TrainingDiverged:
+                diverged.append(nsteps)
+                raise
+        return run(nsteps, lr0=lr0, **kw)
+
+    rec.run = run_first_trial_hot
+    res = rec.fit()
+    assert diverged == [cfg.trial_steps]
+    assert np.isfinite(res.loss)
+    assert res.events[-1].startswith("polish")
+    assert np.all(np.isfinite(rec.model.theta))
+
+
+def test_distill_logs_event(lorenz_ds):
+    rec = _recovery(lorenz_ds, 10)
+    res = rec.fit()
+    n_rows = len(res.history)
+    recover.distill(rec, width=8, steps=5)
+    assert rec.events[-1].startswith("distill: loss ")
+    assert len(res.history) == n_rows
