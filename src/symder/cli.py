@@ -8,7 +8,7 @@
 
 Exit codes: 0 success, 1 runtime failure (divergence, bad arguments caught
 late, existing output without --force), 2 missing dataset or run input,
-3 corrupt checkpoint or model file.
+3 corrupt dataset, checkpoint or model file.
 
 SYMDER_THREADS limits the BLAS thread pools; it must be handled before numpy
 is first imported, which is why this module sets the environment up top.
@@ -56,6 +56,10 @@ DEFAULT_CONFIGS = {
              "n_time": 500, "divergence_limit": 1e9},
 }
 
+JOINT_ONLY_KEYS = {"order", "alphas", "sparsify_every", "theta_threshold",
+                   "chunk_time", "beta_phase", "divergence_limit",
+                   "optimizer", "lr_final"}
+
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_MISSING = 2
@@ -69,23 +73,28 @@ class CliError(Exception):
 
 
 def load_config(preset_name, config_path=None):
-    cfg = dict(DEFAULT_CONFIGS.get(preset_name, DEFAULT_CONFIGS["lorenz"]))
+    """The preset's schedule under the config file, and the keys it sets."""
+    cfg = DEFAULT_CONFIGS.get(preset_name, DEFAULT_CONFIGS["lorenz"])
+    user = {}
     if config_path is not None:
         path = Path(config_path)
         if not path.exists():
             raise CliError(f"config not found: {path}", EXIT_MISSING)
         try:
-            cfg.update(json.loads(path.read_text()))
-        except json.JSONDecodeError as e:
+            user = dict(json.loads(path.read_text()))
+        except (TypeError, ValueError) as e:
             raise CliError(f"bad config {path}: {e}", EXIT_FAIL)
-    return cfg
+    return {**cfg, **user}, set(user)
 
 
 def load_dataset(path):
     path = Path(path)
-    if not (path / "meta.json").exists():
-        raise CliError(f"dataset not found: {path}", EXIT_MISSING)
-    return datagen.Dataset.load(path)
+    try:
+        return datagen.Dataset.load(path)
+    except (FileNotFoundError, NotADirectoryError) as e:
+        raise CliError(f"dataset file not found: {e.filename}", EXIT_MISSING)
+    except (KeyError, TypeError, IndexError, ValueError) as e:
+        raise CliError(f"corrupt dataset {path}: {e}", EXIT_CORRUPT)
 
 
 def load_run(run_dir):
@@ -127,7 +136,7 @@ def cmd_generate(args):
 
 def cmd_train(args):
     ds = load_dataset(args.data)
-    cfg = load_config(ds.preset.name, args.config)
+    cfg, user_keys = load_config(ds.preset.name, args.config)
     if args.steps is not None:
         cfg["steps"] = args.steps
     if args.width is not None:
@@ -135,6 +144,9 @@ def cmd_train(args):
     if args.lr is not None:
         cfg["lr"] = args.lr
     if cfg.get("pipeline") == "staged" and ds.preset.kind == "ode":
+        if user_keys & JOINT_ONLY_KEYS:
+            raise CliError(f"{args.config}: the staged pipeline does not use "
+                           f"{', '.join(sorted(user_keys & JOINT_ONLY_KEYS))}")
         return _train_staged(args, ds, cfg)
     model = train.default_model(ds.preset, seed=args.seed)
     enc = train.default_encoder(ds, width=cfg["width"] or None,

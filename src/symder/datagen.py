@@ -105,34 +105,28 @@ def _lap(f, spacing):
 
 
 def make_rhs(preset):
+    """rhs(*components) -> tuple; floats for the ODEs, fields for the PDEs."""
     p = preset.params
     if preset.name == "rossler":
-        def rhs(x):
-            u, v, w = x[..., 0], x[..., 1], x[..., 2]
-            return np.stack([-v - w, u + p["a"] * v,
-                             p["b"] + w * (u - p["c"])], axis=-1)
+        def rhs(u, v, w):
+            return (-v - w, u + p["a"] * v, p["b"] + w * (u - p["c"]))
         return rhs
     if preset.name == "lorenz":
-        def rhs(x):
-            u, v, w = x[..., 0], x[..., 1], x[..., 2]
-            return np.stack([p["sigma"] * (v - u),
-                             u * (p["rho"] - w) - v,
-                             u * v - p["beta"] * w], axis=-1)
+        def rhs(u, v, w):
+            return (p["sigma"] * (v - u), u * (p["rho"] - w) - v,
+                    u * v - p["beta"] * w)
         return rhs
     if preset.name == "diffusion_source":
-        def rhs(x):
-            u, v = x[..., 0], x[..., 1]
-            return np.stack([p["D"] * _lap(u, preset.spacing) + v,
-                             -p["k"] * v], axis=-1)
+        def rhs(u, v):
+            return (p["D"] * _lap(u, preset.spacing) + v, -p["k"] * v)
         return rhs
     if preset.name == "diffusive_lv":
-        def rhs(x):
-            u, v = x[..., 0], x[..., 1]
+        def rhs(u, v):
             du = p["Du"] * _lap(u, preset.spacing) + \
                 p["alpha"] * u - p["beta"] * u * v
             dv = p["Dv"] * _lap(v, preset.spacing) + \
                 p["delta"] * u * v - p["gamma"] * v
-            return np.stack([du, dv], axis=-1)
+            return (du, dv)
         return rhs
     raise ValueError(f"no ODE/PDE right-hand side for preset {preset.name!r}")
 
@@ -177,11 +171,14 @@ def true_coefficient_table(preset):
 # ---------------------------------------------------------------------------
 
 def rk4_step(rhs, x, dt):
-    k1 = rhs(x)
-    k2 = rhs(x + 0.5 * dt * k1)
-    k3 = rhs(x + 0.5 * dt * k2)
-    k4 = rhs(x + dt * k3)
-    return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    """RK4 on a tuple of components (floats for one ODE state, fields for a
+    PDE), in the operation order of RK4 on stacked arrays."""
+    k1 = rhs(*x)
+    k2 = rhs(*[a + 0.5 * dt * k for a, k in zip(x, k1)])
+    k3 = rhs(*[a + 0.5 * dt * k for a, k in zip(x, k2)])
+    k4 = rhs(*[a + dt * k for a, k in zip(x, k3)])
+    return tuple(a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4))
 
 
 def _check_state(x, step):
@@ -193,15 +190,16 @@ def _check_state(x, step):
 
 def integrate(rhs, x0, n_steps, dt, substeps=10):
     """RK4 trajectory sampled every dt; internal step dt/substeps."""
-    x = np.array(x0, dtype=np.float64)
-    out = np.empty((n_steps,) + x.shape)
-    out[0] = x
+    x0 = np.asarray(x0, dtype=np.float64)
+    x = tuple(x0.tolist() if x0.ndim == 1 else np.moveaxis(x0, -1, 0))
+    out = np.empty((n_steps,) + x0.shape)
+    out[0] = x0
     sub = dt / substeps
     for i in range(1, n_steps):
         for _ in range(substeps):
             x = rk4_step(rhs, x, sub)
-        _check_state(x, i)
-        out[i] = x
+        out[i] = np.stack(x, axis=-1)
+        _check_state(out[i], i)
     return out
 
 
@@ -341,18 +339,20 @@ class Dataset:
                             n_time=meta["grid"]["n_time"],
                             nx=(meta["grid"]["extents"][0]
                                 if meta["grid"]["extents"] else None))
-        vis = np.fromfile(path / "visible.f64", dtype="<f8").reshape(
-            meta["visible_shape"])
-        hid = np.fromfile(path / "hidden.f64", dtype="<f8").reshape(
-            meta["hidden_shape"])
+        arrays = []
+        for name in ("visible", "hidden"):
+            f, shape = path / f"{name}.f64", meta[f"{name}_shape"]
+            if f.stat().st_size != 8 * int(np.prod(shape)):
+                raise ValueError(f"{f.name} does not hold the shape {shape}")
+            arrays.append(np.fromfile(f, dtype="<f8").reshape(shape))
         nrm = meta["normalization"]
         norm = NormalizationRecord(
             mean=np.array(nrm["mean"]), std=np.array(nrm["std"]),
             deriv_std={int(p): np.array(s)
                        for p, s in nrm["deriv_std"].items()},
             dt=meta["grid"]["dt"], spacing=tuple(meta["grid"]["spacing"]))
-        return cls(preset=preset, seed=meta["seed"], visible_raw=vis,
-                   hidden_truth=hid, norm=norm)
+        return cls(preset=preset, seed=meta["seed"], visible_raw=arrays[0],
+                   hidden_truth=arrays[1], norm=norm)
 
 
 def _make_norm(preset, visible_raw):
@@ -409,21 +409,21 @@ def simulate(preset, seed=0):
 # ---------------------------------------------------------------------------
 
 def table_rhs(table, state_dim, spacing=(), axes=()):
-    """Numpy right-hand side from a coefficient table
-    {component: {basis_key: value}} in physical units."""
+    """rhs(*components) -> tuple from a table {component: {basis_key: value}}
+    in physical units; powers are repeated products, so overflow gives inf."""
     from . import fd
 
-    def rhs(x):
-        comps = [x[..., j] for j in range(state_dim)]
-        out = np.zeros_like(x)
+    def rhs(*comps):
+        zero = np.zeros_like(comps[0]) if np.ndim(comps[0]) else 0.0
+        out = [zero] * state_dim
         for j, row in table.items():
-            acc = np.zeros_like(comps[0])
+            acc = zero
             for key, c in row.items():
                 if key[0] == "mono":
-                    v = np.ones_like(comps[0])
+                    v = 1.0
                     for k, e in enumerate(key[1]):
-                        if e:
-                            v = v * comps[k] ** e
+                        for _ in range(e):
+                            v = v * comps[k]
                 elif key[0] == "deriv":
                     v = comps[key[1]]
                     for a, o in enumerate(key[2]):
@@ -433,9 +433,9 @@ def table_rhs(table, state_dim, spacing=(), axes=()):
                                                   spacing=spacing[a]))
                 else:
                     raise ValueError(f"table_rhs cannot evaluate {key!r}")
-                acc = acc + c * v
-            out[..., j] = acc
-        return out
+                acc = acc + float(c) * v
+            out[j] = acc
+        return tuple(out)
 
     return rhs
 

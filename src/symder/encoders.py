@@ -213,7 +213,7 @@ class CheckpointError(ValueError):
 
 def load_checkpoint(path):
     raw = Path(path).read_bytes()
-    if raw[:8] != CHECKPOINT_MAGIC:
+    if len(raw) < 16 or raw[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not an encoder checkpoint")
     (hlen,) = struct.unpack("<Q", raw[8:16])
     try:
@@ -223,6 +223,9 @@ def load_checkpoint(path):
             spec_doc[key] = tuple(spec_doc[key])
         spec = EncoderSpec(**spec_doc)
         enc = Encoder(spec, seed=header["seed"])
+        if len(raw) != 16 + hlen + 8 * sum(
+                int(np.prod(r["shape"])) for r in header["params"]):
+            raise CheckpointError(f"{path}: blob size disagrees with header")
         blob = np.frombuffer(raw[16 + hlen:], dtype="<f8")
         for rec in header["params"]:
             shape = tuple(rec["shape"])

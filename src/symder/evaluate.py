@@ -227,9 +227,9 @@ def prediction_horizon(model, dataset, align, hidden_estimate, start=0,
     n_steps = truth_vis.shape[0] - 1
     x = np.empty(model.state_dim)
     x[vis_idx] = dataset.visible_raw[start]
-    hid = align.a * np.atleast_1d(hidden_estimate) + align.b
     hidden_idx = [j for j in range(model.state_dim) if j not in vis_idx]
-    x[hidden_idx] = hid
+    x[hidden_idx] = align.a * np.atleast_1d(hidden_estimate) + align.b
+    x = tuple(x.tolist())
     scale = np.sqrt(np.mean((truth_vis - truth_vis.mean(axis=0)) ** 2))
     horizon_steps = 0
     sub_dt = dataset.norm.dt / substeps
@@ -238,7 +238,7 @@ def prediction_horizon(model, dataset, align, hidden_estimate, start=0,
             x = datagen.rk4_step(rhs, x, sub_dt)
         if not np.all(np.isfinite(x)):
             break
-        dev = np.sqrt(np.mean((x[vis_idx] - truth_vis[k]) ** 2))
+        dev = np.sqrt(np.mean((np.take(x, vis_idx) - truth_vis[k]) ** 2))
         if dev > threshold * scale:
             break
         horizon_steps = k

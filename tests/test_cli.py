@@ -139,6 +139,14 @@ def test_missing_config(workspace, tmp_path):
                      "--config", str(tmp_path / "none.json")]) == 2
 
 
+def test_config_not_an_object(workspace, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert cli.main(["train", "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "r"), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: bad config")
+
+
 def test_config_width_distills(workspace, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"steps": 3, "width": 8}))
@@ -172,3 +180,40 @@ def test_staged_divergence_exits_1(workspace, tmp_path, capsys):
     assert code == 1
     assert "training diverged" in capsys.readouterr().err
     assert not (tmp_path / "run_div" / "model.json").exists()
+
+
+@pytest.mark.parametrize("name", ["meta.json", "visible.f64", "hidden.f64",
+                                  "model.json", "encoder.ckpt"])
+@pytest.mark.parametrize("damage,code", [("missing", 2), ("truncated", 3)])
+def test_damaged_artifact_exit_code(workspace, tmp_path, capsys, name,
+                                    damage, code):
+    data, run = tmp_path / "data", tmp_path / "run"
+    for src, dst in ((workspace / "data", data), (workspace / "run", run)):
+        dst.mkdir()
+        for f in src.iterdir():
+            (dst / f.name).write_bytes(f.read_bytes())
+    target = (data if name.endswith((".f64", "meta.json")) else run) / name
+    if damage == "missing":
+        target.unlink()
+    else:
+        target.write_bytes(target.read_bytes()[:target.stat().st_size // 2])
+    capsys.readouterr()
+    assert cli.main(["eval", "--data", str(data), "--run", str(run)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_staged_rejects_joint_only_keys(workspace, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta_threshold": 5.0, "sparsify_every": 1,
+                               "order": 1, "alphas": [9.0, 9.0]}))
+    out = tmp_path / "run_keys"
+    assert cli.main(["train", "--data", str(workspace / "data"),
+                     "--out", str(out), "--steps", "20",
+                     "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    for key in ("order", "alphas", "sparsify_every", "theta_threshold"):
+        assert key in err
+    assert not out.exists()

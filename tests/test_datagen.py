@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ def test_periodic_shift_equivariance():
 def test_divergence_reporting():
     preset = small("lorenz", n_time=100)
     rhs = dg.make_rhs(preset)
-    bad_rhs = lambda x: 1e6 * x  # noqa: E731
+    bad_rhs = lambda *x: tuple(1e6 * c for c in x)  # noqa: E731
     with pytest.raises(dg.SimulationError, match="step"):
         dg.integrate(bad_rhs, np.ones(3), 100, 1e-2)
 
@@ -158,5 +160,78 @@ def test_table_rhs_matches_simulator_rhs():
         rhs_tab = dg.table_rhs(dg.true_coefficient_table(preset),
                                preset.state_dim,
                                spacing=preset.spacing, axes=(0, 1))
-        np.testing.assert_allclose(rhs_tab(x), rhs_true(x), rtol=1e-12,
-                                   atol=1e-12, err_msg=name)
+        comps = np.moveaxis(x, -1, 0)
+        np.testing.assert_allclose(rhs_tab(*comps), rhs_true(*comps),
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+# Reference: RK4 and right-hand sides on stacked arrays. The simulator's
+# component form must reproduce them bit for bit.
+
+def _array_rhs(preset):
+    p = preset.params
+    if preset.name == "rossler":
+        def rhs(x):
+            u, v, w = x[..., 0], x[..., 1], x[..., 2]
+            return np.stack([-v - w, u + p["a"] * v,
+                             p["b"] + w * (u - p["c"])], axis=-1)
+    elif preset.name == "lorenz":
+        def rhs(x):
+            u, v, w = x[..., 0], x[..., 1], x[..., 2]
+            return np.stack([p["sigma"] * (v - u),
+                             u * (p["rho"] - w) - v,
+                             u * v - p["beta"] * w], axis=-1)
+    elif preset.name == "diffusion_source":
+        def rhs(x):
+            u, v = x[..., 0], x[..., 1]
+            return np.stack([p["D"] * dg._lap(u, preset.spacing) + v,
+                             -p["k"] * v], axis=-1)
+    else:
+        def rhs(x):
+            u, v = x[..., 0], x[..., 1]
+            du = p["Du"] * dg._lap(u, preset.spacing) + \
+                p["alpha"] * u - p["beta"] * u * v
+            dv = p["Dv"] * dg._lap(v, preset.spacing) + \
+                p["delta"] * u * v - p["gamma"] * v
+            return np.stack([du, dv], axis=-1)
+    return rhs
+
+
+def _array_rk4_step(rhs, x, dt):
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * dt * k1)
+    k3 = rhs(x + 0.5 * dt * k2)
+    k4 = rhs(x + dt * k3)
+    return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _array_integrate(rhs, x0, n_steps, dt, substeps=10):
+    x = np.array(x0, dtype=np.float64)
+    out = np.empty((n_steps,) + x.shape)
+    out[0] = x
+    sub = dt / substeps
+    for i in range(1, n_steps):
+        for _ in range(substeps):
+            x = _array_rk4_step(rhs, x, sub)
+        out[i] = x
+    return out
+
+
+@pytest.mark.parametrize("name,kw", [
+    ("rossler", {"n_time": 60}), ("lorenz", {"n_time": 60}),
+    ("diffusion_source", {"n_time": 12, "nx": 8}),
+    ("diffusive_lv", {"n_time": 12, "nx": 8})])
+def test_simulate_matches_array_rk4(name, kw):
+    preset = small(name, **kw)
+    if preset.burn_in:
+        # a short transient keeps the burn-in in the check at little cost
+        preset = dataclasses.replace(preset, burn_in=2.0)
+    ds = dg.simulate(preset, seed=3)
+    rhs = _array_rhs(preset)
+    x0 = dg.initial_condition(preset, np.random.default_rng(3))
+    if preset.burn_in:
+        x0 = _array_integrate(rhs, x0, 200, preset.dt)[-1]
+    ref = _array_integrate(rhs, x0, preset.n_time, preset.dt)
+    hid = [j for j in range(preset.state_dim) if j not in preset.visible]
+    assert np.array_equal(ds.visible_raw, ref[..., preset.visible])
+    assert np.array_equal(ds.hidden_truth, ref[..., hid])

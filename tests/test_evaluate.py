@@ -123,6 +123,21 @@ def test_prediction_horizon_bad_model(lorenz_ds, lorenz_oracle):
     assert horizon < 0.5
 
 
+def test_blow_up_ends_cleanly(lorenz_ds, lorenz_oracle):
+    # du/dt = u^3 from u = 1e3 overflows inside the first sample; on Python
+    # floats that must end as a SimulationError, not an OverflowError
+    rhs = datagen.table_rhs({0: {("mono", (3,)): 1.0}}, 1)
+    with pytest.raises(datagen.SimulationError):
+        datagen.rollout(rhs, np.array([1e3]), 10, 0.1)
+    model, enc, align = lorenz_oracle
+    m2 = library.SymbolicModel.from_json(model.to_json())
+    uu = [i for i, t in enumerate(m2.terms) if t.name == "u^2"][0]
+    m2.theta[0, uu] = 1e6
+    m2.sync()
+    horizon = evaluate.prediction_horizon(m2, lorenz_ds, align, enc.hidden[0])
+    assert horizon == 0.0
+
+
 def test_report_json(lorenz_ds, lorenz_oracle, tmp_path):
     model, enc, align = lorenz_oracle
     cmp = evaluate.compare_equations(model, lorenz_ds, align)
