@@ -59,6 +59,7 @@ DEFAULT_CONFIGS = {
 JOINT_ONLY_KEYS = {"order", "alphas", "sparsify_every", "theta_threshold",
                    "chunk_time", "beta_phase", "divergence_limit",
                    "optimizer", "lr_final"}
+CONFIG_KEYS = set().union(*DEFAULT_CONFIGS.values()) | JOINT_ONLY_KEYS
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -84,6 +85,9 @@ def load_config(preset_name, config_path=None):
             user = dict(json.loads(path.read_text()))
         except (TypeError, ValueError) as e:
             raise CliError(f"bad config {path}: {e}", EXIT_FAIL)
+        if set(user) - CONFIG_KEYS:
+            raise CliError(f"{path}: unknown config keys "
+                           f"{', '.join(sorted(set(user) - CONFIG_KEYS))}")
     return {**cfg, **user}, set(user)
 
 

@@ -351,6 +351,12 @@ class Dataset:
             deriv_std={int(p): np.array(s)
                        for p, s in nrm["deriv_std"].items()},
             dt=meta["grid"]["dt"], spacing=tuple(meta["grid"]["spacing"]))
+        scales = np.hstack([norm.mean, norm.std, norm.dt,
+                            *norm.deriv_std.values()])
+        for name, arr in zip(("visible.f64", "hidden.f64", "normalization"),
+                             arrays + [scales]):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} holds non-finite values")
         return cls(preset=preset, seed=meta["seed"], visible_raw=arrays[0],
                    hidden_truth=arrays[1], norm=norm)
 

@@ -24,10 +24,6 @@ from . import tensor as T
 MODULUS_FLOOR = 1e-8  # |psi| below this makes d|psi|/dt ill-conditioned
 
 
-def _is_jet(x):
-    return isinstance(x, JetVar)
-
-
 class JetVar:
     """Truncated polynomial in the expansion variable; coefficients are
     Tensors (or scalars, which broadcast)."""
@@ -45,7 +41,7 @@ class JetVar:
         return JetVar([fn(c) for c in self.coeffs])
 
     def __add__(self, other):
-        if _is_jet(other):
+        if isinstance(other, JetVar):
             n = min(len(self.coeffs), len(other.coeffs))
             return JetVar([self.coeffs[i] + other.coeffs[i] for i in range(n)])
         out = list(self.coeffs)
@@ -61,7 +57,7 @@ class JetVar:
         return (-1.0) * self + other
 
     def __mul__(self, other):
-        if _is_jet(other):
+        if isinstance(other, JetVar):
             n = min(len(self.coeffs), len(other.coeffs))
             out = []
             for p in range(n):
@@ -91,7 +87,7 @@ class JetVar:
 
 def as_jet(x, order):
     """Coerce a constant (Tensor/scalar) to a degree-`order` jet."""
-    if _is_jet(x):
+    if isinstance(x, JetVar):
         return x
     return JetVar([x] + [0.0] * order)
 
@@ -116,10 +112,6 @@ class JetSeries:
 
     coeffs: list
     order: int
-
-    def derivative(self, p):
-        """d^p x/dt^p as a Tensor (model time units)."""
-        return T.mul(self.coeffs[p], float(factorial(p)))
 
 
 def _broadcast_to_field(c, field_shape):

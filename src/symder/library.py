@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from . import fd
+from . import fd, jets
 from . import tensor as T
 
 SUBSCRIPTS = {0: "x", 1: "y"}
@@ -187,51 +187,28 @@ class SymbolicModel:
 
     def evaluate_components(self, comps):
         """Right-hand side per state channel; comps entries may be Tensors,
-        ndarrays, or jet polynomials."""
+        ndarrays, or jet polynomials. The active terms are contracted with
+        the masked coefficients in one `T.lincomb` per jet coefficient, so
+        masked (equation, term) pairs contribute exact zeros."""
         geom = self.geometry()
-        th = self.masked_theta()
         # masked-out terms contribute exactly zero with zero gradient; skip
-        active = self.mask if self.kind == "complex" else self.mask.any(axis=0)
-        values = [t.evaluate(comps, geom) if active[i] else None
-                  for i, t in enumerate(self.terms)]
+        active = np.flatnonzero(self.mask if self.kind == "complex"
+                                else self.mask.any(axis=0))
+        if not active.size:
+            return [0.0] * (2 if self.kind == "complex" else len(self.theta))
+        values = [self.terms[i].evaluate(comps, geom) for i in active]
+        th = T.getitem(self.masked_theta(), (Ellipsis, active))
         if self.kind == "complex":
-            out_re, out_im = None, None
-            for i, v in enumerate(values):
-                if v is None:
-                    continue
-                vr, vi = v
-                c = th[i]
-                re_term, im_term = vi * (-1.0) * c, vr * c
-                out_re = re_term if out_re is None else out_re + re_term
-                out_im = im_term if out_im is None else out_im + im_term
-            return [out_re if out_re is not None else 0.0,
-                    out_im if out_im is not None else 0.0]
-        out = []
-        for j in range(self.theta.shape[0]):
-            acc = None
-            for i, v in enumerate(values):
-                if v is None or not self.mask[j, i]:
-                    continue
-                term = v * th[j, i]
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else 0.0)
-        return out
+            # d psi/dt = i sum_i theta_i f_i: re += -theta f_im, im += theta f_re
+            th = T.reshape(th, (1, active.size))
+            return (_contract([v[1] for v in values], T.neg(th))
+                    + _contract([v[0] for v in values], th))
+        return _contract(values, th)
 
     def evaluate(self, state):
-        """sum_i theta_i f_i(state) as a Tensor shaped like `state`."""
-        state = T.as_tensor(state)
-        if state.shape[-1] != self.state_dim:
-            raise ValueError(
-                f"state has {state.shape[-1]} components, expected {self.state_dim}")
-        comps = [state[..., j] for j in range(self.state_dim)]
-        rhs = self.evaluate_components(comps)
-        fields = []
-        for f in rhs:
-            f = T.as_tensor(f)
-            if f.shape != state.shape[:-1]:
-                f = T.mul(f, np.ones(state.shape[:-1]))
-            fields.append(T.reshape(f, f.shape + (1,)))
-        return T.concat(fields, axis=-1)
+        """sum_i theta_i f_i(state) as a Tensor shaped like `state`: the
+        first Taylor coefficient of the trajectory through `state`."""
+        return jets.propagate(state, self, 1).coeffs[1]
 
     # -- sparsification -----------------------------------------------------
     def sparsify(self, threshold):
@@ -267,13 +244,26 @@ class SymbolicModel:
     def from_json(cls, text):
         doc = json.loads(text)
         terms = [_term_from_spec(s) for s in doc["term_spec"]]
-        return cls(terms=terms,
-                   theta=np.array(doc["theta"]),
+        theta = np.array(doc["theta"], dtype=float)
+        if not np.isfinite(theta).all():
+            raise ValueError("theta holds non-finite values")
+        return cls(terms=terms, theta=theta,
                    mask=np.array(doc["mask"], dtype=bool),
                    s_t=doc["scales"]["s_t"], s_x=doc["scales"]["s_x"],
                    state_dim=doc["state_dim"], kind=doc["kind"],
                    spatial_axes=tuple(doc["spatial_axes"]),
                    grid_spacing=tuple(doc["grid_spacing"]))
+
+
+def _contract(values, coef):
+    """Per equation j, sum_i coef[j, i] * values[i]: Tensors, or jets built
+    from one `T.lincomb` per Taylor coefficient (floats are constants)."""
+    lens = [len(v.coeffs) for v in values if isinstance(v, jets.JetVar)]
+    cols = [T.lincomb([v.coeffs[p] if isinstance(v, jets.JetVar) else
+                       v if p == 0 else 0.0 for v in values], coef)
+            for p in range(min(lens, default=1))]
+    rows = [[c[..., j] for c in cols] for j in range(coef.shape[0])]
+    return [jets.JetVar(r) if lens else r[0] for r in rows]
 
 
 def _term_spec(t):

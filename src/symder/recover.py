@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import encoders, fd, jets
+from . import encoders, fd
 from . import tensor as T
 from . import train as training
 from .tensor import square, tmean
@@ -150,14 +150,11 @@ class EmbeddingRecovery:
         self.phi.data[...] = rng.normal(0.0, 0.1, (self.n_time, 1))
 
         prob = training.Problem(ds, model, self.emb, order=2, alphas=(1.0, 1.0))
-        prob.agg_kind = "concat"
-        prob.projection = jets.Projection("subset", list(range(self.n_vis)))
         prob.lo, prob.hi = self.lo, self.hi
         for p in (1, 2):
             d = fd.apply_stencil(self.vis,
                                 fd.stencil_weights(p, self.dt, accuracy=4))
             prob.targets[p] = d / np.asarray(ds.norm.deriv_std[p])
-        prob.vis_trim = T.Tensor(self.vis[self.lo:self.hi])
         self.prob = prob
         self.history: list = []    # rows of train.HISTORY_FIELDS
         self.events: list = []
@@ -167,10 +164,11 @@ class EmbeddingRecovery:
     def loss_fn(self):
         """Staged loss and its parts: the derivative-matching parts of
         `compute_loss` plus, as `reg`, the mean squared residual of the hidden
-        equation against the finite-difference derivative of the embedding."""
-        base, parts = self.prob.compute_loss(self.lo, self.hi)
-        state = self.prob.reconstruct(self.lo, self.hi)
-        F = self.model.evaluate(state)
+        equation against the finite-difference derivative of the embedding.
+        Both score one state and jet; the jet's first coefficient is F(x)."""
+        state, jet = self.prob.expand(self.lo, self.hi)
+        base, parts = self.prob.score(state, jet, self.lo, self.hi)
+        F = jet.coeffs[1]
         dw = fd.apply_stencil(state[:, self.n_vis:],
                               fd.CENTRAL_STENCILS_4[1] * self.model.s_t)
         resid = T.sub(F[self.lo:-self.lo, self.n_vis:], dw)
@@ -185,7 +183,11 @@ class EmbeddingRecovery:
 
         shift_coeffs maps visible exponent tuples (padded with hidden 0) to
         the coefficient of that monomial in c(u); includes the constant.
+        A zero or non-finite sd raises TrainingDiverged before any change.
         """
+        if not np.isfinite(sd) or sd == 0.0:
+            raise training.TrainingDiverged(
+                f"hidden series has std {sd:.3g}; the gauge cannot rescale it")
         h = self.n_vis
         base = {tuple(0 if j != h else 1 for j in range(h + 1)): 1.0}
         base.update(shift_coeffs)
@@ -234,9 +236,8 @@ class EmbeddingRecovery:
         """Shift/scale the hidden series to zero mean, unit std (exact)."""
         w = self.phi.data[self.lo:self.hi, 0]
         m, s = float(w.mean()), float(w.std())
+        self._apply_shift({tuple([0] * (self.n_vis + 1)): m}, s)
         self.phi.data[:, 0] = (self.phi.data[:, 0] - m) / s
-        const = tuple([0] * (self.n_vis + 1))
-        self._apply_shift({const: m}, s)
 
     def gauge_orthogonalize(self):
         """Remove the component of w lying in span{1, visible channels}."""
@@ -245,14 +246,14 @@ class EmbeddingRecovery:
                             self.vis[self.lo:self.hi]], axis=1)
         coef, *_ = np.linalg.lstsq(A, w, rcond=None)
         fit = coef[0] + self.vis @ coef[1:]
-        self.phi.data[:, 0] -= fit
-        sd = float(self.phi.data[self.lo:self.hi].std())
-        self.phi.data[...] /= sd
+        w = self.phi.data - fit[:, None]
+        sd = float(w[self.lo:self.hi].std())
         shift = {tuple([0] * (self.n_vis + 1)): float(coef[0])}
         for j in range(self.n_vis):
             key = tuple(1 if k == j else 0 for k in range(self.n_vis + 1))
             shift[key] = float(coef[1 + j])
         self._apply_shift(shift, sd)
+        self.phi.data[...] = w / sd
         return coef, sd
 
     # --------------------------------------------------------------- descent

@@ -21,7 +21,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "pow_int", "absval", "square",
     "sqrt", "tanh", "sin", "cos", "exp",
     "tsum", "tmean", "getitem", "reshape", "concat", "roll",
-    "linear", "conv1d", "conv3d",
+    "linear", "lincomb", "conv1d", "conv3d",
     "OP_REGISTRY",
 ]
 
@@ -286,9 +286,16 @@ def getitem(a, idx):
     a = as_tensor(a)
     out = a.data[idx]
 
+    # only array indices can repeat an element, which needs np.add.at
+    fancy = any(isinstance(i, (list, np.ndarray))
+                for i in (idx if isinstance(idx, tuple) else (idx,)))
+
     def vjp(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        if fancy:
+            np.add.at(full, idx, g)
+        else:
+            full[idx] += g
         return full
 
     return Tensor(out, _parents=((a, vjp),), _op="getitem")
@@ -344,6 +351,27 @@ def linear(x, w):
         return x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[1])
 
     return Tensor(out, _parents=((x, vjp_x), (w, vjp_w)), _op="linear")
+
+
+def lincomb(values, coef):
+    """Contract n fields with a coefficient matrix in one node:
+    out[..., j] = sum_i coef[j, i] * values[i]. The values broadcast
+    against each other (a float is a constant field); coef is (neq, n)."""
+    values = [as_tensor(v) for v in values]
+    coef = as_tensor(coef)
+    neq, n = coef.shape
+    shape = np.broadcast_shapes(*(v.shape for v in values))
+    phi = np.stack([np.broadcast_to(v.data, shape) for v in values], axis=-1)
+    out = phi @ coef.data.T
+
+    def make_vjp(i, vshape):
+        return lambda g: _unbroadcast(g @ coef.data[:, i], vshape)
+
+    def vjp_coef(g):
+        return g.reshape(-1, neq).T @ phi.reshape(-1, n)
+
+    parents = tuple((v, make_vjp(i, v.shape)) for i, v in enumerate(values))
+    return Tensor(out, _parents=parents + ((coef, vjp_coef),), _op="lincomb")
 
 
 def _pad_periodic(arr, axis, before, after):
@@ -442,7 +470,6 @@ def conv3d(x, w, time_padding="valid", space_padding="periodic"):
 
     def vjp_x(g):
         gxp = np.zeros_like(xp)
-        gw_dummy = None  # noqa: F841
         for t0 in range(0, tout, chunk):
             t1 = min(tout, t0 + chunk)
             gp = (g[t0:t1].reshape(-1, cout) @ wmat.T).reshape(
@@ -563,6 +590,8 @@ def _reg_all():
     _register("concat", (lambda a, b: concat([a, b], axis=0), ((2, 3), (4, 3)), {}))
     _register("roll", (lambda a: roll(a, 2, axis=0), ((5, 2),), {}))
     _register("linear", (linear, ((5, 3), (3, 2)), {}))
+    _register("lincomb", (lambda a, b, c, w: lincomb([a, b, c], w),
+                          ((4, 5), (4, 5), (5,), (2, 3)), {}))
     _register("conv1d_valid", (lambda x, w: conv1d(x, w, "valid"),
                                ((9, 2), (3, 2, 2)), {}))
     _register("conv1d_periodic", (lambda x, w: conv1d(x, w, "periodic"),

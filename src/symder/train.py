@@ -120,7 +120,6 @@ class Problem:
             self.deriv_scale[p] = 1.0 / ((model.s_t * dt) ** p * sigma)
 
         self.vis_t = T.Tensor(vis)
-        self.vis_trim = T.Tensor(vis[lo:hi])
         if model.kind == "complex":
             self.agg_kind = "modulus_phase"
             self.projection = jets.Projection("modulus")
@@ -143,11 +142,15 @@ class Problem:
         vis = self.vis_t[lo:hi]
         return encoders.aggregate(self.agg_kind, vis, hidden)
 
-    def compute_loss(self, lo=None, hi=None):
+    def expand(self, lo=None, hi=None):
+        """The state estimate on [lo, hi) and its jet through the model."""
+        state = self.reconstruct(lo, hi)
+        return state, jets.propagate(state, self.model, self.order)
+
+    def score(self, state, jet, lo=None, hi=None):
+        """Loss and its parts for a state and jet from `expand(lo, hi)`."""
         lo = self.lo if lo is None else lo
         hi = self.hi if hi is None else hi
-        state = self.reconstruct(lo, hi)
-        jet = jets.propagate(state, self.model, self.order)
         sym = jets.visible_derivatives(jet, self.projection, self.order)
         total = None
         parts = {}
@@ -167,6 +170,9 @@ class Problem:
         else:
             parts["reg"] = 0.0
         return total, parts
+
+    def compute_loss(self, lo=None, hi=None):
+        return self.score(*self.expand(lo, hi), lo, hi)
 
     def chunks(self, chunk_time):
         """Tile [lo, hi) into windows of at most chunk_time samples, each

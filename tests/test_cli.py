@@ -182,16 +182,21 @@ def test_staged_divergence_exits_1(workspace, tmp_path, capsys):
     assert not (tmp_path / "run_div" / "model.json").exists()
 
 
-@pytest.mark.parametrize("name", ["meta.json", "visible.f64", "hidden.f64",
-                                  "model.json", "encoder.ckpt"])
-@pytest.mark.parametrize("damage,code", [("missing", 2), ("truncated", 3)])
-def test_damaged_artifact_exit_code(workspace, tmp_path, capsys, name,
-                                    damage, code):
+def _copy_workspace(workspace, tmp_path):
     data, run = tmp_path / "data", tmp_path / "run"
     for src, dst in ((workspace / "data", data), (workspace / "run", run)):
         dst.mkdir()
         for f in src.iterdir():
             (dst / f.name).write_bytes(f.read_bytes())
+    return data, run
+
+
+@pytest.mark.parametrize("name", ["meta.json", "visible.f64", "hidden.f64",
+                                  "model.json", "encoder.ckpt"])
+@pytest.mark.parametrize("damage,code", [("missing", 2), ("truncated", 3)])
+def test_damaged_artifact_exit_code(workspace, tmp_path, capsys, name,
+                                    damage, code):
+    data, run = _copy_workspace(workspace, tmp_path)
     target = (data if name.endswith((".f64", "meta.json")) else run) / name
     if damage == "missing":
         target.unlink()
@@ -216,4 +221,61 @@ def test_staged_rejects_joint_only_keys(workspace, tmp_path, capsys):
     assert err.count("\n") == 1
     for key in ("order", "alphas", "sparsify_every", "theta_threshold"):
         assert key in err
+    assert not out.exists()
+
+
+def _nan_in_visible(data, run):
+    arr = np.fromfile(data / "visible.f64", dtype="<f8")
+    arr[5] = np.nan
+    arr.tofile(data / "visible.f64")
+
+
+def _nan_in_theta(data, run):
+    doc = json.loads((run / "model.json").read_text())
+    doc["theta"][0][1] = float("nan")
+    (run / "model.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("damage", [_nan_in_visible, _nan_in_theta])
+def test_non_finite_artifact_exits_3(workspace, tmp_path, capsys, damage):
+    data, run = _copy_workspace(workspace, tmp_path)
+    (run / "report.json").unlink(missing_ok=True)
+    damage(data, run)
+    capsys.readouterr()
+    assert cli.main(["eval", "--data", str(data), "--run", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "non-finite" in err and "Traceback" not in err
+    assert not (run / "report.json").exists()
+
+
+def test_unknown_config_key(workspace, tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"stpes": 3}))
+    out = tmp_path / "run_typo"
+    assert cli.main(["train", "--data", str(workspace / "data"),
+                     "--out", str(out), "--steps", "5",
+                     "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "stpes" in err
+    assert not out.exists()
+
+
+def test_degenerate_embedding_exits_1(workspace, tmp_path, capsys,
+                                      monkeypatch):
+    from symder import recover
+    init = recover.EmbeddingRecovery.__init__
+
+    def constant_start(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.phi.data[...] = 0.0
+
+    monkeypatch.setattr(recover.EmbeddingRecovery, "__init__", constant_start)
+    out = tmp_path / "run_const"
+    # at lr 0 the warmup leaves the embedding constant
+    assert cli.main(["train", "--data", str(workspace / "data"),
+                     "--out", str(out), "--steps", "20", "--lr", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged") and \
+        err.count("\n") == 1, err
     assert not out.exists()

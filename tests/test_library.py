@@ -263,3 +263,96 @@ def test_term_names():
     n = lib.nlse_library(dx=0.1)
     assert [t.name for t in n.terms][:2] == ["dx(psi)", "dx^2(psi)"]
     assert "|psi|^6*psi" in [t.name for t in n.terms]
+
+
+# -- the lincomb contraction against the per-coefficient tape sum ------------
+
+def reference_components(m, comps):
+    """Per-(equation, term) contraction, one tape node per coefficient."""
+    geom = m.geometry()
+    th = m.masked_theta()
+    active = m.mask if m.kind == "complex" else m.mask.any(axis=0)
+    values = [t.evaluate(comps, geom) if active[i] else None
+              for i, t in enumerate(m.terms)]
+    if m.kind == "complex":
+        out_re, out_im = 0.0, 0.0
+        for i, v in enumerate(values):
+            if v is not None:
+                out_re = v[1] * (-1.0) * th[i] + out_re
+                out_im = v[0] * th[i] + out_im
+        return [out_re, out_im]
+    out = []
+    for j in range(m.theta.shape[0]):
+        acc = None
+        for i, v in enumerate(values):
+            if v is not None and m.mask[j, i]:
+                term = v * th[j, i]
+                acc = term if acc is None else acc + term
+        out.append(acc if acc is not None else 0.0)
+    return out
+
+
+def _oracle_model(kind, rng):
+    if kind == "ode":
+        m, shape = lib.ode_library(), (40, 3)
+    elif kind == "pde":
+        m, shape = lib.pde_library(dx=0.7, dy=0.4), (3, 8, 8, 2)
+    else:
+        m, shape = lib.nlse_library(dx=0.3), (3, 16, 2)
+    m.theta[...] = rng.standard_normal(m.theta.shape)
+    if kind == "nlse":
+        m.mask[[1, 6]] = False
+    else:
+        m.mask[0] = False              # one fully masked equation
+        m.mask[1:-1, 4] = False        # one partly masked term
+        m.mask[1:, 2] = False          # one term masked everywhere
+    m.theta[~m.mask] = 0.0
+    m.sync()
+    return m, shape
+
+
+def _coeffs(out, order):
+    """Per-equation outputs (Tensors, jets or floats) as one flat list of
+    order + 1 Taylor coefficients per equation."""
+    flat = []
+    for f in out:
+        cs = list(f.coeffs) if hasattr(f, "coeffs") else [f]
+        flat += cs + [0.0] * (order + 1 - len(cs))
+    return flat
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["ode", "pde", "nlse"])
+def test_lincomb_contraction_matches_reference(kind, order):
+    from symder.jets import JetVar
+    rng = np.random.default_rng(11)
+    m, shape = _oracle_model(kind, rng)
+    seeds = [0.5 * rng.standard_normal(shape) for _ in range(order + 1)]
+    n_eq = 2 if kind == "nlse" else len(m.theta)
+    probes = [rng.standard_normal(shape[:-1])
+              for _ in range((order + 1) * n_eq)]
+    results = []
+    for contract in (m.evaluate_components,
+                     lambda comps: reference_components(m, comps)):
+        m.theta_t.zero_grad()
+        leaves = [T.Tensor(s, requires_grad=True) for s in seeds]
+        comps = [leaves[0][..., j] for j in range(shape[-1])]
+        if order:
+            comps = [JetVar([c[..., j] for c in leaves])
+                     for j in range(shape[-1])]
+        flat = _coeffs(contract(comps), order)
+        loss = sum((T.tsum(T.mul(c, w)) for c, w in zip(flat, probes)
+                    if isinstance(c, T.Tensor)), T.Tensor(0.0))
+        T.backward(loss)
+        arrs = [np.broadcast_to(c.data if isinstance(c, T.Tensor) else c,
+                                shape[:-1]) for c in flat]
+        results.append((arrs, m.theta_t.grad, [l.grad for l in leaves]))
+    (new, gth, gx), (ref, rth, rx) = results
+    for a, b in zip(new, ref):
+        np.testing.assert_allclose(a, b, rtol=1e-12,
+                                   atol=1e-12 * max(np.abs(b).max(), 1.0))
+    np.testing.assert_allclose(gth, rth, rtol=1e-10,
+                               atol=1e-10 * np.abs(rth).max())
+    for a, b in zip(gx, rx):
+        np.testing.assert_allclose(a, b, rtol=1e-10,
+                                   atol=1e-10 * np.abs(b).max())

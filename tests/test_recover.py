@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from symder import datagen, recover, train
+from symder import datagen, fd, recover, train
 from symder import tensor as T
 
 
@@ -106,3 +106,49 @@ def test_distill_logs_event(lorenz_ds):
     recover.distill(rec, width=8, steps=5)
     assert rec.events[-1].startswith("distill: loss ")
     assert len(res.history) == n_rows
+
+
+def test_loss_fn_matches_two_pass_formula(lorenz_ds):
+    """One jet per staged loss gives the loss (and gradient) of the formula
+    that reconstructs the state twice and evaluates the model again."""
+    rec = _recovery(lorenz_ds, 10)
+    rec.phi.data[...] = np.random.default_rng(3).normal(size=rec.phi.shape)
+
+    def two_pass():
+        base, parts = rec.prob.compute_loss(rec.lo, rec.hi)
+        state = rec.prob.reconstruct(rec.lo, rec.hi)
+        F = rec.model.evaluate(state)
+        dw = fd.apply_stencil(state[:, rec.n_vis:],
+                              fd.CENTRAL_STENCILS_4[1] * rec.model.s_t)
+        reg = T.tmean(T.square(T.sub(F[rec.lo:-rec.lo, rec.n_vis:], dw)))
+        parts["reg"] = reg.item()
+        return T.add(base, reg), parts
+
+    out = []
+    for loss_fn in (rec.loss_fn, two_pass):
+        rec.model.theta_t.zero_grad()
+        rec.phi.zero_grad()
+        total, parts = loss_fn()
+        T.backward(total)
+        out.append((float(total.data), parts, rec.model.theta_t.grad.copy(),
+                    rec.phi.grad.copy()))
+    (v, parts, gth, gphi), (v0, parts0, gth0, gphi0) = out
+    assert v == pytest.approx(v0, rel=1e-12)
+    for k in parts0:
+        assert parts[k] == pytest.approx(parts0[k], rel=1e-12)
+    np.testing.assert_allclose(gth, gth0, rtol=1e-10,
+                               atol=1e-12 * np.abs(gth0).max())
+    np.testing.assert_allclose(gphi, gphi0, rtol=1e-10,
+                               atol=1e-12 * np.abs(gphi0).max())
+
+
+@pytest.mark.parametrize("gauge", ["gauge_standardize", "gauge_orthogonalize"])
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_gauge_refuses_degenerate_embedding(lorenz_ds, gauge, value):
+    rec = _recovery(lorenz_ds, 10)
+    rec.phi.data[...] = value
+    theta = rec.model.theta.copy()
+    with pytest.raises(train.TrainingDiverged, match="std"):
+        getattr(rec, gauge)()
+    np.testing.assert_array_equal(rec.phi.data, value)
+    np.testing.assert_array_equal(rec.model.theta, theta)
