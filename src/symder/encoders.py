@@ -10,9 +10,11 @@ Three encoder kinds:
   phase_embedding      one learnable phase per spacetime sample for the wave
                        system; no mapping is learned, only the values.
 
-Hidden layers use tanh; the final layer is linear. Aggregation rebuilds the
-full state: concatenation for subset projections, |psi| e^{i phi} (as paired
-real channels) for the wave system.
+Hidden layers use tanh; the final layer is linear. Each layer is one tape
+node: `tensor.conv1d`, `tensor.conv3d` or `tensor.linear` with the bias and
+the activation fused in. Aggregation rebuilds the full state: concatenation
+for subset projections, |psi| e^{i phi} (as paired real channels) for the
+wave system.
 """
 
 from __future__ import annotations
@@ -128,16 +130,13 @@ class Encoder:
         n_layers = len(spec.widths)
         for i in range(n_layers):
             w, b = self.params[f"w{i}"], self.params[f"b{i}"]
-            if i == 0:
-                if spec.kind == "temporal_conv":
-                    h = T.conv1d(h, w, "valid")
-                else:
-                    h = T.conv3d(h, w)
+            hidden = i < n_layers - 1
+            if i > 0:
+                h = T.linear(h, w, b=b, tanh=hidden)
+            elif spec.kind == "temporal_conv":
+                h = T.conv1d(h, w, "valid", b=b, tanh=hidden)
             else:
-                h = T.linear(h, w)
-            h = T.add(h, b)
-            if i < n_layers - 1:
-                h = T.tanh(h)
+                h = T.conv3d(h, w, b=b, tanh=hidden)
         return h
 
 

@@ -52,24 +52,8 @@ def stencil_weights(p, spacing, accuracy=2):
 def apply_stencil(series, w):
     """sum_k w[k] * series[k:k + n_out] along axis 0, where n_out is the
     length less the stencil's; works on ndarray or Tensor."""
-    tensor = isinstance(series, T.Tensor)
-    if not tensor:
-        series = np.asarray(series)
-    n = series.shape[0]
-    if n < len(w):
-        raise ValueError(f"series length {n} too short for a "
-                         f"{len(w)}-point stencil")
-    nout = n - len(w) + 1
-    out = None if tensor else np.zeros((nout,) + series.shape[1:])
-    for k, wk in enumerate(w):
-        if wk == 0.0:
-            continue
-        if tensor:
-            term = T.mul(series[k:k + nout], wk)
-            out = term if out is None else T.add(out, term)
-        else:
-            out += wk * series[k:k + nout]
-    return out
+    out = T.stencil(series, w, 0, periodic=False)
+    return out if isinstance(series, T.Tensor) else out.data
 
 
 def time_derivative(series, p, dt):
@@ -92,18 +76,5 @@ time_derivative_tensor = time_derivative
 def spatial_stencil(field, spec: StencilSpec):
     """Periodic central stencil along one axis; works on ndarray or Tensor."""
     w = stencil_weights(spec.order, spec.spacing, spec.accuracy)
-    half = len(w) // 2
-    if isinstance(field, T.Tensor):
-        out = None
-        for k, wk in enumerate(w):
-            if wk == 0.0:
-                continue
-            term = T.mul(T.roll(field, half - k, axis=spec.axis), wk)
-            out = term if out is None else T.add(out, term)
-        return out
-    field = np.asarray(field)
-    out = np.zeros_like(field)
-    for k, wk in enumerate(w):
-        if wk != 0.0:
-            out += wk * np.roll(field, half - k, axis=spec.axis)
-    return out
+    out = T.stencil(field, w, spec.axis, periodic=True)
+    return out if isinstance(field, T.Tensor) else out.data

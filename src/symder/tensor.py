@@ -20,7 +20,7 @@ __all__ = [
     "backward",
     "add", "sub", "mul", "div", "neg", "pow_int", "absval", "square",
     "sqrt", "tanh", "sin", "cos", "exp",
-    "tsum", "tmean", "getitem", "reshape", "concat", "roll",
+    "tsum", "tmean", "getitem", "reshape", "concat", "roll", "stencil",
     "linear", "lincomb", "conv1d", "conv3d",
     "OP_REGISTRY",
 ]
@@ -334,23 +334,127 @@ def roll(a, shift, axis):
 
 
 # ---------------------------------------------------------------------------
-# linear / convolution ops (channels-last layout)
+# stencils
 # ---------------------------------------------------------------------------
 
-def linear(x, w):
-    """Per-sample channel map: x[..., Cin] @ w[Cin, Cout]."""
+def _along(axis, lo, hi):
+    """Index selecting [lo, hi) along a non-negative `axis`."""
+    return (slice(None),) * axis + (slice(lo, hi),)
+
+
+def _roll_sum(a, w, offsets, axis):
+    """out[i] = sum_k w[k] * a[(i + offsets[k]) mod n] along `axis`, added in
+    the order of k; zero weights are skipped."""
+    n = a.shape[axis]
+    out = np.zeros_like(a)
+    for wk, d in zip(w, offsets):
+        if wk != 0.0:
+            m = d % n
+            out[_along(axis, 0, n - m)] += wk * a[_along(axis, m, n)]
+            if m:
+                out[_along(axis, n - m, n)] += wk * a[_along(axis, 0, m)]
+    return out
+
+
+def stencil(a, w, axis, periodic):
+    """sum_k w[k] * (a shifted by k along `axis`) in one node.
+
+    periodic: centered and wrapping, extent kept,
+        out[i] = sum_k w[k] * a[(i + k - len(w) // 2) mod n];
+    valid: out[i] = sum_k w[k] * a[i + k], extent n - len(w) + 1.
+    The points are added in the order of k onto zeros, as the per-point
+    roll/slice loop adds them, so the values are bit-identical to it. The
+    VJP is the adjoint stencil: the mirrored shifts when periodic, slice
+    scatter-adds when valid."""
+    a = as_tensor(a)
+    w = np.asarray(w, dtype=np.float64)
+    axis = axis % a.ndim
+    n = a.shape[axis]
+    if periodic:
+        offsets = np.arange(len(w)) - len(w) // 2
+        out = _roll_sum(a.data, w, offsets, axis)
+        return Tensor(out, _parents=(
+            (a, lambda g: _roll_sum(g, w, -offsets, axis)),), _op="stencil")
+    if n < len(w):
+        raise ValueError(f"series length {n} too short for a "
+                         f"{len(w)}-point stencil")
+    nout = n - len(w) + 1
+    out = np.zeros(a.shape[:axis] + (nout,) + a.shape[axis + 1:])
+    for k, wk in enumerate(w):
+        if wk != 0.0:
+            out += wk * a.data[_along(axis, k, k + nout)]
+
+    def vjp(g):
+        ga = np.zeros(a.shape)
+        for k, wk in enumerate(w):
+            if wk != 0.0:
+                ga[_along(axis, k, k + nout)] += wk * g
+        return ga
+
+    return Tensor(out, _parents=((a, vjp),), _op="stencil")
+
+
+# ---------------------------------------------------------------------------
+# dense layers: linear map and convolutions (channels-last layout)
+# ---------------------------------------------------------------------------
+
+def _dense(op, x, w, b, tanh, cols, batch, fold):
+    """One node for y = act(cols.T @ W + b), act = tanh or the identity.
+
+    `cols` is the (K, N) column matrix of x: its channels for `linear`, its
+    patch matrix for a conv. W is w as (K, cout), b is None or (cout,), and
+    y is reshaped to batch + (cout,). The product is taken as
+    (W.T @ cols).T, so y is the transpose of a C-ordered (cout, N) array,
+    which the next layer's `cols` reads without a copy. The bias and tanh
+    are applied in place. The VJP forms g * (1 - y^2) once and feeds the x,
+    w and b gradients from it; `fold` maps the (K, N) column gradient back
+    to x's shape, and runs only when x requires a gradient."""
+    b = None if b is None else as_tensor(b)
+    wmat = w.data.reshape(-1, w.shape[-1])
+    cout = wmat.shape[1]
+    yt = wmat.T @ cols
+    if b is not None:
+        yt += b.data[:, None]
+    if tanh:
+        np.tanh(yt, out=yt)
+
+    # dz(g) is shared by the parents' VJPs: made by the first, dropped after
+    # the last one that the backward sweep calls
+    users = sum(t.requires_grad for t in (x, w, b) if t is not None)
+    memo = [None, None, 0]          # upstream g, its dz, calls left
+
+    def dz(g):
+        if memo[0] is not g:
+            gt = g.reshape(-1, cout).T
+            if tanh:
+                d = yt * yt
+                np.subtract(1.0, d, out=d)
+                d *= gt
+                gt = d
+            memo[:] = [g, gt, users]
+        out = memo[1]
+        memo[2] -= 1
+        if not memo[2]:
+            memo[:] = [None, None, 0]
+        return out
+
+    parents = [(x, lambda g: fold(wmat @ dz(g))),
+               (w, lambda g: (cols @ dz(g).T).reshape(w.shape))]
+    if b is not None:
+        parents.append((b, lambda g: dz(g).sum(axis=1)))
+    return Tensor(yt.T.reshape(batch + (cout,)), _parents=tuple(parents),
+                  _op=op)
+
+
+def linear(x, w, *, b=None, tanh=False):
+    """Per-sample channel map act(x[..., Cin] @ w[Cin, Cout] + b), act =
+    tanh when `tanh`, else the identity."""
     x, w = as_tensor(x), as_tensor(w)
-    if x.shape[-1] != w.shape[0]:
+    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ValueError(f"linear: {x.shape} incompatible with {w.shape}")
-    out = x.data @ w.data
-
-    def vjp_x(g):
-        return g @ w.data.T
-
-    def vjp_w(g):
-        return x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, w.shape[1])
-
-    return Tensor(out, _parents=((x, vjp_x), (w, vjp_w)), _op="linear")
+    cin = w.shape[0]
+    return _dense("linear", x, w, b, tanh, x.data.reshape(-1, cin).T,
+                  x.shape[:-1], lambda gc: gc.T.reshape(x.shape))
 
 
 def lincomb(values, coef):
@@ -374,16 +478,58 @@ def lincomb(values, coef):
     return Tensor(out, _parents=parents + ((coef, vjp_coef),), _op="lincomb")
 
 
-def _pad_periodic(arr, axis, before, after):
-    idx_lo = [slice(None)] * arr.ndim
-    idx_hi = [slice(None)] * arr.ndim
-    idx_lo[axis] = slice(arr.shape[axis] - before, arr.shape[axis])
-    idx_hi[axis] = slice(0, after)
-    return np.concatenate([arr[tuple(idx_lo)], arr, arr[tuple(idx_hi)]], axis=axis)
+def _fold_periodic(g, axis, before, after):
+    """Adjoint of np.pad's "wrap" mode along one axis: add each pad back onto
+    the edge it copies."""
+    n = g.shape[axis] - before - after
+    core = g[_along(axis, before, before + n)].copy()
+    if before:
+        core[_along(axis, n - before, n)] += g[_along(axis, 0, before)]
+    if after:
+        core[_along(axis, 0, after)] += g[_along(axis, before + n, None)]
+    return core
 
 
-def conv1d(x, w, padding="valid"):
-    """Correlate x[T, Cin] with w[K, Cin, Cout].
+def _conv(op, x, w, b, tanh, periodic):
+    """Correlate x[*S, Cin] with w[*K, Cin, Cout] as one `_dense` node.
+    periodic[a] picks centered periodic padding for spatial axis a (extent
+    kept); otherwise it is valid (extent shrinks by K[a] - 1).
+
+    The patch matrix has one row per (kernel offset, input channel), in the
+    order of w's rows, and one column per output point. Each offset's rows
+    are one block copy out of the padded, channels-first input."""
+    ks, cin = w.shape[:-2], w.shape[-2]
+    pads = [(k // 2, k - 1 - k // 2) if per else (0, 0)
+            for k, per in zip(ks, periodic)]
+    xp = np.pad(np.moveaxis(x.data, -1, 0), [(0, 0)] + pads, mode="wrap")
+    oshape = tuple(n - k + 1 for n, k in zip(xp.shape[1:], ks))
+    offsets = list(np.ndindex(*ks))
+
+    def window(off):
+        return (slice(None),) + tuple(slice(o, o + n)
+                                      for o, n in zip(off, oshape))
+
+    patches = np.empty((len(offsets), cin) + oshape)
+    for i, off in enumerate(offsets):
+        patches[i] = xp[window(off)]
+
+    def fold(gcols):
+        gp = gcols.reshape(patches.shape)
+        gxp = np.zeros(xp.shape)
+        for i, off in enumerate(offsets):
+            gxp[window(off)] += gp[i]
+        for a, (lo, hi) in enumerate(pads):
+            if lo or hi:
+                gxp = _fold_periodic(gxp, a + 1, lo, hi)
+        return np.moveaxis(gxp, 0, -1)
+
+    return _dense(op, x, w, b, tanh, patches.reshape(len(offsets) * cin, -1),
+                  oshape, fold)
+
+
+def conv1d(x, w, padding="valid", *, b=None, tanh=False):
+    """act(correlation of x[T, Cin] with w[K, Cin, Cout] + b), act = tanh
+    when `tanh`, else the identity.
 
     valid: output length T-K+1, out[t] = sum_k w[k]·x[t+k].
     periodic: output length T, centered window (x index t+k-K//2 mod T).
@@ -393,121 +539,28 @@ def conv1d(x, w, padding="valid"):
     T = x.shape[0]
     if x.shape[1] != cin:
         raise ValueError(f"conv1d: input channels {x.shape[1]} != kernel {cin}")
-    if padding == "valid":
-        if K > T:
-            raise ValueError(f"conv1d: kernel {K} longer than input {T}")
-        xp = x.data
-    elif padding == "periodic":
-        h = K // 2
-        xp = _pad_periodic(x.data, 0, h, K - 1 - h)
-    else:
+    if padding not in ("valid", "periodic"):
         raise ValueError(f"conv1d: unknown padding {padding!r}")
-    tout = xp.shape[0] - K + 1
-    out = np.zeros((tout, cout))
-    for k in range(K):
-        out += xp[k:k + tout] @ w.data[k]
-
-    def vjp_x(g):
-        gxp = np.zeros_like(xp)
-        for k in range(K):
-            gxp[k:k + tout] += g @ w.data[k].T
-        if padding == "valid":
-            return gxp
-        h = K // 2
-        gx = gxp[h:h + T].copy()
-        if h:
-            gx[-h:] += gxp[:h]
-        tail = K - 1 - h
-        if tail:
-            gx[:tail] += gxp[h + T:]
-        return gx
-
-    def vjp_w(g):
-        gw = np.empty_like(w.data)
-        for k in range(K):
-            gw[k] = xp[k:k + tout].T @ g
-        return gw
-
-    return Tensor(out, _parents=((x, vjp_x), (w, vjp_w)), _op="conv1d")
+    if padding == "valid" and K > T:
+        raise ValueError(f"conv1d: kernel {K} longer than input {T}")
+    return _conv("conv1d", x, w, b, tanh, (padding == "periodic",))
 
 
-def _extract_patches(xp, kt, kx, ky, tout, xout, yout):
-    """Return view-free patch matrix (tout*xout*yout, kt*kx*ky*cin)."""
-    cin = xp.shape[-1]
-    s = xp.strides
-    shape = (tout, xout, yout, kt, kx, ky, cin)
-    strides = (s[0], s[1], s[2], s[0], s[1], s[2], s[3])
-    view = np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
-    return view.reshape(tout * xout * yout, kt * kx * ky * cin)
+def conv3d(x, w, *, b=None, tanh=False):
+    """act(correlation of x[T, X, Y, Cin] with w[Kt, Kx, Ky, Cin, Cout] +
+    b), act = tanh when `tanh`, else the identity.
 
-
-def conv3d(x, w, time_padding="valid", space_padding="periodic"):
-    """Correlate x[T, X, Y, Cin] with w[Kt, Kx, Ky, Cin, Cout].
-
-    Time axis uses valid padding (output shrinks by Kt-1); spatial axes use
-    centered periodic padding (extent preserved). Direct summation via a
-    patch matrix GEMM, chunked over time to bound memory.
+    The time axis is valid (output shrinks by Kt-1); the spatial axes use
+    centered periodic padding (extent preserved).
     """
     x, w = as_tensor(x), as_tensor(w)
     kt, kx, ky, cin, cout = w.shape
-    T, X, Y = x.shape[0], x.shape[1], x.shape[2]
     if x.shape[3] != cin:
         raise ValueError(f"conv3d: input channels {x.shape[3]} != kernel {cin}")
-    if time_padding != "valid" or space_padding != "periodic":
-        raise ValueError("conv3d: only valid-time / periodic-space supported")
-    if kt > T:
-        raise ValueError(f"conv3d: time kernel {kt} longer than input {T}")
-    hx, hy = kx // 2, ky // 2
-    xp = _pad_periodic(_pad_periodic(x.data, 1, hx, kx - 1 - hx), 2, hy, ky - 1 - hy)
-    tout = T - kt + 1
-    wmat = w.data.reshape(-1, cout)
-    out = np.empty((tout, X, Y, cout))
-    chunk = max(1, int(2**24 // max(1, X * Y * kt * kx * ky * cin)))
-    for t0 in range(0, tout, chunk):
-        t1 = min(tout, t0 + chunk)
-        patches = _extract_patches(xp[t0:t1 + kt - 1], kt, kx, ky, t1 - t0, X, Y)
-        out[t0:t1] = (patches @ wmat).reshape(t1 - t0, X, Y, cout)
-
-    def vjp_x(g):
-        gxp = np.zeros_like(xp)
-        for t0 in range(0, tout, chunk):
-            t1 = min(tout, t0 + chunk)
-            gp = (g[t0:t1].reshape(-1, cout) @ wmat.T).reshape(
-                t1 - t0, X, Y, kt, kx, ky, cin)
-            # scatter patch gradients back (loop over kernel offsets)
-            for dt in range(kt):
-                for dx in range(kx):
-                    for dy in range(ky):
-                        gxp[t0 + dt:t1 + dt, dx:dx + X, dy:dy + Y] += \
-                            gp[:, :, :, dt, dx, dy]
-        # fold periodic spatial pads back in
-        gx = gxp
-        if hx or kx - 1 - hx:
-            core = gx[:, hx:hx + X].copy()
-            if hx:
-                core[:, X - hx:] += gx[:, :hx]
-            if kx - 1 - hx:
-                core[:, :kx - 1 - hx] += gx[:, hx + X:]
-            gx = core
-        if hy or ky - 1 - hy:
-            core = gx[:, :, hy:hy + Y].copy()
-            if hy:
-                core[:, :, Y - hy:] += gx[:, :, :hy]
-            if ky - 1 - hy:
-                core[:, :, :ky - 1 - hy] += gx[:, :, hy + Y:]
-            return core
-        return gx
-
-    def vjp_w(g):
-        gw = np.zeros((kt * kx * ky * cin, cout))
-        for t0 in range(0, tout, chunk):
-            t1 = min(tout, t0 + chunk)
-            patches = _extract_patches(xp[t0:t1 + kt - 1], kt, kx, ky,
-                                       t1 - t0, X, Y)
-            gw += patches.T @ g[t0:t1].reshape(-1, cout)
-        return gw.reshape(w.shape)
-
-    return Tensor(out, _parents=((x, vjp_x), (w, vjp_w)), _op="conv3d")
+    if kt > x.shape[0]:
+        raise ValueError(f"conv3d: time kernel {kt} longer than input "
+                         f"{x.shape[0]}")
+    return _conv("conv3d", x, w, b, tanh, (False, True, True))
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +642,26 @@ def _reg_all():
     _register("reshape", (lambda a: reshape(a, (2, 6)), ((3, 4),), {}))
     _register("concat", (lambda a, b: concat([a, b], axis=0), ((2, 3), (4, 3)), {}))
     _register("roll", (lambda a: roll(a, 2, axis=0), ((5, 2),), {}))
+    for periodic in (False, True):
+        _register(f"stencil_{'periodic' if periodic else 'valid'}", (
+            lambda a, periodic=periodic: stencil(
+                a, [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12], 1, periodic),
+            ((3, 7, 2),), {}))
     _register("linear", (linear, ((5, 3), (3, 2)), {}))
+    _register("linear_bias_tanh", (lambda x, w, b: linear(x, w, b=b, tanh=True),
+                                   ((2, 5, 3), (3, 4), (4,)), {}))
     _register("lincomb", (lambda a, b, c, w: lincomb([a, b, c], w),
                           ((4, 5), (4, 5), (5,), (2, 3)), {}))
     _register("conv1d_valid", (lambda x, w: conv1d(x, w, "valid"),
                                ((9, 2), (3, 2, 2)), {}))
     _register("conv1d_periodic", (lambda x, w: conv1d(x, w, "periodic"),
                                   ((7, 2), (3, 2, 2)), {}))
+    _register("conv1d_periodic_bias_tanh", (
+        lambda x, w, b: conv1d(x, w, "periodic", b=b, tanh=True),
+        ((7, 2), (3, 2, 3), (3,)), {}))
     _register("conv3d", (conv3d, ((6, 5, 4, 2), (3, 3, 3, 2, 2)), {}))
+    _register("conv3d_bias_tanh", (lambda x, w, b: conv3d(x, w, b=b, tanh=True),
+                                   ((5, 4, 3, 2), (2, 3, 3, 2, 3), (3,)), {}))
 
 
 _reg_all()

@@ -75,6 +75,64 @@ def test_spatiotemporal_shapes_and_periodicity():
     np.testing.assert_allclose(hr, np.roll(h, 3, axis=1), rtol=0, atol=1e-12)
 
 
+def _layer_chain(enc, visible):
+    """The encoder forward as one op per step: conv, then add bias and tanh
+    for each hidden layer, then linear, add, tanh ... add."""
+    h = visible
+    n_layers = len(enc.spec.widths)
+    for i in range(n_layers):
+        w, b = enc.params[f"w{i}"], enc.params[f"b{i}"]
+        if i > 0:
+            h = T.linear(h, w)
+        elif enc.spec.kind == "temporal_conv":
+            h = T.conv1d(h, w, "valid")
+        else:
+            h = T.conv3d(h, w)
+        h = T.add(h, b)
+        if i < n_layers - 1:
+            h = T.tanh(h)
+    return h
+
+
+@pytest.mark.parametrize("spec, shape", [
+    (E.ode_encoder_spec(n_visible=2, width=7), (23, 2)),
+    (E.pde_encoder_spec(n_visible=2, width=5, kernel=3), (7, 6, 5, 2)),
+])
+def test_fused_layers_match_op_chain(spec, shape):
+    # each layer is one fused node; the per-op chain is the reference
+    enc = E.Encoder(spec, seed=2)
+    rng = np.random.default_rng(5)
+    for p in enc.params.values():
+        p.data = rng.normal(0.0, 0.5, p.shape)
+    x = rng.normal(size=shape)
+    weights = rng.normal(size=enc(T.Tensor(x)).shape)
+    results = []
+    for forward in (enc, lambda v: _layer_chain(enc, v)):
+        visible = T.Tensor(x, requires_grad=True)
+        for p in enc.params.values():
+            p.zero_grad()
+        out = forward(visible)
+        T.backward(T.tsum(T.mul(out, weights)))
+        results.append((out.data.copy(), visible.grad,
+                        {k: p.grad for k, p in enc.params.items()}))
+    (fused, gx, grads), (chain, gx_ref, grads_ref) = results
+    assert np.array_equal(fused, chain)
+    np.testing.assert_allclose(gx, gx_ref, rtol=0, atol=1e-12)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], grads_ref[name], rtol=0,
+                                   atol=1e-12)
+
+
+def test_encoder_layers_are_single_nodes():
+    enc = E.Encoder(E.pde_encoder_spec(n_visible=1, width=4, kernel=3), seed=0)
+    out = enc(T.Tensor(np.zeros((5, 4, 4, 1))))
+    ops = []
+    while out._parents:
+        ops.append(out._op)
+        out = out._parents[0][0]
+    assert ops == ["linear", "linear", "conv3d"]
+
+
 def test_phase_embedding():
     enc = E.Encoder(E.phase_embedding_spec((12, 16)), seed=0)
     h = enc(T.Tensor(np.zeros((12, 16, 1))))

@@ -146,3 +146,47 @@ def test_stencil_accuracy_validated():
         fd.StencilSpec(order=3, axis=0, spacing=1.0, accuracy=4)
     with pytest.raises(ValueError):
         fd.stencil_weights(1, 1.0, accuracy=6)
+
+
+def _per_point(a, w, axis, periodic):
+    """The stencil as one roll or slice per point, added onto zeros."""
+    if periodic:
+        out = np.zeros_like(a)
+        for k, wk in enumerate(w):
+            if wk != 0.0:
+                out += wk * np.roll(a, len(w) // 2 - k, axis=axis)
+        return out
+    n_out = a.shape[axis] - len(w) + 1
+    out = np.zeros(a.shape[:axis] + (n_out,) + a.shape[axis + 1:])
+    for k, wk in enumerate(w):
+        if wk != 0.0:
+            out += wk * np.take(a, np.arange(k, k + n_out), axis=axis)
+    return out
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("accuracy", [2, 4])
+@pytest.mark.parametrize("p", [1, 2])
+def test_stencil_matches_per_point_chain(p, accuracy, periodic):
+    rng = np.random.default_rng(10 * p + accuracy)
+    a = rng.standard_normal((9, 7, 6))
+    w = fd.stencil_weights(p, 0.3, accuracy)
+    for axis in range(-a.ndim, a.ndim):
+        out = T.stencil(a, w, axis, periodic)
+        assert np.array_equal(out.data, _per_point(a, w, axis % a.ndim,
+                                                    periodic))
+        # adjoint: <S a, g> = <a, S^T g>
+        x = T.Tensor(a, requires_grad=True)
+        g = rng.standard_normal(out.shape)
+        T.backward(T.tsum(T.mul(T.stencil(x, w, axis, periodic), g)))
+        np.testing.assert_allclose(np.sum(x.grad * a), np.sum(out.data * g),
+                                   rtol=1e-12)
+
+
+def test_stencil_one_node_per_application():
+    u = T.Tensor(np.ones((6, 5)), requires_grad=True)
+    spec = fd.StencilSpec(order=2, axis=1, spacing=0.5, accuracy=4)
+    out = fd.spatial_stencil(u, spec)
+    assert out._op == "stencil" and out._parents[0][0] is u
+    d, _ = fd.time_derivative(u, 1, 0.1)
+    assert d._op == "stencil" and d._parents[0][0] is u

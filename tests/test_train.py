@@ -273,3 +273,32 @@ def test_oracle_loss_floor_lorenz(lorenz_ds):
 
 # floor observed for the exact plug-in above at n_time=400, seed=0
 PINNED_LORENZ_FLOOR = 3.66e-5
+
+
+def _tape_nodes(loss):
+    """Nodes of the graph behind `loss`, leaves included."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(p for p, _ in node._parents)
+    return len(seen)
+
+
+def test_loss_tape_sizes():
+    # guards the graph sizes against re-expansion: 118 and 287 nodes before
+    # fused encoder layers and one-node stencils
+    from symder import cli, recover
+    ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
+    rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
+                                    recover.RecoveryConfig.from_budget(10))
+    assert _tape_nodes(rec.loss_fn()[0]) == 104
+
+    ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=24,
+                                             nx=8), seed=0)
+    cfg = cli.DEFAULT_CONFIGS["diffusion_source"]
+    prob = train.Problem(ds, train.default_model(ds.preset),
+                         train.default_encoder(ds), order=cfg["order"],
+                         alphas=cfg["alphas"])
+    assert _tape_nodes(prob.compute_loss()[0]) == 106
