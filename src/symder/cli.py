@@ -198,17 +198,12 @@ def _train_staged(args, ds, cfg):
             enc = recover.distill(rec, width=width, seed=args.seed)
     except train.TrainingDiverged as e:
         raise CliError(f"training diverged: {e}", EXIT_FAIL)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "model.json").write_text(rec.model.to_json())
-    encoders.save_checkpoint(enc, out_dir / "encoder.ckpt")
-    train.write_history(out_dir / "history.csv", res.history)
-    (out_dir / "config.json").write_text(json.dumps(
-        {"pipeline": "staged", "steps": cfg["steps"],
-         "distill_width": width,
-         "distill_steps": recover.DISTILL_STEPS if width else 0,
-         "recovery": asdict(rcfg), "loss": res.loss, "events": res.events},
-        indent=1))
+    train.save_run(args.out, rec.model, enc, res.history,
+                   {"pipeline": "staged", "steps": cfg["steps"],
+                    "distill_width": width,
+                    "distill_steps": recover.DISTILL_STEPS if width else 0,
+                    "recovery": asdict(rcfg), "loss": res.loss,
+                    "events": res.events})
     print(f"wrote {args.out}: {rec.model.active_terms()} active terms "
           f"(staged, loss {res.loss:.3g})")
     return EXIT_OK

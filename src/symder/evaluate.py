@@ -11,7 +11,7 @@ transforms the learned coefficient table into the truth's variables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,68 +62,34 @@ def affine_align(estimate, truth):
 # coefficient tables in a common gauge
 # ---------------------------------------------------------------------------
 
-def _state_affine(dataset, align):
-    """Per-component (alpha, gamma) of the physical -> training-variable map
-    x_train = (x_phys - gamma) / alpha, visible channels from the stored
-    normalization, hidden channels from the alignment (h = (w - b) / a)."""
-    alpha = np.concatenate([np.asarray(dataset.norm.std, float), align.a])
-    gamma = np.concatenate([np.asarray(dataset.norm.mean, float), align.b])
-    return alpha, gamma
-
-
-def learned_normalized_table(model, dataset, align):
-    """Learned coefficients rewritten in the truth's normalized variables
-    (unit-variance channels), still in model time units. This is the scale
-    on which the sparsity pattern is judged."""
-    table = library.model_table(model)
-    if model.kind == "complex":
-        return table     # phase gauge does not mix terms
-    nvis = len(dataset.norm.std)
-    hid = dataset.hidden_truth.reshape(dataset.hidden_truth.shape[0], -1)
-    h_mean, h_std = hid.mean(axis=0), hid.std(axis=0)
-    # learned hidden channel h relates to the truth's normalized hidden
-    # t_n = (w - mean)/std via h = alpha*t_n + gamma
-    alpha = np.concatenate([np.ones(nvis), h_std / align.a])
-    gamma = np.concatenate([np.zeros(nvis), (h_mean - align.b) / align.a])
-    row_scale = {eq: (1.0 if eq < nvis else 1.0 / alpha[eq])
-                 for eq in table}
-    return library.affine_substitute(table, alpha=alpha, gamma=gamma,
-                                     row_scale=row_scale)
-
-
-def truth_normalized_table(dataset, s_t=10.0, s_x=None):
-    """Generating equations rewritten in the same normalized variables and
-    model time units as the learned table."""
-    phys = datagen.true_coefficient_table(dataset.preset)
-    dt = dataset.norm.dt
+def _with_hidden(dataset, mean, std):
+    """The dataset's normalization record, extended to hidden channels of
+    the given mean and std (none for the wave presets, whose psi is
+    normalized by the visible modulus alone)."""
     if dataset.preset.kind == "nlse":
-        std = float(dataset.norm.std[0])
-        out = {}
-        for key, c in phys[0].items():
-            c = c * s_t * dt
-            if key[0] == "wave_deriv":
-                c = c   # s_x = 1 for the wave library
-            elif key[0] == "wave_nonlin":
-                c = c * std ** key[1]
-            out[key] = c
-        return {0: out}
+        return dataset.norm
+    return replace(dataset.norm,
+                   mean=np.concatenate([dataset.norm.mean, mean]),
+                   std=np.concatenate([dataset.norm.std, std]))
+
+
+def _to_truth_units(model, dataset):
+    """Arguments of `library.change_variables` from physical units to the
+    model's variables with the hidden channels normalized like the truth."""
     hid = dataset.hidden_truth.reshape(dataset.hidden_truth.shape[0], -1)
-    alpha = np.concatenate([np.asarray(dataset.norm.std, float),
-                            hid.std(axis=0)])
-    gamma = np.concatenate([np.asarray(dataset.norm.mean, float),
-                            hid.mean(axis=0)])
-    normed = library.affine_substitute(
-        phys, alpha=alpha, gamma=gamma,
-        row_scale={j: 1.0 / alpha[j] for j in phys})
-    sx = s_x if s_x is not None else (
-        np.sqrt(10.0) if dataset.preset.kind == "pde" else 1.0)
-    out = {}
-    for eq, row in normed.items():
-        out[eq] = {}
-        for key, c in row.items():
-            order = sum(key[2]) if key[0] == "deriv" else 0
-            out[eq][key] = c * s_t * dt * sx ** order
-    return out
+    # one column per hidden channel of the model: for a field, the series
+    # at its first grid point
+    hid = hid[:, :model.state_dim - len(dataset.norm.mean)]
+    norm = _with_hidden(dataset, hid.mean(axis=0), hid.std(axis=0))
+    return library.inverse_change(*library.unit_change(model, norm))
+
+
+def truth_normalized_table(dataset, model):
+    """Generating equations in the variables and time units of `model`, its
+    hidden channels normalized like the truth."""
+    return library.change_variables(
+        datagen.true_coefficient_table(dataset.preset),
+        *_to_truth_units(model, dataset))
 
 
 def pattern_of(table, threshold=PATTERN_THRESHOLD):
@@ -134,29 +100,25 @@ def pattern_of(table, threshold=PATTERN_THRESHOLD):
 def learned_physical_table(model, dataset, align):
     """Learned equations in the original data units and the truth's hidden
     variable."""
-    if model.kind == "complex":
-        return library.physical_coefficients(model, dataset.norm)
-    alpha, gamma = _state_affine(dataset, align)
-    norm = datagen.NormalizationRecord(mean=gamma, std=alpha,
-                                       deriv_std={}, dt=dataset.norm.dt,
-                                       spacing=dataset.norm.spacing)
-    return library.physical_coefficients(model, norm)
+    return library.physical_coefficients(
+        model, _with_hidden(dataset, align.b, align.a))
 
 
 def compare_equations(model, dataset, align, threshold=PATTERN_THRESHOLD):
     """Sparsity-pattern verdict plus per-coefficient relative errors.
 
-    The learned table is moved into the truth's normalized variables, entries
-    below `threshold` are discarded, and the surviving pattern is compared
-    against the generating equations; coefficients are then compared in
-    physical units over the union of the two patterns.
+    The learned table is moved into the variables of
+    `truth_normalized_table`, entries below `threshold` are discarded, and
+    the surviving pattern is compared against the generating equations;
+    coefficients are then compared in physical units over the union of the
+    two patterns.
     """
-    found_n = learned_normalized_table(model, dataset, align)
-    truth_n = truth_normalized_table(dataset, s_t=model.s_t, s_x=model.s_x)
-    found_pat = pattern_of(found_n, threshold)
-    truth_pat = pattern_of(truth_n, threshold)
     found_phys = learned_physical_table(model, dataset, align)
     truth_phys = datagen.true_coefficient_table(dataset.preset)
+    found_n = library.change_variables(found_phys,
+                                       *_to_truth_units(model, dataset))
+    found_pat = pattern_of(found_n, threshold)
+    truth_pat = pattern_of(truth_normalized_table(dataset, model), threshold)
     errors = {}
     for eq, key in sorted(found_pat | truth_pat):
         t = truth_phys.get(eq, {}).get(key, 0.0)
@@ -281,13 +243,12 @@ def evaluate_run(dataset, model, encoder, threshold=PATTERN_THRESHOLD):
 # report assembly
 # ---------------------------------------------------------------------------
 
-def _key_name(key, ncomp):
-    return library.basis_name(key, ncomp)
+def _key_name(key):
+    return library.term_from_key(key).name
 
 
 def report(model, dataset, align, comparison, extra=None):
     """JSON-serializable summary of one recovery run."""
-    ncomp = model.state_dim
     doc = {
         "preset": dataset.preset.name,
         "seed": dataset.seed,
@@ -297,19 +258,19 @@ def report(model, dataset, align, comparison, extra=None):
             "rel_error": align.rel_error.tolist(),
         },
         "pattern_match": comparison["pattern_match"],
-        "missing": [[eq, _key_name(k, ncomp)]
+        "missing": [[eq, _key_name(k)]
                     for eq, k in comparison["missing"]],
-        "spurious": [[eq, _key_name(k, ncomp)]
+        "spurious": [[eq, _key_name(k)]
                      for eq, k in comparison["spurious"]],
         "equations": {},
         "coefficient_errors": {},
     }
     for eq, row in comparison["found_physical"].items():
         doc["equations"][str(eq)] = {
-            _key_name(k, ncomp): c for k, c in row.items()
+            _key_name(k): c for k, c in row.items()
             if abs(c) > 0.0}
     for (eq, k), e in comparison["coefficient_errors"].items():
-        doc["coefficient_errors"][f"{eq}:{_key_name(k, ncomp)}"] = e
+        doc["coefficient_errors"][f"{eq}:{_key_name(k)}"] = e
     if extra:
         doc.update(extra)
     return doc

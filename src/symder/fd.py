@@ -56,21 +56,18 @@ def apply_stencil(series, w):
     return out if isinstance(series, T.Tensor) else out.data
 
 
-def time_derivative(series, p, dt):
-    """Central p-th time derivative along axis 0, of an ndarray or a Tensor.
+def time_derivative(series, p, dt, accuracy=2):
+    """Central p-th time derivative along axis 0, of an ndarray or a Tensor,
+    with the stencil of the given accuracy order.
 
     Returns (deriv, valid) where `deriv` has the same leading extent as
     `series` with boundary samples excluded, and `valid` is the slice of
     input indices the estimates correspond to.
     """
-    w = stencil_weights(p, dt)
+    w = stencil_weights(p, dt, accuracy)
     half = len(w) // 2
     out = apply_stencil(series, w)
     return out, slice(half, half + out.shape[0])
-
-
-# the tape-aware name; time_derivative dispatches on its input
-time_derivative_tensor = time_derivative
 
 
 def spatial_stencil(field, spec: StencilSpec):

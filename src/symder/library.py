@@ -5,14 +5,17 @@ A model represents dx/dt = sum_i theta_i f_i(x) where the f_i are predefined
 terms (monomials, periodic spatial-derivative stencils, or phase-symmetric
 complex wave terms) and theta is learned. Time is measured in model units of
 s_t * dt and stencils use an effective spacing of s_x * dx, so that learned
-coefficients come out order one; `physical_coefficients` undoes both scales
-and the unit-variance data normalization.
+coefficients come out order one. Every term has a `key`, which names it in
+coefficient tables {equation: {key: coefficient}} and in model.json;
+`change_variables` rewrites such a table for an affine change of the state
+and a rescaling of time and space, which is how the recovery gauge, the unit
+conversion of `physical_coefficients` and evaluation move between variables.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -30,10 +33,22 @@ def _apply_stencil(value, order, axis, spacing):
     return fd.spatial_stencil(value, spec)
 
 
+class Term:
+    """A library term. Its `key`, the class's KIND followed by its fields,
+    names it in coefficient tables and model.json; `term_from_key` inverts
+    it. `substitute(A, g)` expands the term of x_old = A x_new + g in terms
+    of x_new as {key: weight}."""
+
+    @property
+    def key(self):
+        return (self.KIND,) + astuple(self)
+
+
 @dataclass(frozen=True)
-class Monomial:
+class Monomial(Term):
     """Product of state components, e.g. exponents (1,0,1) -> u*w."""
 
+    KIND = "mono"
     exponents: tuple
 
     @property
@@ -42,7 +57,7 @@ class Monomial:
             return "1"
         parts = []
         for j, e in enumerate(self.exponents):
-            sym = component_symbol(j, len(self.exponents))
+            sym = component_symbol(j)
             if e == 1:
                 parts.append(sym)
             elif e > 1:
@@ -62,19 +77,38 @@ class Monomial:
             out = factor if out is None else out * factor
         return 1.0 if out is None else out
 
+    def substitute(self, A, g):
+        """prod_k (A[k] . x + g_k)^e_k expanded into monomials of x."""
+        n = len(self.exponents)
+        unit = [tuple(int(j == m) for j in range(n)) for m in range(n)]
+        out = {(0,) * n: 1.0}
+        for k, e in enumerate(self.exponents):
+            factor = [(unit[m], A[k, m]) for m in range(n) if A[k, m]]
+            if g[k]:
+                factor.append(((0,) * n, g[k]))
+            for _ in range(e):
+                new = {}
+                for expo, c in out.items():
+                    for step, w in factor:
+                        up = tuple(a + b for a, b in zip(expo, step))
+                        new[up] = new.get(up, 0.0) + c * w
+                out = new
+        return {Monomial(expo).key: c for expo, c in out.items()}
+
 
 @dataclass(frozen=True)
-class SpatialDerivative:
+class SpatialDerivative(Term):
     """Central-stencil derivative of one component, multi-index per spatial
     axis, e.g. orders (1,1) -> d^2/dxdy."""
 
+    KIND = "deriv"
     component: int
     orders: tuple
 
     @property
     def name(self):
         sub = "".join(SUBSCRIPTS[a] * o for a, o in enumerate(self.orders))
-        return f"d{sub}({component_symbol(self.component, None)})"
+        return f"d{sub}({component_symbol(self.component)})"
 
     @property
     def spatial_order(self):
@@ -87,11 +121,24 @@ class SpatialDerivative:
                 out = _apply_stencil(out, o, geom.axes[a], geom.spacing[a])
         return out
 
+    def substitute(self, A, g):
+        """The derivative is linear: it mixes through row `component` of A."""
+        return {SpatialDerivative(m, self.orders).key: A[self.component, m]
+                for m in range(len(A)) if A[self.component, m]}
+
+
+def _field_scale(A, g):
+    """The factor a of psi_old = a psi_new, the one change wave terms allow."""
+    if A.shape != (1, 1) or g.any():
+        raise ValueError("wave terms allow only a rescaling of the field psi")
+    return A[0, 0]
+
 
 @dataclass(frozen=True)
-class WaveDerivative:
+class WaveDerivative(Term):
     """d^p/dx^p of a complex field stored as (re, im) channels."""
 
+    KIND = "wave_deriv"
     order: int
 
     @property
@@ -107,11 +154,15 @@ class WaveDerivative:
         return (_apply_stencil(re, self.order, geom.axes[0], geom.spacing[0]),
                 _apply_stencil(im, self.order, geom.axes[0], geom.spacing[0]))
 
+    def substitute(self, A, g):
+        return {self.key: _field_scale(A, g)}
+
 
 @dataclass(frozen=True)
-class WaveNonlinearity:
+class WaveNonlinearity(Term):
     """|psi|^q psi for even q; the only phase-symmetric odd monomials."""
 
+    KIND = "wave_nonlin"
     q: int
 
     def __post_init__(self):
@@ -131,8 +182,24 @@ class WaveNonlinearity:
         mag = (re * re + im * im) ** (self.q // 2)
         return (mag * re, mag * im)
 
+    def substitute(self, A, g):
+        return {self.key: _field_scale(A, g) ** (self.q + 1)}
 
-def component_symbol(j, ncomp):
+
+TERM_KINDS = {cls.KIND: cls for cls in (Monomial, SpatialDerivative,
+                                        WaveDerivative, WaveNonlinearity)}
+
+
+def term_from_key(key):
+    """The term a table key, or its JSON list form in model.json, names."""
+    kind, *fields = key
+    if kind not in TERM_KINDS:
+        raise ValueError(f"unknown term {key!r}")
+    return TERM_KINDS[kind](*(tuple(f) if isinstance(f, list) else f
+                              for f in fields))
+
+
+def component_symbol(j):
     return "uvw"[j] if j < 3 else f"x{j}"
 
 
@@ -229,7 +296,7 @@ class SymbolicModel:
     def to_json(self):
         doc = {
             "terms": [t.name for t in self.terms],
-            "term_spec": [_term_spec(t) for t in self.terms],
+            "term_spec": [t.key for t in self.terms],
             "theta": self.theta.tolist(),
             "mask": self.mask.astype(int).tolist(),
             "scales": {"s_t": self.s_t, "s_x": self.s_x},
@@ -243,7 +310,7 @@ class SymbolicModel:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        terms = [_term_from_spec(s) for s in doc["term_spec"]]
+        terms = [term_from_key(s) for s in doc["term_spec"]]
         theta = np.array(doc["theta"], dtype=float)
         if not np.isfinite(theta).all():
             raise ValueError("theta holds non-finite values")
@@ -264,31 +331,6 @@ def _contract(values, coef):
             for p in range(min(lens, default=1))]
     rows = [[c[..., j] for c in cols] for j in range(coef.shape[0])]
     return [jets.JetVar(r) if lens else r[0] for r in rows]
-
-
-def _term_spec(t):
-    if isinstance(t, Monomial):
-        return ["mono", list(t.exponents)]
-    if isinstance(t, SpatialDerivative):
-        return ["deriv", t.component, list(t.orders)]
-    if isinstance(t, WaveDerivative):
-        return ["wave_deriv", t.order]
-    if isinstance(t, WaveNonlinearity):
-        return ["wave_nonlin", t.q]
-    raise TypeError(f"unknown term {t!r}")
-
-
-def _term_from_spec(s):
-    kind = s[0]
-    if kind == "mono":
-        return Monomial(tuple(s[1]))
-    if kind == "deriv":
-        return SpatialDerivative(s[1], tuple(s[2]))
-    if kind == "wave_deriv":
-        return WaveDerivative(s[1])
-    if kind == "wave_nonlin":
-        return WaveNonlinearity(s[1])
-    raise ValueError(f"unknown term spec {s!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,108 +388,98 @@ def nlse_library(dx, s_t=10.0):
 # coefficient tables and unit conversion
 # ---------------------------------------------------------------------------
 
-def _basis_key(term):
-    if isinstance(term, Monomial):
-        return ("mono", term.exponents)
-    if isinstance(term, SpatialDerivative):
-        return ("deriv", term.component, term.orders)
-    if isinstance(term, WaveDerivative):
-        return ("wave_deriv", term.order)
-    if isinstance(term, WaveNonlinearity):
-        return ("wave_nonlin", term.q)
-    raise TypeError(f"unknown term {term!r}")
+def model_table(model):
+    """Raw learned coefficients as {equation index: {term key: theta}}."""
+    rows = model.theta.reshape(-1, len(model.terms))
+    mask = model.mask.reshape(rows.shape)
+    return {j: {t.key: float(rows[j, i])
+                for i, t in enumerate(model.terms) if mask[j, i]}
+            for j in range(rows.shape[0])}
 
 
-def basis_name(key, ncomp):
-    if key[0] == "mono":
-        return Monomial(key[1]).name
-    if key[0] == "deriv":
-        return SpatialDerivative(key[1], key[2]).name
-    if key[0] == "wave_deriv":
-        return WaveDerivative(key[1]).name
-    return WaveNonlinearity(key[1]).name
-
-
-def _expand_affine_monomial(expos, alpha, gamma):
-    """Expand prod_k (alpha_k X_k + gamma_k)^e_k into {exponents: coeff}."""
-    table = {tuple([0] * len(expos)): 1.0}
-    for k, e in enumerate(expos):
-        for _ in range(e):
-            new = {}
-            for key, c in table.items():
-                # multiply by (alpha_k X_k + gamma_k)
-                up = list(key)
-                up[k] += 1
-                new[tuple(up)] = new.get(tuple(up), 0.0) + c * alpha[k]
-                if gamma[k] != 0.0:
-                    new[key] = new.get(key, 0.0) + c * gamma[k]
-            table = new
-    return table
-
-
-def affine_substitute(table, alpha, gamma, row_scale):
-    """Rewrite a coefficient table {eq: {basis_key: coeff}} under the change
-    of variables X_old_k = alpha_k * X_new_k + gamma_k, scaling each
-    equation row by row_scale[eq] (the Jacobian of the substituted variable).
-    """
-    out = {}
+def model_theta(model, table):
+    """The theta array of `model` that holds `table`, the inverse of
+    `model_table`. Masked entries are zero; a key outside the library
+    raises ValueError."""
+    index = {t.key: i for i, t in enumerate(model.terms)}
+    theta = np.zeros_like(model.theta)
+    rows = theta.reshape(-1, len(model.terms))
     for eq, row in table.items():
-        new_row = {}
         for key, c in row.items():
-            c = c * row_scale[eq]
-            if key[0] == "mono":
-                for expos, w in _expand_affine_monomial(
-                        key[1], alpha, gamma).items():
-                    k2 = ("mono", expos)
-                    new_row[k2] = new_row.get(k2, 0.0) + c * w
-            elif key[0] == "deriv":
-                k2 = key
-                new_row[k2] = new_row.get(k2, 0.0) + c * alpha[key[1]]
-            else:
-                raise ValueError(
-                    f"affine substitution undefined for term {key!r}")
-        out[eq] = new_row
+            if key not in index:
+                raise ValueError(f"{term_from_key(key).name} is not a term "
+                                 "of the library")
+            rows[eq, index[key]] = c
+    theta[~model.mask] = 0.0
+    return theta
+
+
+def _lower_inverse(A):
+    """A^-1 by forward substitution, so that rows of A that mix in nothing
+    come out exact."""
+    if np.triu(A, 1).any() or not np.diag(A).all():
+        raise ValueError("the change of variables needs an invertible lower "
+                         "triangular A")
+    inv = np.eye(len(A))
+    for i in range(len(A)):
+        inv[i] = (inv[i] - A[i, :i] @ inv[:i]) / A[i, i]
+    return inv
+
+
+def change_variables(table, A, g, time=1.0, space=1.0):
+    """Rewrite a coefficient table {eq: {key: c}} of dx/dt = F(x) for the
+    new variables of x_old = A x_new + g, t_old = time * t_new and spatial
+    coordinates y_old = space * y_new.
+
+    Each term is expanded in x_new (`Term.substitute`) and scaled by
+    time / space**spatial_order, and the equations then mix through the
+    Jacobian A^-1. A is lower triangular: each variable mixes in only the
+    ones before it, as in the unit conversions (diagonal) and the hidden
+    channel's gauge (last row). Returns a row for every equation of A;
+    equations the table lacks count as zero.
+    """
+    A = np.asarray(A, dtype=float)
+    g = np.asarray(g, dtype=float)
+    jac = _lower_inverse(A)
+    expanded = {}
+    for j, row in table.items():
+        new = expanded[j] = {}
+        for key, c in row.items():
+            term = term_from_key(key)
+            c = c * time / space ** term.spatial_order
+            for k, w in term.substitute(A, g).items():
+                new[k] = new.get(k, 0.0) + c * w
+    out = {}
+    for i in range(len(A)):
+        new = out[i] = {}
+        for j, row in expanded.items():
+            if jac[i, j]:
+                for k, c in row.items():
+                    new[k] = new.get(k, 0.0) + jac[i, j] * c
     return out
 
 
-def model_table(model):
-    """Raw learned coefficients as {equation index: {basis_key: theta}}."""
-    if model.kind == "complex":
-        return {0: {_basis_key(t): float(model.theta[i])
-                    for i, t in enumerate(model.terms) if model.mask[i]}}
-    return {j: {_basis_key(t): float(model.theta[j, i])
-                for i, t in enumerate(model.terms) if model.mask[j, i]}
-            for j in range(model.theta.shape[0])}
+def inverse_change(A, g, time, space):
+    """Arguments of `change_variables` that undo the given ones."""
+    jac = _lower_inverse(np.asarray(A, dtype=float))
+    return jac, -(jac @ np.asarray(g, dtype=float)), 1.0 / time, 1.0 / space
+
+
+def unit_change(model, norm):
+    """Arguments of `change_variables` from the model's variables to the
+    data's units. The model sees the state normalized as (x - mean) / std,
+    measures time in units of s_t * dt and applies its stencils at a
+    spacing of s_x * dx. `norm` is a NormalizationRecord-like object with
+    per-component `mean` and `std` and the time step `dt`."""
+    mean = np.asarray(norm.mean, dtype=float)
+    std = np.asarray(norm.std, dtype=float)
+    return (np.diag(1.0 / std), -mean / std, 1.0 / (model.s_t * norm.dt),
+            model.s_x)
 
 
 def physical_coefficients(model, norm):
-    """Learned equations converted to the original data units.
-
-    `norm` is a NormalizationRecord-like object with per-component `mean` and
-    `std` arrays (hidden channels use mean 0, std 1) and grid metadata `dt`.
-    Undoes the model-time scale s_t*dt, the effective stencil spacing s_x*dx,
-    and the unit-variance state normalization.
-    """
+    """Learned equations converted to the original data units (see
+    `unit_change`); hidden channels take their mean and std from `norm`."""
     if norm is None:
         raise ValueError("physical_coefficients requires a normalization record")
-    dt = norm.dt
-    table = model_table(model)
-    # model time + stencil spacing: theta / (s_t*dt) / s_x^order
-    scaled = {}
-    for eq, row in table.items():
-        scaled[eq] = {}
-        for key, c in row.items():
-            order = (sum(key[2]) if key[0] == "deriv"
-                     else key[1] if key[0] == "wave_deriv" else 0)
-            scaled[eq][key] = c / (model.s_t * dt) / model.s_x ** order
-    if model.kind == "complex":
-        # psi was divided by std; |psi|^q psi picks up std^q
-        std = float(np.asarray(norm.std)[0])
-        out = {}
-        for key, c in scaled[0].items():
-            out[key] = c / std ** key[1] if key[0] == "wave_nonlin" else c
-        return {0: out}
-    mean = np.asarray(norm.mean, dtype=float)
-    std = np.asarray(norm.std, dtype=float)
-    return affine_substitute(scaled, alpha=1.0 / std, gamma=-mean / std,
-                             row_scale={j: std[j] for j in scaled})
+    return change_variables(model_table(model), *unit_change(model, norm))

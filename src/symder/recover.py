@@ -13,11 +13,19 @@ basin with a staged procedure built around a *free per-sample embedding*
                difference derivative of the embedding itself.
 2. gauge       an unobserved channel is only identified up to an affine
                (and, before the support is fixed, linear-mixing) change of
-               variables.  The gauge is removed *exactly*: the embedding is
-               orthogonalised / re-standardised and the same substitution is
-               applied in closed form to the coefficient table, so the loss
-               is unchanged.  Re-standardising periodically during descent
-               ("gauge pinning") blocks the scale-collapse degeneracy.
+               variables.  The gauge is removed in closed form: the
+               embedding is orthogonalised / re-standardised and
+               `library.change_variables` applies the same substitution to
+               the coefficient table.  The derivative-matching losses
+               (`loss_p1`, `loss_p2`) stay unchanged only while the mask
+               holds every term the substitution creates, which it zeroes
+               otherwise: re-standardising needs the lower-degree terms
+               under each active one, and orthogonalising mixes the visible
+               channels into w, so it runs on the full mask only.  The
+               hidden residual `reg` is measured in units of w and divides
+               by sd^2 when w is rescaled by 1/sd.  Re-standardising
+               periodically during descent ("gauge pinning") blocks the
+               scale-collapse degeneracy.
 3. regression  STLSQ on finite differences of the reconstructed state
                proposes a support.  Constant and linear terms are exempt
                from thresholding: with one channel unobserved, alternative
@@ -46,7 +54,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import encoders, fd
+from . import encoders, fd, library
 from . import tensor as T
 from . import train as training
 from .tensor import square, tmean
@@ -132,30 +140,20 @@ class EmbeddingRecovery:
         if model.state_dim != self.n_vis + 1:
             raise ValueError("recovery pipeline expects exactly one hidden channel")
         self.n_time = ds.visible.shape[0]
-        # derivatives are matched with the accuracy-4 central stencils, so
-        # that the truncation floor sits well below coefficient-level loss
-        # gaps; they lose `lo` samples at each end of a series
-        self.lo = len(fd.CENTRAL_STENCILS_4[1]) // 2
-        self.hi = self.n_time - self.lo
-        self.nout = self.hi - self.lo
         self.dt = ds.norm.dt
         self.vis = ds.visible
         self.names = [t.name for t in model.terms]
-        self.expo = {t.exponents: i for i, t in enumerate(model.terms)}
 
         spec = encoders.EncoderSpec(kind="phase_embedding", shape=(self.n_time, 1))
         self.emb = encoders.Encoder(spec, seed=self.cfg.seed)
         self.phi = self.emb.params["phi"]
         rng = np.random.default_rng(self.cfg.seed)
         self.phi.data[...] = rng.normal(0.0, 0.1, (self.n_time, 1))
-
-        prob = training.Problem(ds, model, self.emb, order=2, alphas=(1.0, 1.0))
-        prob.lo, prob.hi = self.lo, self.hi
-        for p in (1, 2):
-            d = fd.apply_stencil(self.vis,
-                                fd.stencil_weights(p, self.dt, accuracy=4))
-            prob.targets[p] = d / np.asarray(ds.norm.deriv_std[p])
-        self.prob = prob
+        # derivatives are matched with the accuracy-4 central stencils, so
+        # that the truncation floor sits well below coefficient-level loss
+        # gaps; the problem's window [lo, hi) drops their margins
+        self.prob = training.Problem(ds, model, self.emb, order=2,
+                                     alphas=(1.0, 1.0), accuracy=4)
         self.history: list = []    # rows of train.HISTORY_FIELDS
         self.events: list = []
 
@@ -166,93 +164,57 @@ class EmbeddingRecovery:
         `compute_loss` plus, as `reg`, the mean squared residual of the hidden
         equation against the finite-difference derivative of the embedding.
         Both score one state and jet; the jet's first coefficient is F(x)."""
-        state, jet = self.prob.expand(self.lo, self.hi)
-        base, parts = self.prob.score(state, jet, self.lo, self.hi)
+        state, jet = self.prob.expand()
+        base, parts = self.prob.score(state, jet)
         F = jet.coeffs[1]
-        dw = fd.apply_stencil(state[:, self.n_vis:],
-                              fd.CENTRAL_STENCILS_4[1] * self.model.s_t)
-        resid = T.sub(F[self.lo:-self.lo, self.n_vis:], dw)
+        w = fd.CENTRAL_STENCILS_4[1]
+        r = len(w) // 2
+        dw = fd.apply_stencil(state[:, self.n_vis:], w * self.model.s_t)
+        resid = T.sub(F[r:-r, self.n_vis:], dw)
         reg = tmean(square(resid))
         parts["reg"] = reg.item()
         return T.add(base, reg), parts
 
     # ----------------------------------------------------------------- gauge
 
-    def _apply_shift(self, shift_coeffs, sd):
-        """Rewrite theta exactly for w_old = w_new + c(u) followed by w_new /= sd.
+    def _apply_shift(self, shift, sd):
+        """Rewrite theta for w_old = sd * w_new + c_0 + sum_j c_j u_j, where
+        `shift` is [c_0, c_1, ..., c_n] over the visible channels u_j.
 
-        shift_coeffs maps visible exponent tuples (padded with hidden 0) to
-        the coefficient of that monomial in c(u); includes the constant.
         A zero or non-finite sd raises TrainingDiverged before any change.
+        Entries the substitution moves onto masked terms are zeroed.
         """
         if not np.isfinite(sd) or sd == 0.0:
             raise training.TrainingDiverged(
                 f"hidden series has std {sd:.3g}; the gauge cannot rescale it")
         h = self.n_vis
-        base = {tuple(0 if j != h else 1 for j in range(h + 1)): 1.0}
-        base.update(shift_coeffs)
-        # powers of (w_new + c) needed by the library
-        max_pow = max(t.exponents[h] for t in self.model.terms)
-        pows = {0: {tuple([0] * (h + 1)): 1.0}, 1: base}
-        for p in range(2, max_pow + 1):
-            acc = {}
-            for k1, c1 in pows[p - 1].items():
-                for k2, c2 in base.items():
-                    k = tuple(a + b for a, b in zip(k1, k2))
-                    acc[k] = acc.get(k, 0.0) + c1 * c2
-            pows[p] = acc
-        th = self.model.theta
-        new = np.zeros_like(th)
-        for i, t in enumerate(self.model.terms):
-            e = t.exponents
-            wp = e[h]
-            if wp == 0:
-                new[:, i] += th[:, i]
-                continue
-            visible = tuple(e[:h]) + (0,)
-            for k, c in pows[wp].items():
-                full = tuple(a + b for a, b in zip(visible, k))
-                if full not in self.expo:
-                    raise ValueError(f"gauge substitution leaves the library: {full}")
-                new[:, self.expo[full]] += th[:, i] * c
-        # hidden row: dw_new/dtau = F_w - sum_j c_j dU_j/dtau for linear mixing
-        for key, coeff in shift_coeffs.items():
-            if coeff == 0.0:
-                continue
-            deg = sum(key)
-            if deg == 0:
-                continue
-            if deg != 1:
-                raise ValueError("only affine/linear gauge shifts are supported")
-            j = key.index(1)
-            new[h] -= coeff * new[j]
-        powers = np.array([t.exponents[h] for t in self.model.terms], dtype=float)
-        new *= (sd ** powers)[None, :]
-        new[h] /= sd
-        new[~self.model.mask] = 0.0
-        self._set_theta(new)
+        A = np.eye(h + 1)
+        A[h, :h] = shift[1:]
+        A[h, h] = sd
+        g = np.zeros(h + 1)
+        g[h] = shift[0]
+        table = library.change_variables(library.model_table(self.model), A, g)
+        self._set_theta(library.model_theta(self.model, table))
 
     def gauge_standardize(self):
-        """Shift/scale the hidden series to zero mean, unit std (exact)."""
-        w = self.phi.data[self.lo:self.hi, 0]
+        """Shift/scale the hidden series to zero mean, unit std, and rewrite
+        theta to match."""
+        lo, hi = self.prob.lo, self.prob.hi
+        w = self.phi.data[lo:hi, 0]
         m, s = float(w.mean()), float(w.std())
-        self._apply_shift({tuple([0] * (self.n_vis + 1)): m}, s)
+        self._apply_shift([m] + [0.0] * self.n_vis, s)
         self.phi.data[:, 0] = (self.phi.data[:, 0] - m) / s
 
     def gauge_orthogonalize(self):
         """Remove the component of w lying in span{1, visible channels}."""
-        w = self.phi.data[self.lo:self.hi, 0]
-        A = np.concatenate([np.ones((self.nout, 1)),
-                            self.vis[self.lo:self.hi]], axis=1)
-        coef, *_ = np.linalg.lstsq(A, w, rcond=None)
+        lo, hi = self.prob.lo, self.prob.hi
+        w = self.phi.data[lo:hi, 0]
+        X = np.concatenate([np.ones((hi - lo, 1)), self.vis[lo:hi]], axis=1)
+        coef, *_ = np.linalg.lstsq(X, w, rcond=None)
         fit = coef[0] + self.vis @ coef[1:]
         w = self.phi.data - fit[:, None]
-        sd = float(w[self.lo:self.hi].std())
-        shift = {tuple([0] * (self.n_vis + 1)): float(coef[0])}
-        for j in range(self.n_vis):
-            key = tuple(1 if k == j else 0 for k in range(self.n_vis + 1))
-            shift[key] = float(coef[1 + j])
-        self._apply_shift(shift, sd)
+        sd = float(w[lo:hi].std())
+        self._apply_shift(coef, sd)
         self.phi.data[...] = w / sd
         return coef, sd
 
@@ -295,7 +257,8 @@ class EmbeddingRecovery:
         X = np.stack([np.prod(state ** np.asarray(t.exponents), axis=-1)
                       for t in self.model.terms], axis=1)
         y = fd.apply_stencil(state, fd.CENTRAL_STENCILS_4[1]) / self.dt
-        return X[self.lo:self.hi], y
+        lo, hi = self.prob.lo, self.prob.hi
+        return X[lo:hi], y
 
     def ls_fit(self, mask):
         """Least squares on the given support; returns theta in model units."""
@@ -428,21 +391,19 @@ class EmbeddingRecovery:
 
 
 def distill(recovery: EmbeddingRecovery, width=64, steps=DISTILL_STEPS,
-            lr=3e-3, joint_steps=0, seed=None):
+            lr=3e-3, seed=None):
     """Fit a temporal-conv encoder to the recovered hidden series.
 
-    Returns the conv encoder; with joint_steps > 0 it is additionally
-    polished jointly with the coefficients on the recovery loss. Appends a
-    `distill:` event with the fit's last loss and the wall time to
-    `recovery.events`; the descent rows are not kept.
+    Returns the conv encoder and appends a `distill:` event with the fit's
+    last loss and the wall time to `recovery.events`; the descent rows are
+    not kept.
     """
     t0 = time.time()
-    ds = recovery.ds
     seed = recovery.cfg.seed if seed is None else seed
     spec = encoders.ode_encoder_spec(n_visible=recovery.n_vis, width=width)
     enc = encoders.Encoder(spec, seed=seed)
     r = enc.radius
-    tvis = T.Tensor(ds.visible)
+    tvis = T.Tensor(recovery.ds.visible)
     ttar = T.Tensor(recovery.phi.data[r:recovery.n_time - r])
 
     def fit_loss():
@@ -457,13 +418,6 @@ def distill(recovery: EmbeddingRecovery, width=64, steps=DISTILL_STEPS,
     rows = training.descend(opt, training.backpropagated(fit_loss), steps,
                             fit_lr, history=deque(maxlen=1))
     loss = rows[-1]["total_loss"] if rows else float("nan")
-    if joint_steps:
-        model = recovery.model
-        prob = training.Problem(ds, model, enc, order=2, alphas=(1.0, 1.0))
-        opt = training.GradientOptimizer(
-            [model.theta_t] + [p for _, p in enc.parameters()], lr=1e-4)
-        training.descend(opt, training.backpropagated(prob.compute_loss),
-                         joint_steps, lambda step: 1e-4, model=model)
     recovery.events.append(f"distill: loss {loss:.4g} "
                            f"t {time.time() - t0:.0f}s")
     return enc

@@ -18,9 +18,9 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "backward",
-    "add", "sub", "mul", "div", "neg", "pow_int", "absval", "square",
-    "sqrt", "tanh", "sin", "cos", "exp",
-    "tsum", "tmean", "getitem", "reshape", "concat", "roll", "stencil",
+    "add", "sub", "mul", "div", "neg", "pow_int", "square",
+    "sqrt", "tanh", "sin", "cos",
+    "tsum", "tmean", "getitem", "reshape", "concat", "stencil",
     "linear", "lincomb", "conv1d", "conv3d",
     "OP_REGISTRY",
 ]
@@ -174,13 +174,10 @@ def mul(a, b):
     ), _op="mul")
 
 
-def div(a, b, strict=False):
-    """Elementwise division. strict=True raises on any exact-zero divisor;
-    otherwise IEEE semantics (inf/nan) apply."""
+def div(a, b):
+    """Elementwise division with IEEE semantics (inf/nan)."""
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "div")
-    if strict and np.any(b.data == 0.0):
-        raise ZeroDivisionError("div: divisor contains exact zero (strict mode)")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = a.data / b.data
     return Tensor(out, _parents=(
@@ -214,12 +211,6 @@ def pow_int(a, n):
     ), _op="pow_int")
 
 
-def absval(a):
-    a = as_tensor(a)
-    return Tensor(np.abs(a.data),
-                  _parents=((a, lambda g: g * np.sign(a.data)),), _op="abs")
-
-
 def square(a):
     a = as_tensor(a)
     return Tensor(a.data * a.data,
@@ -249,12 +240,6 @@ def cos(a):
     a = as_tensor(a)
     return Tensor(np.cos(a.data),
                   _parents=((a, lambda g: -g * np.sin(a.data)),), _op="cos")
-
-
-def exp(a):
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return Tensor(out, _parents=((a, lambda g: g * out),), _op="exp")
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +309,6 @@ def concat(tensors, axis=0):
 
     parents = tuple((t, make_vjp(i)) for i, t in enumerate(tensors))
     return Tensor(out, _parents=parents, _op="concat")
-
-
-def roll(a, shift, axis):
-    a = as_tensor(a)
-    return Tensor(np.roll(a.data, shift, axis=axis),
-                  _parents=((a, lambda g: np.roll(g, -shift, axis=axis)),),
-                  _op="roll")
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +603,13 @@ def backward(loss):
 def _reg_all():
     rng_shapes = {
         "add": ((3, 4), (4,)), "sub": ((3, 4), (3, 4)), "mul": ((2, 3), (3,)),
-        "div": ((3, 4), (3, 4)), "neg": ((5,),), "abs": ((4, 3),),
+        "div": ((3, 4), (3, 4)), "neg": ((5,),),
         "square": ((6,),), "sqrt": ((5,),), "tanh": ((4, 2),),
-        "sin": ((7,),), "cos": ((7,),), "exp": ((3, 3),),
+        "sin": ((7,),), "cos": ((7,),),
     }
     fns = {"add": add, "sub": sub, "mul": mul, "div": div, "neg": neg,
-           "abs": absval, "square": square, "sqrt": sqrt, "tanh": tanh,
-           "sin": sin, "cos": cos, "exp": exp}
+           "square": square, "sqrt": sqrt, "tanh": tanh,
+           "sin": sin, "cos": cos}
     for name, fn in fns.items():
         _register(name, (fn, rng_shapes[name], {}))
     _register("pow_int", (pow_int, ((4,),), {"n": 3}))
@@ -641,7 +619,6 @@ def _reg_all():
     _register("getitem", (lambda a: a[1:, ::2], ((4, 6),), {}))
     _register("reshape", (lambda a: reshape(a, (2, 6)), ((3, 4),), {}))
     _register("concat", (lambda a, b: concat([a, b], axis=0), ((2, 3), (4, 3)), {}))
-    _register("roll", (lambda a: roll(a, 2, axis=0), ((5, 2),), {}))
     for periodic in (False, True):
         _register(f"stencil_{'periodic' if periodic else 'valid'}", (
             lambda a, periodic=periodic: stencil(

@@ -11,6 +11,7 @@ derivative so the per-order residuals start at O(1).
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -84,10 +85,11 @@ class GradientOptimizer:
 
 class Problem:
     """Binds one dataset to a candidate model and encoder; precomputes the
-    finite-difference targets and the shared valid time interior."""
+    finite-difference targets, with central stencils of the given accuracy
+    order, and the shared valid time interior."""
 
     def __init__(self, dataset, model, encoder, order=2, alphas=(1.0, 1.0),
-                 beta_phase=0.0):
+                 beta_phase=0.0, accuracy=2):
         if len(alphas) < order:
             raise ValueError(f"need {order} loss weights, got {len(alphas)}")
         self.dataset = dataset
@@ -101,7 +103,7 @@ class Problem:
         dt = dataset.norm.dt
         n_time = vis.shape[0]
         r = encoder.radius
-        margin = max(len(fd.CENTRAL_STENCILS[p]) // 2
+        margin = max(len(fd.stencil_weights(p, dt, accuracy)) // 2
                      for p in range(1, order + 1))
         lo = max(r, margin)
         hi = n_time - max(r, margin)
@@ -113,7 +115,7 @@ class Problem:
         self.targets = {}
         self.deriv_scale = {}
         for p in range(1, order + 1):
-            d, valid = fd.time_derivative(vis, p, dt)
+            d, valid = fd.time_derivative(vis, p, dt, accuracy)
             sigma = np.asarray(dataset.norm.deriv_std[p])
             self.targets[p] = d[lo - valid.start:hi - valid.start] / sigma
             # symbolic derivatives come out in model time units
@@ -326,7 +328,7 @@ def fit(problem, config, out_dir=None, log=None):
     history = descend(opt, losses(), config.steps, lr, model=model,
                       after=after, limit=config.divergence_limit)
     if out_dir is not None:
-        save_run(Path(out_dir), problem, config, history)
+        save_run(out_dir, model, encoder, history, asdict(config))
     return history
 
 
@@ -341,15 +343,15 @@ def write_history(path, history):
         wtr.writerows(history)
 
 
-def save_run(out_dir, problem, config, history):
+def save_run(out_dir, model, encoder, history, config):
+    """Write a run's artifacts: history.csv, model.json, encoder.ckpt and
+    config.json, which holds the JSON document `config`."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_history(out_dir / "history.csv", history)
-    cfg = asdict(config)
-    (out_dir / "model.json").write_text(problem.model.to_json())
-    import json
-    (out_dir / "config.json").write_text(json.dumps(cfg, indent=1))
-    encoders.save_checkpoint(problem.encoder, out_dir / "encoder.ckpt")
+    (out_dir / "model.json").write_text(model.to_json())
+    (out_dir / "config.json").write_text(json.dumps(config, indent=1))
+    encoders.save_checkpoint(encoder, out_dir / "encoder.ckpt")
 
 
 def load_history(path):

@@ -154,11 +154,8 @@ def test_report_json(lorenz_ds, lorenz_oracle, tmp_path):
 def test_nlse_truth_table_roundtrip():
     ds = datagen.simulate(datagen.get_preset("nlse", n_time=50), seed=0)
     model = train.default_model(ds.preset, seed=0)
-    truth_n = evaluate.truth_normalized_table(ds, s_t=model.s_t)
-    model.theta[...] = 0.0
-    keymap = {library._basis_key(t): i for i, t in enumerate(model.terms)}
-    for key, c in truth_n[0].items():
-        model.theta[keymap[key]] = c
+    truth_n = evaluate.truth_normalized_table(ds, model)
+    model.theta[...] = library.model_theta(model, truth_n)
     model.sync()
     align = evaluate.Alignment(a=np.ones(1), b=np.zeros(1),
                                rel_error=np.zeros(1))

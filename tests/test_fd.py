@@ -110,7 +110,7 @@ def test_tensor_paths_match_numpy():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((30, 2))
     d_np, valid = fd.time_derivative(x, 2, 0.1)
-    d_t, valid_t = fd.time_derivative_tensor(T.Tensor(x), 2, 0.1)
+    d_t, valid_t = fd.time_derivative(T.Tensor(x), 2, 0.1)
     np.testing.assert_allclose(d_t.data, d_np, rtol=1e-14)
     assert valid == valid_t
 

@@ -158,6 +158,23 @@ def test_physical_coefficients_pure_time_scale():
     assert table[0][("mono", (1, 0, 0))] == pytest.approx(0.284, rel=1e-12)
 
 
+def test_physical_coefficients_stencil_and_field_scales():
+    # stencils act at spacing s_x * dx: an order-p term divides by s_x^p
+    m = lib.pde_library(dx=0.5, dy=0.5, s_t=10.0, s_x=2.0)
+    m.theta[0, [t.name for t in m.terms].index("dxx(u)")] = 3.0
+    m.sync()
+    table = lib.physical_coefficients(m, norm_record([0, 0], [1, 1], dt=0.1))
+    assert table[0][("deriv", 0, (2, 0))] == pytest.approx(3.0 / 1.0 / 4.0)
+    # psi was divided by std, so |psi|^q psi picks up std^-q
+    m = lib.nlse_library(dx=0.3, s_t=10.0)
+    m.theta[[t.name for t in m.terms].index("|psi|^2*psi")] = 3.0
+    m.theta[[t.name for t in m.terms].index("dx^2(psi)")] = 5.0
+    m.sync()
+    table = lib.physical_coefficients(m, norm_record([0], [2.0], dt=0.1))
+    assert table[0][("wave_nonlin", 2)] == pytest.approx(3.0 / 1.0 / 4.0)
+    assert table[0][("wave_deriv", 2)] == pytest.approx(5.0 / 1.0)
+
+
 def test_physical_coefficients_identity():
     rng = np.random.default_rng(3)
     m = lib.ode_library(s_t=1.0)
@@ -204,17 +221,13 @@ def test_physical_coefficients_undo_normalization():
     std = np.array([2.0, 0.7])
     dt = 0.05
     s_t = 10.0
-    # forward-map the truth into normalized/model-time coefficients
-    fwd = lib.affine_substitute(truth, alpha=std, gamma=mean,
-                                row_scale={0: 1 / std[0], 1: 1 / std[1]})
+    # forward-map the truth into normalized/model-time coefficients:
+    # x = std * X + mean, t = s_t * dt * tau
+    fwd = lib.change_variables(truth, np.diag(std), mean, time=s_t * dt)
     m = lib.SymbolicModel(terms=lib.monomial_terms(2), theta=np.zeros((2, 6)),
                           mask=np.ones((2, 6), dtype=bool), s_t=s_t,
                           state_dim=2)
-    for j, row in fwd.items():
-        for key, c in row.items():
-            for i, t in enumerate(m.terms):
-                if ("mono", t.exponents) == key:
-                    m.theta[j, i] = c * (s_t * dt)
+    m.theta[...] = lib.model_theta(m, fwd)
     m.sync()
     table = lib.physical_coefficients(m, norm_record(mean, std, dt))
     for j in truth:
@@ -237,22 +250,84 @@ def test_nlse_terms_respect_global_phase_symmetry():
                                        err_msg=t.name)
 
 
+def _lower_change(rng):
+    """A non-diagonal lower-triangular change of three variables."""
+    A = np.tril(rng.normal(size=(3, 3)), -1) + np.diag([1.5, -0.8, 2.5])
+    return A, rng.normal(size=3)
+
+
 def test_affine_substitute_roundtrip():
+    """table -> (A, g, time, space) -> its inverse gives the table back, for
+    a non-diagonal A mixing monomials and spatial derivatives."""
     rng = np.random.default_rng(6)
     table = {0: {("mono", (0, 0, 0)): 0.3, ("mono", (1, 0, 1)): -1.2,
-                 ("mono", (0, 0, 2)): 0.7},
-             2: {("mono", (0, 0, 1)): 2.0, ("mono", (1, 1, 0)): 1.0}}
-    alpha = np.array([1.0, 1.0, 2.5])
-    gamma = np.array([0.0, 0.0, -0.8])
-    rows = {0: 1.0, 2: 4.0}
-    fwd = lib.affine_substitute(table, alpha, gamma, rows)
-    back = lib.affine_substitute(fwd, 1.0 / alpha, -gamma / alpha,
-                                 {k: 1.0 / v for k, v in rows.items()})
-    for j in table:
-        keys = set(table[j]) | set(back[j])
-        for key in keys:
+                 ("mono", (0, 0, 2)): 0.7, ("deriv", 2, (2, 0)): 0.4},
+             1: {("deriv", 0, (1, 1)): -0.9},
+             2: {("mono", (0, 0, 1)): 2.0, ("mono", (1, 1, 0)): 1.0,
+                 ("deriv", 1, (0, 1)): 0.25}}
+    A, g = _lower_change(rng)
+    change = (A, g, 0.3, 1.7)
+    inverse = lib.inverse_change(*change)
+    np.testing.assert_allclose(inverse[0], np.linalg.inv(A), atol=1e-14)
+    np.testing.assert_allclose(inverse[1], -np.linalg.solve(A, g), atol=1e-14)
+    fwd = lib.change_variables(table, *change)
+    assert ("deriv", 0, (2, 0)) in fwd[0]     # the derivative mixed through A
+    back = lib.change_variables(fwd, *inverse)
+    for j in range(3):
+        for key in set(table[j]) | set(back[j]):
             assert back[j].get(key, 0.0) == pytest.approx(
                 table[j].get(key, 0.0), abs=1e-12)
+
+
+def test_change_variables_matches_direct_substitution():
+    # dx_new/dt_new = time * A^-1 F(A x_new + g), evaluated at random points
+    from symder import datagen
+    rng = np.random.default_rng(8)
+    terms = lib.monomial_terms(3)
+    table = {j: {t.key: rng.normal() for t in terms} for j in range(3)}
+    A, g = _lower_change(rng)
+    new = lib.change_variables(table, A, g, time=0.6)
+    old_rhs = datagen.table_rhs(table, 3)
+    new_rhs = datagen.table_rhs(new, 3)
+    for x in rng.normal(size=(5, 3)):
+        expect = 0.6 * np.linalg.solve(A, old_rhs(*(A @ x + g)))
+        np.testing.assert_allclose(new_rhs(*x), expect, rtol=1e-12,
+                                   atol=1e-12)
+
+
+def test_gauge_change_keeps_unmixed_rows_exact():
+    # the hidden channel's gauge mixes only its own row of A, so visible
+    # equations free of w come through bit for bit
+    m = lib.ode_library()
+    m.theta[...] = np.random.default_rng(9).normal(size=m.theta.shape)
+    m.theta[:2, [t.exponents[2] > 0 for t in m.terms]] = 0.0
+    A = np.eye(3)
+    A[2] = [0.7, -1.3, 2.1]
+    new = lib.change_variables(lib.model_table(m), A, [0.0, 0.0, 0.4])
+    theta = lib.model_theta(m, new)
+    np.testing.assert_array_equal(theta[:2], m.theta[:2])
+    assert not np.allclose(theta[2], m.theta[2])
+
+
+def test_change_variables_rejects_unsupported_changes():
+    with pytest.raises(ValueError, match="lower triangular"):
+        lib.change_variables({0: {}}, [[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])
+    with pytest.raises(ValueError, match="rescaling"):
+        lib.change_variables({0: {("wave_nonlin", 2): 1.0}}, [[2.0]], [0.5])
+    m = lib.ode_library()
+    with pytest.raises(ValueError, match="not a term"):
+        lib.model_theta(m, {0: {("mono", (3, 0, 0)): 1.0}})
+
+
+@pytest.mark.parametrize("library,spec", [
+    (lib.ode_library(), ["mono", [0, 0, 0]]),
+    (lib.pde_library(), ["deriv", 1, [1, 1]]),
+    (lib.nlse_library(dx=0.3), ["wave_nonlin", 8])])
+def test_term_keys_invert_and_serialize(library, spec):
+    for t in library.terms:
+        assert lib.term_from_key(t.key) == t
+        assert lib.term_from_key(json.loads(json.dumps(t.key))) == t
+    assert spec in json.loads(library.to_json())["term_spec"]
 
 
 def test_term_names():

@@ -49,20 +49,6 @@ def test_fit_writes_one_history_row_per_step(lorenz_ds):
     assert res.events[-1].startswith("polish")
 
 
-def test_distill_joint_steps(lorenz_ds):
-    rec = _recovery(lorenz_ds, 10)
-    rec.fit()
-    theta = rec.model.theta.copy()
-    enc = recover.distill(rec, width=8, steps=5, joint_steps=3)
-    assert enc.spec.kind == "temporal_conv"
-    assert not np.array_equal(rec.model.theta, theta)
-    assert np.all(rec.model.theta[~rec.model.mask] == 0.0)
-    assert np.array_equal(rec.model.theta, rec.model.theta_t.data)
-    hidden = enc(T.Tensor(lorenz_ds.visible)).data
-    assert hidden.shape == (lorenz_ds.visible.shape[0] - 2 * enc.radius, 1)
-    assert np.all(np.isfinite(hidden))
-
-
 def test_fit_raises_on_divergence(lorenz_ds):
     rec = _recovery(lorenz_ds, 12)
     rec.model.theta[...] = 1e6
@@ -115,12 +101,13 @@ def test_loss_fn_matches_two_pass_formula(lorenz_ds):
     rec.phi.data[...] = np.random.default_rng(3).normal(size=rec.phi.shape)
 
     def two_pass():
-        base, parts = rec.prob.compute_loss(rec.lo, rec.hi)
-        state = rec.prob.reconstruct(rec.lo, rec.hi)
+        lo, hi = rec.prob.lo, rec.prob.hi
+        base, parts = rec.prob.compute_loss(lo, hi)
+        state = rec.prob.reconstruct(lo, hi)
         F = rec.model.evaluate(state)
         dw = fd.apply_stencil(state[:, rec.n_vis:],
                               fd.CENTRAL_STENCILS_4[1] * rec.model.s_t)
-        reg = T.tmean(T.square(T.sub(F[rec.lo:-rec.lo, rec.n_vis:], dw)))
+        reg = T.tmean(T.square(T.sub(F[lo:-lo, rec.n_vis:], dw)))
         parts["reg"] = reg.item()
         return T.add(base, reg), parts
 
@@ -152,3 +139,35 @@ def test_gauge_refuses_degenerate_embedding(lorenz_ds, gauge, value):
         getattr(rec, gauge)()
     np.testing.assert_array_equal(rec.phi.data, value)
     np.testing.assert_array_equal(rec.model.theta, theta)
+
+
+def _degree(rec):
+    return np.array([sum(t.exponents) for t in rec.model.terms])
+
+
+@pytest.mark.parametrize("gauge,support", [
+    ("gauge_standardize", "full"), ("gauge_standardize", "degree<=1"),
+    ("gauge_orthogonalize", "full")])
+def test_gauge_keeps_derivative_losses(lorenz_ds, gauge, support):
+    """The gauge rewrites theta for the new hidden variable in closed form, so
+    the visible derivative losses do not move. Orthogonalizing is checked on
+    the full mask only, the one it runs on: its linear mixing creates
+    quadratics that a sparser mask would zero."""
+    rec = _recovery(lorenz_ds, 10)
+    rng = np.random.default_rng(7)
+    rec.phi.data[...] = rng.normal(0.5, 2.0, rec.phi.shape)
+    if support != "full":
+        rec.model.mask[...] = (_degree(rec) <= 1)[None, :]
+    rec.model.theta[...] = rng.normal(0.0, 0.5, rec.model.theta.shape)
+    rec.model.theta[~rec.model.mask] = 0.0
+    rec.model.sync()
+    before = rec.loss_fn()[1]
+    sd = float(rec.phi.data[rec.prob.lo:rec.prob.hi].std())
+    getattr(rec, gauge)()
+    after = rec.loss_fn()[1]
+    for part in ("loss_p1", "loss_p2"):
+        assert after[part] == pytest.approx(before[part], rel=1e-12)
+    if gauge == "gauge_standardize":
+        # the hidden residual is measured in the hidden variable's units
+        assert after["reg"] == pytest.approx(before["reg"] / sd ** 2,
+                                             rel=1e-10)

@@ -249,15 +249,11 @@ def oracle_setup(ds):
     h_mean, h_std = hid.mean(axis=0), hid.std(axis=0)
     alpha = np.concatenate([ds.norm.std, h_std])
     gamma = np.concatenate([ds.norm.mean, h_mean])
-    normed = library.affine_substitute(
-        phys, alpha=alpha, gamma=gamma,
-        row_scale={j: 1.0 / alpha[j] for j in phys})
     model = train.default_model(preset, seed=0)
-    model.theta[...] = 0.0
-    keymap = {library._basis_key(t): i for i, t in enumerate(model.terms)}
-    for eq, row in normed.items():
-        for key, c in row.items():
-            model.theta[eq, keymap[key]] = c * model.s_t * ds.norm.dt
+    # x = alpha * x_normalized + gamma, t = s_t * dt * t_model
+    normed = library.change_variables(phys, np.diag(alpha), gamma,
+                                      time=model.s_t * ds.norm.dt)
+    model.theta[...] = library.model_theta(model, normed)
     model.sync()
     hidden_norm = (hid - h_mean) / h_std
     return model, OracleEncoder(hidden_norm)
