@@ -31,35 +31,29 @@ import numpy as np
 
 from . import datagen, encoders, evaluate, library, recover, train
 
-# training schedules per system, overridable by a JSON config; on the staged
-# path "width" > 0 distills the embedding into a conv encoder of that width
+# training schedules per system, overridable by a JSON config. The system
+# kind picks the path: ODE presets train staged (`recover`), where "width"
+# > 0 distills the embedding into a conv encoder of that width; the others
+# train jointly (`train.fit`)
 DEFAULT_CONFIGS = {
-    "rossler": {"steps": 20500, "lr": 2e-3, "width": 0, "order": 2,
-                "alphas": [1.0, 1.0], "sparsify_every": 5000,
-                "theta_threshold": 1e-3, "n_time": 2500,
-                "pipeline": "staged"},
-    "lorenz": {"steps": 20500, "lr": 2e-3, "width": 0, "order": 2,
-               "alphas": [1.0, 1.0], "sparsify_every": 5000,
-               "theta_threshold": 1e-3, "n_time": 2500,
-               "pipeline": "staged"},
-    "diffusion_source": {"steps": 50000, "lr": 1e-4, "width": 64, "order": 2,
+    "rossler": {"steps": 20500, "lr": 2e-3, "width": 0},
+    "lorenz": {"steps": 20500, "lr": 2e-3, "width": 0},
+    "diffusion_source": {"steps": 50000, "lr": 1e-4, "width": 64,
                          "alphas": [1.0, 10.0], "sparsify_every": 1000,
-                         "theta_threshold": 5e-3, "n_time": 1000,
-                         "chunk_time": 64},
-    "diffusive_lv": {"steps": 100000, "lr": 1e-3, "width": 64, "order": 2,
+                         "theta_threshold": 5e-3, "chunk_time": 64},
+    "diffusive_lv": {"steps": 100000, "lr": 1e-3, "width": 64,
                      "alphas": [1.0, 1.0], "sparsify_every": 1000,
-                     "theta_threshold": 2e-3, "n_time": 1000,
-                     "chunk_time": 64},
-    "nlse": {"steps": 100000, "lr": 1e-4, "width": 0, "order": 2,
+                     "theta_threshold": 2e-3, "chunk_time": 64},
+    "nlse": {"steps": 100000, "lr": 1e-4, "width": 0,
              "alphas": [1.0, 1.0], "beta_phase": 1e3,
              "sparsify_every": 10000, "theta_threshold": 1e-3,
-             "n_time": 500, "divergence_limit": 1e9},
+             "divergence_limit": 1e9},
 }
 
-JOINT_ONLY_KEYS = {"order", "alphas", "sparsify_every", "theta_threshold",
-                   "chunk_time", "beta_phase", "divergence_limit",
-                   "optimizer", "lr_final"}
-CONFIG_KEYS = set().union(*DEFAULT_CONFIGS.values()) | JOINT_ONLY_KEYS
+# the config keys each path reads
+STAGED_KEYS = {"steps", "lr", "width"}
+JOINT_KEYS = STAGED_KEYS | {"alphas", "sparsify_every", "theta_threshold",
+                            "chunk_time", "beta_phase", "divergence_limit"}
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -73,9 +67,9 @@ class CliError(Exception):
         self.code = code
 
 
-def load_config(preset_name, config_path=None):
-    """The preset's schedule under the config file, and the keys it sets."""
-    cfg = DEFAULT_CONFIGS.get(preset_name, DEFAULT_CONFIGS["lorenz"])
+def load_config(preset, config_path=None):
+    """The preset's schedule under the config file, which may set only the
+    keys its path reads."""
     user = {}
     if config_path is not None:
         path = Path(config_path)
@@ -85,10 +79,14 @@ def load_config(preset_name, config_path=None):
             user = dict(json.loads(path.read_text()))
         except (TypeError, ValueError) as e:
             raise CliError(f"bad config {path}: {e}", EXIT_FAIL)
-        if set(user) - CONFIG_KEYS:
-            raise CliError(f"{path}: unknown config keys "
-                           f"{', '.join(sorted(set(user) - CONFIG_KEYS))}")
-    return {**cfg, **user}, set(user)
+        staged = preset.kind == "ode"
+        unknown = set(user) - (STAGED_KEYS if staged else JOINT_KEYS)
+        if unknown:
+            raise CliError(
+                f"{path}: the {'staged' if staged else 'joint'} path of "
+                f"{preset.name} does not read config keys "
+                f"{', '.join(sorted(unknown))}")
+    return {**DEFAULT_CONFIGS[preset.name], **user}
 
 
 def load_dataset(path):
@@ -140,33 +138,27 @@ def cmd_generate(args):
 
 def cmd_train(args):
     ds = load_dataset(args.data)
-    cfg, user_keys = load_config(ds.preset.name, args.config)
+    cfg = load_config(ds.preset, args.config)
     if args.steps is not None:
         cfg["steps"] = args.steps
     if args.width is not None:
         cfg["width"] = args.width
     if args.lr is not None:
         cfg["lr"] = args.lr
-    if cfg.get("pipeline") == "staged" and ds.preset.kind == "ode":
-        if user_keys & JOINT_ONLY_KEYS:
-            raise CliError(f"{args.config}: the staged pipeline does not use "
-                           f"{', '.join(sorted(user_keys & JOINT_ONLY_KEYS))}")
+    if ds.preset.kind == "ode":
         return _train_staged(args, ds, cfg)
     model = train.default_model(ds.preset, seed=args.seed)
     enc = train.default_encoder(ds, width=cfg["width"] or None,
                                 seed=args.seed)
-    prob = train.Problem(ds, model, enc, order=cfg["order"],
-                         alphas=tuple(cfg["alphas"]),
+    prob = train.Problem(ds, model, enc, alphas=tuple(cfg["alphas"]),
                          beta_phase=cfg.get("beta_phase", 0.0))
     tcfg = train.TrainConfig(
         steps=cfg["steps"], lr=cfg["lr"],
-        optimizer=cfg.get("optimizer", "adabelief"),
         sparsify_every=cfg["sparsify_every"],
         theta_threshold=cfg["theta_threshold"],
         divergence_limit=cfg.get("divergence_limit",
                                  train.DIVERGENCE_LIMIT),
-        chunk_time=cfg.get("chunk_time", 0),
-        lr_final=cfg.get("lr_final"), seed=args.seed)
+        chunk_time=cfg.get("chunk_time", 0), seed=args.seed)
     try:
         train.fit(prob, tcfg, out_dir=args.out, log=print)
     except train.TrainingDiverged as e:

@@ -76,10 +76,8 @@ def _with_hidden(dataset, mean, std):
 def _to_truth_units(model, dataset):
     """Arguments of `library.change_variables` from physical units to the
     model's variables with the hidden channels normalized like the truth."""
-    hid = dataset.hidden_truth.reshape(dataset.hidden_truth.shape[0], -1)
-    # one column per hidden channel of the model: for a field, the series
-    # at its first grid point
-    hid = hid[:, :model.state_dim - len(dataset.norm.mean)]
+    # one column per hidden channel, over time and the whole field
+    hid = dataset.hidden_truth.reshape(-1, dataset.hidden_truth.shape[-1])
     norm = _with_hidden(dataset, hid.mean(axis=0), hid.std(axis=0))
     return library.inverse_change(*library.unit_change(model, norm))
 
@@ -214,7 +212,11 @@ def evaluate_run(dataset, model, encoder, threshold=PATTERN_THRESHOLD):
     truth, and compare the learned equations; returns a result dict with the
     alignment, the comparison, and the reconstructed state."""
     from .train import Problem
-    prob = Problem(dataset, model, encoder, order=1, alphas=(1.0,))
+    # ODE runs are staged: the accuracy-4 stencils of the staged loss give
+    # the window it trained
+    accuracy = 4 if dataset.preset.kind == "ode" else 2
+    prob = Problem(dataset, model, encoder, order=1, alphas=(1.0,),
+                   accuracy=accuracy)
     state = prob.reconstruct().data
     lo, hi = prob.lo, prob.hi
     out = {"lo": lo, "hi": hi, "state": state}

@@ -226,23 +226,16 @@ class EmbeddingRecovery:
         a loss that is not finite or exceeds train.DIVERGENCE_LIMIT."""
         cfg = self.cfg
         lr0 = cfg.lr if lr0 is None else lr0
-        lr1 = 0.1 * lr0
         opt = training.GradientOptimizer([self.model.theta_t, self.phi],
                                          lr=lr0)
-
-        def lr(step):
-            if nsteps <= 1:
-                return lr0
-            cos = np.cos(np.pi * step / (nsteps - 1))
-            return lr1 + (lr0 - lr1) * 0.5 * (1 + cos)
 
         def pin_gauge(step):
             if pin and step and step % cfg.pin_every == 0:
                 self.gauge_standardize()
 
         training.descend(opt, training.backpropagated(self.loss_fn), nsteps,
-                         lr, model=self.model, before=pin_gauge,
-                         history=self.history)
+                         training.cosine_lr(lr0, nsteps), model=self.model,
+                         before=pin_gauge, history=self.history)
         loss = self.history[-1]["total_loss"] if nsteps else float("nan")
         if pin:
             self.gauge_standardize()
@@ -409,14 +402,11 @@ def distill(recovery: EmbeddingRecovery, width=64, steps=DISTILL_STEPS,
     def fit_loss():
         return tmean(square(T.sub(enc(tvis), ttar))), {}
 
-    def fit_lr(step):
-        cos = np.cos(np.pi * step / max(steps - 1, 1))
-        return lr * (0.1 + 0.9 * 0.5 * (1 + cos))
-
     opt = training.GradientOptimizer([p for _, p in enc.parameters()], lr=lr)
     # only the last row is read, for the event's loss
     rows = training.descend(opt, training.backpropagated(fit_loss), steps,
-                            fit_lr, history=deque(maxlen=1))
+                            training.cosine_lr(lr, steps),
+                            history=deque(maxlen=1))
     loss = rows[-1]["total_loss"] if rows else float("nan")
     recovery.events.append(f"distill: loss {loss:.4g} "
                            f"t {time.time() - t0:.0f}s")

@@ -31,32 +31,22 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     steps: int = 1000
     lr: float = 1e-3
-    optimizer: str = "adabelief"     # adabelief | adam
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = None               # default 1e-16 adabelief, 1e-8 adam
     sparsify_every: int = 0         # 0 disables thresholding
     theta_threshold: float = 1e-3
     divergence_limit: float = DIVERGENCE_LIMIT
     chunk_time: int = 0             # 0 = single full-batch pass per step
-    lr_final: float = None          # cosine decay target; None = constant lr
     seed: int = 0
 
 
 class GradientOptimizer:
-    """Adam, and the variant that tracks the variance of (g - m) instead of
-    g (beliefs about the gradient rather than its magnitude)."""
+    """AdaBelief: Adam with the variance of (g - m) in place of that of g
+    (beliefs about the gradient rather than its magnitude)."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=None,
-                 variant="adabelief"):
-        if variant not in ("adabelief", "adam"):
-            raise ValueError(f"unknown optimizer variant {variant!r}")
+    beta1, beta2, eps = 0.9, 0.999, 1e-16
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps if eps is not None else \
-            (1e-16 if variant == "adabelief" else 1e-8)
-        self.variant = variant
         self.t = 0
         self.m = [np.zeros(p.shape) for p in self.params]
         self.s = [np.zeros(p.shape) for p in self.params]
@@ -72,12 +62,9 @@ class GradientOptimizer:
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros(p.shape)
             self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            if self.variant == "adabelief":
-                d = g - self.m[i]
-                self.s[i] = self.beta2 * self.s[i] + (1 - self.beta2) * d * d \
-                    + self.eps
-            else:
-                self.s[i] = self.beta2 * self.s[i] + (1 - self.beta2) * g * g
+            d = g - self.m[i]
+            self.s[i] = self.beta2 * self.s[i] + (1 - self.beta2) * d * d \
+                + self.eps
             mhat = self.m[i] / bc1
             shat = self.s[i] / bc2
             p.data = p.data - self.lr * mhat / (np.sqrt(shat) + self.eps)
@@ -285,22 +272,26 @@ def descend(opt, losses, steps, lr, model=None, before=None, after=None,
     return history
 
 
+def cosine_lr(lr0, steps):
+    """Learning rate for `descend` that decays from lr0 at step 0 to
+    0.1 * lr0 at the last of `steps` steps along half a cosine."""
+    lr1 = 0.1 * lr0
+
+    def lr(step):
+        if steps <= 1:
+            return lr0
+        cos = np.cos(np.pi * step / (steps - 1))
+        return lr1 + (lr0 - lr1) * 0.5 * (1 + cos)
+    return lr
+
+
 def fit(problem, config, out_dir=None, log=None):
     """Run the training loop; returns the per-step history (list of dicts).
     Writes history.csv, model.json and encoder.ckpt under out_dir if given."""
     model, encoder = problem.model, problem.encoder
     params = [model.theta_t] + [p for _, p in encoder.parameters()]
-    opt = GradientOptimizer(params, lr=config.lr, beta1=config.beta1,
-                            beta2=config.beta2, eps=config.eps,
-                            variant=config.optimizer)
+    opt = GradientOptimizer(params, lr=config.lr)
     chunks = problem.chunks(config.chunk_time)
-
-    def lr(step):
-        if config.lr_final is None or config.steps <= 1:
-            return config.lr
-        frac = step / (config.steps - 1)
-        return config.lr_final + (config.lr - config.lr_final) * \
-            0.5 * (1 + np.cos(np.pi * frac))
 
     def losses():
         # gradient accumulation over time windows: identical totals to one
@@ -325,8 +316,9 @@ def fit(problem, config, out_dir=None, log=None):
             log(f"step {step:6d}  loss {val:.6g}  "
                 f"active {model.active_terms()}")
 
-    history = descend(opt, losses(), config.steps, lr, model=model,
-                      after=after, limit=config.divergence_limit)
+    history = descend(opt, losses(), config.steps, lambda step: config.lr,
+                      model=model, after=after,
+                      limit=config.divergence_limit)
     if out_dir is not None:
         save_run(out_dir, model, encoder, history, asdict(config))
     return history

@@ -123,6 +123,24 @@ def test_nlse_pipeline(tmp_path, capsys):
     assert "phase_error" in doc
 
 
+# tiny generation sizes per preset
+TINY = {"rossler": ["--n-time", "120"], "lorenz": ["--n-time", "120"],
+        "diffusion_source": ["--n-time", "24", "--nx", "8"],
+        "diffusive_lv": ["--n-time", "24", "--nx", "8"],
+        "nlse": ["--n-time", "40", "--nx", "32"]}
+
+
+@pytest.mark.parametrize("preset", sorted(cli.DEFAULT_CONFIGS))
+def test_every_preset_schedule_trains(tmp_path, preset):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["generate", "--preset", preset, "--out", str(data)]
+                    + TINY[preset]) == 0
+    assert cli.main(["train", "--data", str(data), "--out", str(run),
+                     "--steps", "2"]) == 0
+    for name in ("model.json", "encoder.ckpt", "history.csv", "config.json"):
+        assert (run / name).exists(), name
+
+
 def test_config_override(workspace, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"steps": 3, "width": 8}))
@@ -210,18 +228,23 @@ def test_damaged_artifact_exit_code(workspace, tmp_path, capsys, name,
 
 
 def test_staged_rejects_joint_only_keys(workspace, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"theta_threshold": 5.0, "sparsify_every": 1,
-                               "order": 1, "alphas": [9.0, 9.0]}))
-    out = tmp_path / "run_keys"
-    assert cli.main(["train", "--data", str(workspace / "data"),
-                     "--out", str(out), "--steps", "20",
-                     "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    for key in ("order", "alphas", "sparsify_every", "theta_threshold"):
-        assert key in err
-    assert not out.exists()
+    # the joint-path keys, the removed joint route and optimizer knobs,
+    # and the dataset size: none is read by the staged path
+    for user in ({"theta_threshold": 5.0, "sparsify_every": 1,
+                  "alphas": [9.0, 9.0]},
+                 {"pipeline": "joint"}, {"order": 1}, {"n_time": 100},
+                 {"optimizer": "adam"}, {"lr_final": 1e-4}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))
+        out = tmp_path / "run_keys"
+        assert cli.main(["train", "--data", str(workspace / "data"),
+                         "--out", str(out), "--steps", "20",
+                         "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        for key in user:
+            assert key in err
+        assert not out.exists()
 
 
 def _nan_in_visible(data, run):
@@ -250,15 +273,20 @@ def test_non_finite_artifact_exits_3(workspace, tmp_path, capsys, damage):
 
 
 def test_unknown_config_key(workspace, tmp_path, capsys):
-    cfg = tmp_path / "typo.json"
-    cfg.write_text(json.dumps({"stpes": 3}))
-    out = tmp_path / "run_typo"
-    assert cli.main(["train", "--data", str(workspace / "data"),
-                     "--out", str(out), "--steps", "5",
-                     "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "stpes" in err
-    assert not out.exists()
+    pde = tmp_path / "pde"
+    assert cli.main(["generate", "--preset", "diffusion_source", "--out",
+                     str(pde), "--n-time", "24", "--nx", "8"]) == 0
+    for data, key in ((workspace / "data", "stpes"), (pde, "stpes"),
+                      (pde, "order")):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({key: 3}))
+        out = tmp_path / "run_typo"
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(data), "--out", str(out),
+                         "--steps", "5", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err, err
+        assert not out.exists()
 
 
 def test_degenerate_embedding_exits_1(workspace, tmp_path, capsys,

@@ -163,3 +163,34 @@ def test_nlse_truth_table_roundtrip():
     assert cmp["pattern_match"], (cmp["missing"], cmp["spurious"])
     for key, err in cmp["coefficient_errors"].items():
         assert err < 1e-10, (key, err)
+
+
+def test_staged_run_scored_on_its_training_window():
+    from symder import recover
+    ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
+    rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
+                                    recover.RecoveryConfig.from_budget(20))
+    enc = rec.fit().encoder
+    n = ds.visible.shape[0]
+    res = evaluate.evaluate_run(ds, rec.model, enc)
+    assert (res["lo"], res["hi"]) == (rec.prob.lo, rec.prob.hi) == (2, n - 2)
+    # phi[1] and phi[n-2] get no gradient from the staged loss
+    rec.phi.data[[1, n - 2]] = 1e3
+    again = evaluate.evaluate_run(ds, rec.model, enc)
+    np.testing.assert_array_equal(again["align"].rel_error,
+                                  res["align"].rel_error)
+
+
+def test_pde_truth_normalized_over_the_field():
+    from dataclasses import replace
+    ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=24,
+                                             nx=8), seed=0)
+    model = train.default_model(ds.preset, seed=0)
+    table = evaluate.truth_normalized_table(ds, model)
+    # which grid point comes first does not change the field's statistics
+    rolled = replace(ds, hidden_truth=np.roll(ds.hidden_truth, (3, 5),
+                                              axis=(1, 2)))
+    for eq, row in evaluate.truth_normalized_table(rolled, model).items():
+        for key, c in row.items():
+            np.testing.assert_allclose(c, table[eq][key], rtol=1e-12,
+                                       atol=1e-15)

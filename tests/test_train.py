@@ -21,7 +21,7 @@ def small_problem(ds, order=2, alphas=(1.0, 1.0), seed=0):
 
 def test_adabelief_first_step_hand():
     x = T.Tensor(np.array([1.0]), requires_grad=True)
-    opt = train.GradientOptimizer([x], lr=0.1, variant="adabelief")
+    opt = train.GradientOptimizer([x], lr=0.1)
     loss = T.square(x)
     T.backward(loss)
     opt.step()
@@ -34,34 +34,16 @@ def test_adabelief_first_step_hand():
     np.testing.assert_allclose(x.data[0], expect, rtol=1e-14)
 
 
-def test_adam_first_step_hand():
-    x = T.Tensor(np.array([3.0]), requires_grad=True)
-    opt = train.GradientOptimizer([x], lr=0.05, variant="adam")
-    T.backward(T.square(x))
-    opt.step()
-    g = 6.0
-    m = 0.1 * g
-    s = 0.001 * g * g
-    expect = 3.0 - 0.05 * (m / 0.1) / (np.sqrt(s / 0.001) + 1e-8)
-    np.testing.assert_allclose(x.data[0], expect, rtol=1e-14)
-
-
-@pytest.mark.parametrize("variant", ["adam", "adabelief"])
-def test_optimizer_quadratic_convergence(variant):
+def test_optimizer_quadratic_convergence():
     x = T.Tensor(np.array([5.0, -4.0]), requires_grad=True)
     target = np.array([3.0, 1.0])
-    opt = train.GradientOptimizer([x], lr=0.1, variant=variant)
+    opt = train.GradientOptimizer([x], lr=0.1)
     for _ in range(500):
         opt.zero_grad()
         loss = T.tsum(T.square(T.sub(x, target)))
         T.backward(loss)
         opt.step()
     np.testing.assert_allclose(x.data, target, atol=1e-3)
-
-
-def test_optimizer_unknown_variant():
-    with pytest.raises(ValueError):
-        train.GradientOptimizer([], lr=0.1, variant="sgd")
 
 
 def test_optimizer_none_grad_is_zero():
@@ -208,16 +190,11 @@ def test_fit_chunked_equals_full(lorenz_ds):
                                    rtol=1e-9)
 
 
-def test_lr_cosine_decay(lorenz_ds):
-    prob = small_problem(lorenz_ds)
-    cfg = train.TrainConfig(steps=11, lr=1e-2, lr_final=1e-4)
-    train.fit(prob, cfg)
-    # indirectly observable: rerun with constant lr gives different history
-    h_const = train.fit(small_problem(lorenz_ds),
-                        train.TrainConfig(steps=11, lr=1e-2))
-    h_decay = train.fit(small_problem(lorenz_ds), cfg)
-    assert h_const[0]["total_loss"] == h_decay[0]["total_loss"]
-    assert h_const[-1]["total_loss"] != h_decay[-1]["total_loss"]
+def test_cosine_lr_endpoints():
+    lr = train.cosine_lr(1e-2, 11)
+    np.testing.assert_allclose([lr(0), lr(5), lr(10)], [1e-2, 5.5e-3, 1e-3],
+                               rtol=1e-12)
+    assert train.cosine_lr(1e-2, 1)(0) == 1e-2
 
 
 # -- plug-in oracle loss floor -------------------------------------------------
@@ -293,8 +270,8 @@ def test_loss_tape_sizes():
 
     ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=24,
                                              nx=8), seed=0)
-    cfg = cli.DEFAULT_CONFIGS["diffusion_source"]
     prob = train.Problem(ds, train.default_model(ds.preset),
-                         train.default_encoder(ds), order=cfg["order"],
-                         alphas=cfg["alphas"])
+                         train.default_encoder(ds),
+                         alphas=cli.DEFAULT_CONFIGS["diffusion_source"][
+                             "alphas"])
     assert _tape_nodes(prob.compute_loss()[0]) == 106
