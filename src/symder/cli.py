@@ -16,9 +16,9 @@ is first imported, which is why this module sets the environment up top.
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 if "SYMDER_THREADS" in os.environ:
@@ -65,6 +65,33 @@ class CliError(Exception):
     def __init__(self, message, code=EXIT_FAIL):
         super().__init__(message)
         self.code = code
+
+
+def _positive(v):
+    return type(v) in (int, float) and 0 < v < math.inf
+
+
+_COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_POSITIVE = (_positive, "a positive finite number")
+# the values each config key admits: (test, description)
+CONFIG_RULES = {
+    "steps": _COUNT, "width": _COUNT, "lr": _POSITIVE,
+    "alphas": (lambda v: type(v) is list and len(v) >= 2
+               and all(map(_positive, v)),
+               "a list of two or more positive finite numbers"),
+    "sparsify_every": _COUNT, "chunk_time": _COUNT,
+    "theta_threshold": _POSITIVE, "divergence_limit": _POSITIVE,
+    "beta_phase": (lambda v: type(v) in (int, float) and 0 <= v < math.inf,
+                   "a non-negative finite number"),
+}
+
+
+def check_config(cfg):
+    """Raise CliError naming the first key whose value is out of range."""
+    for key, value in cfg.items():
+        ok, what = CONFIG_RULES[key]
+        if not ok(value):
+            raise CliError(f"config {key} must be {what}, got {value!r}")
 
 
 def load_config(preset, config_path=None):
@@ -120,6 +147,9 @@ def load_run(run_dir):
 # -- subcommands --------------------------------------------------------------
 
 def cmd_generate(args):
+    for flag, value in (("--n-time", args.n_time), ("--nx", args.nx)):
+        if value is not None and value < 1:
+            raise CliError(f"{flag} must be a positive integer, got {value}")
     try:
         preset = datagen.get_preset(args.preset, n_time=args.n_time,
                                     nx=args.nx)
@@ -145,8 +175,20 @@ def cmd_train(args):
         cfg["width"] = args.width
     if args.lr is not None:
         cfg["lr"] = args.lr
-    if ds.preset.kind == "ode":
-        return _train_staged(args, ds, cfg)
+    check_config(cfg)
+    try:
+        if ds.preset.kind == "ode":
+            return _train_staged(args, ds, cfg)
+        return _train_joint(args, ds, cfg)
+    except train.SeriesTooShort as e:
+        raise CliError(f"cannot train on {args.data}: {e}", EXIT_FAIL)
+    except train.TrainingDiverged as e:
+        raise CliError(f"training diverged: {e}", EXIT_FAIL)
+
+
+def _train_joint(args, ds, cfg):
+    """PDE and wave systems: the encoder and the coefficients descend
+    jointly (`train.fit`)."""
     model = train.default_model(ds.preset, seed=args.seed)
     enc = train.default_encoder(ds, width=cfg["width"] or None,
                                 seed=args.seed)
@@ -159,10 +201,7 @@ def cmd_train(args):
         divergence_limit=cfg.get("divergence_limit",
                                  train.DIVERGENCE_LIMIT),
         chunk_time=cfg.get("chunk_time", 0), seed=args.seed)
-    try:
-        train.fit(prob, tcfg, out_dir=args.out, log=print)
-    except train.TrainingDiverged as e:
-        raise CliError(f"training diverged: {e}", EXIT_FAIL)
+    train.fit(prob, tcfg, out_dir=args.out, log=print)
     print(f"wrote {args.out}: {model.active_terms()} active terms")
     return EXIT_OK
 
@@ -170,32 +209,27 @@ def cmd_train(args):
 def _train_staged(args, ds, cfg):
     """ODE systems: free-embedding recovery with staged support selection.
 
-    `steps` is the total descent budget, split over the recovery phases; a
+    `steps` is the total descent budget, which alone sets the schedule; a
     budget below 20000 picks the reduced schedule, which skips elimination.
     Elimination trials add history rows beyond the budget. `lr` is the
     recovery's peak rate (warmup runs at half of it). A `width` above 0
     additionally distills the embedding into a temporal-conv encoder of
     that width in `recover.DISTILL_STEPS` further steps, which write no
     history rows; that encoder is then the one saved."""
-    rcfg = recover.RecoveryConfig.from_budget(cfg["steps"], seed=args.seed,
-                                              lr=cfg["lr"])
-    rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset,
-                                                            seed=args.seed),
-                                    rcfg)
+    rcfg = recover.RecoveryConfig(cfg["steps"], lr=cfg["lr"], seed=args.seed)
+    rec = recover.EmbeddingRecovery(
+        ds, train.default_model(ds.preset, seed=args.seed), rcfg)
     width = cfg["width"] or None
-    try:
-        res = rec.fit()
-        enc = res.encoder
-        if width:
-            enc = recover.distill(rec, width=width, seed=args.seed)
-    except train.TrainingDiverged as e:
-        raise CliError(f"training diverged: {e}", EXIT_FAIL)
+    res = rec.fit()
+    enc = recover.distill(rec, width) if width else res.encoder
     train.save_run(args.out, rec.model, enc, res.history,
                    {"pipeline": "staged", "steps": cfg["steps"],
                     "distill_width": width,
                     "distill_steps": recover.DISTILL_STEPS if width else 0,
-                    "recovery": asdict(rcfg), "loss": res.loss,
-                    "events": res.events})
+                    "recovery": {**rcfg.schedule._asdict(), "lr": rcfg.lr,
+                                 "eliminate": rcfg.eliminate,
+                                 "seed": rcfg.seed},
+                    "loss": res.loss, "events": res.events})
     print(f"wrote {args.out}: {rec.model.active_terms()} active terms "
           f"(staged, loss {res.loss:.3g})")
     return EXIT_OK
@@ -246,15 +280,20 @@ def cmd_report(args):
     if not path.exists():
         raise CliError(f"no report at {path}; run `symder eval` first",
                        EXIT_MISSING)
-    doc = json.loads(path.read_text())
-    print(f"preset: {doc['preset']}  seed: {doc['seed']}")
-    print(f"pattern match: {doc['pattern_match']}")
-    print(f"active terms: {doc['active_terms']}")
-    print(f"hidden rel error: "
-          f"{', '.join(f'{e:.4g}' for e in doc['hidden']['rel_error'])}")
-    for eq, row in doc["equations"].items():
-        terms = "  ".join(f"{c:+.4g} {name}" for name, c in row.items())
-        print(f"  d[{eq}]/dt = {terms}")
+    try:
+        doc = json.loads(path.read_text())
+        lines = [
+            f"preset: {doc['preset']}  seed: {doc['seed']}",
+            f"pattern match: {doc['pattern_match']}",
+            f"active terms: {doc['active_terms']}",
+            "hidden rel error: "
+            f"{', '.join(f'{e:.4g}' for e in doc['hidden']['rel_error'])}"]
+        for eq, row in doc["equations"].items():
+            terms = "  ".join(f"{c:+.4g} {name}" for name, c in row.items())
+            lines.append(f"  d[{eq}]/dt = {terms}")
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise CliError(f"corrupt report {path}: {e!r}", EXIT_CORRUPT)
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -1,4 +1,5 @@
-"""Ground-truth simulators, dataset format, and rollout integration.
+"""Ground-truth simulators, dataset format, and the right-hand sides of
+coefficient tables.
 
 Five benchmark systems:
 
@@ -411,7 +412,7 @@ def simulate(preset, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# rollout of learned (or true) equations
+# right-hand sides of coefficient tables
 # ---------------------------------------------------------------------------
 
 def table_rhs(table, state_dim, spacing=(), axes=()):
@@ -434,9 +435,8 @@ def table_rhs(table, state_dim, spacing=(), axes=()):
                     v = comps[key[1]]
                     for a, o in enumerate(key[2]):
                         if o:
-                            v = fd.spatial_stencil(
-                                v, fd.StencilSpec(order=o, axis=axes[a],
-                                                  spacing=spacing[a]))
+                            v = fd.spatial_stencil(v, o, axes[a],
+                                                   spacing[a])
                 else:
                     raise ValueError(f"table_rhs cannot evaluate {key!r}")
                 acc = acc + float(c) * v
@@ -444,9 +444,3 @@ def table_rhs(table, state_dim, spacing=(), axes=()):
         return tuple(out)
 
     return rhs
-
-
-def rollout(rhs, initial_state, n_steps, dt, substeps=10):
-    """RK4 trajectory of learned equations from a full (reconstructed)
-    initial state."""
-    return integrate(rhs, initial_state, n_steps, dt, substeps=substeps)

@@ -46,9 +46,9 @@ def ode_encoder_spec(n_visible=2, width=128):
                        kernels=(9, 1, 1), widths=(width, width, 1))
 
 
-def pde_encoder_spec(n_visible=1, width=64, kernel=5):
+def pde_encoder_spec(n_visible=1, width=64):
     return EncoderSpec(kind="spatiotemporal_conv", n_visible=n_visible,
-                       kernels=(kernel, 1, 1), widths=(width, width, 1))
+                       kernels=(5, 1, 1), widths=(width, width, 1))
 
 
 def phase_embedding_spec(shape):
@@ -134,7 +134,7 @@ class Encoder:
             if i > 0:
                 h = T.linear(h, w, b=b, tanh=hidden)
             elif spec.kind == "temporal_conv":
-                h = T.conv1d(h, w, "valid", b=b, tanh=hidden)
+                h = T.conv1d(h, w, b=b, tanh=hidden)
             else:
                 h = T.conv3d(h, w, b=b, tanh=hidden)
         return h

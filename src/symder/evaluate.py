@@ -18,7 +18,8 @@ import numpy as np
 
 from . import datagen, library
 
-PATTERN_THRESHOLD = 1e-3
+PATTERN_THRESHOLD = 1e-3   # smallest |coefficient| in a sparsity pattern
+HORIZON_THRESHOLD = 0.1    # forecast error that ends a prediction horizon
 
 
 def relative_error(pred, truth):
@@ -90,9 +91,9 @@ def truth_normalized_table(dataset, model):
         *_to_truth_units(model, dataset))
 
 
-def pattern_of(table, threshold=PATTERN_THRESHOLD):
+def pattern_of(table):
     return {(eq, k) for eq, row in table.items()
-            for k, c in row.items() if abs(c) >= threshold}
+            for k, c in row.items() if abs(c) >= PATTERN_THRESHOLD}
 
 
 def learned_physical_table(model, dataset, align):
@@ -102,12 +103,13 @@ def learned_physical_table(model, dataset, align):
         model, _with_hidden(dataset, align.b, align.a))
 
 
-def compare_equations(model, dataset, align, threshold=PATTERN_THRESHOLD):
+def compare_equations(model, dataset, align):
     """Sparsity-pattern verdict plus per-coefficient relative errors.
 
     The learned table is moved into the variables of
-    `truth_normalized_table`, entries below `threshold` are discarded, and
-    the surviving pattern is compared against the generating equations;
+    `truth_normalized_table`, entries below PATTERN_THRESHOLD are
+    discarded, and the surviving pattern is compared against the generating
+    equations;
     coefficients are then compared in physical units over the union of the
     two patterns.
     """
@@ -115,8 +117,8 @@ def compare_equations(model, dataset, align, threshold=PATTERN_THRESHOLD):
     truth_phys = datagen.true_coefficient_table(dataset.preset)
     found_n = library.change_variables(found_phys,
                                        *_to_truth_units(model, dataset))
-    found_pat = pattern_of(found_n, threshold)
-    truth_pat = pattern_of(truth_normalized_table(dataset, model), threshold)
+    found_pat = pattern_of(found_n)
+    truth_pat = pattern_of(truth_normalized_table(dataset, model))
     errors = {}
     for eq, key in sorted(found_pat | truth_pat):
         t = truth_phys.get(eq, {}).get(key, 0.0)
@@ -172,26 +174,27 @@ def phase_errors(phase_est, phase_truth, dx):
 # forecasting
 # ---------------------------------------------------------------------------
 
-def prediction_horizon(model, dataset, align, hidden_estimate, start=0,
-                       threshold=0.1, substeps=10):
-    """Forecast with the learned equations from a reconstructed state and
-    report how long the visible trajectory stays within `threshold` of the
-    truth (RMS amplitude units). Returns the horizon in Lyapunov times when
-    the preset defines one, otherwise in plain time units."""
+def prediction_horizon(model, dataset, align, hidden_estimate):
+    """Forecast with the learned equations from a reconstructed first state
+    and report how long the visible trajectory stays within
+    HORIZON_THRESHOLD of the truth (RMS amplitude units). Returns the
+    horizon in Lyapunov times when the preset defines one, otherwise in
+    plain time units."""
     if dataset.preset.kind != "ode":
         raise ValueError("prediction horizon is defined for the ODE systems")
     table = learned_physical_table(model, dataset, align)
     rhs = datagen.table_rhs(table, model.state_dim)
     vis_idx = dataset.preset.visible
-    truth_vis = dataset.visible_raw[start:]
+    truth_vis = dataset.visible_raw
     n_steps = truth_vis.shape[0] - 1
     x = np.empty(model.state_dim)
-    x[vis_idx] = dataset.visible_raw[start]
+    x[vis_idx] = truth_vis[0]
     hidden_idx = [j for j in range(model.state_dim) if j not in vis_idx]
     x[hidden_idx] = align.a * np.atleast_1d(hidden_estimate) + align.b
     x = tuple(x.tolist())
     scale = np.sqrt(np.mean((truth_vis - truth_vis.mean(axis=0)) ** 2))
     horizon_steps = 0
+    substeps = dataset.preset.substeps
     sub_dt = dataset.norm.dt / substeps
     for k in range(1, n_steps + 1):
         for _ in range(substeps):
@@ -199,7 +202,7 @@ def prediction_horizon(model, dataset, align, hidden_estimate, start=0,
         if not np.all(np.isfinite(x)):
             break
         dev = np.sqrt(np.mean((np.take(x, vis_idx) - truth_vis[k]) ** 2))
-        if dev > threshold * scale:
+        if dev > HORIZON_THRESHOLD * scale:
             break
         horizon_steps = k
     horizon = horizon_steps * dataset.norm.dt
@@ -207,16 +210,12 @@ def prediction_horizon(model, dataset, align, hidden_estimate, start=0,
     return horizon / tau if tau else horizon
 
 
-def evaluate_run(dataset, model, encoder, threshold=PATTERN_THRESHOLD):
-    """Reconstruct the hidden state on the valid interior, align it with the
-    truth, and compare the learned equations; returns a result dict with the
-    alignment, the comparison, and the reconstructed state."""
+def evaluate_run(dataset, model, encoder):
+    """Reconstruct the hidden state on the window the loss trained, align it
+    with the truth, and compare the learned equations; returns a result
+    dict with the alignment, the comparison, and the reconstructed state."""
     from .train import Problem
-    # ODE runs are staged: the accuracy-4 stencils of the staged loss give
-    # the window it trained
-    accuracy = 4 if dataset.preset.kind == "ode" else 2
-    prob = Problem(dataset, model, encoder, order=1, alphas=(1.0,),
-                   accuracy=accuracy)
+    prob = Problem(dataset, model, encoder)
     state = prob.reconstruct().data
     lo, hi = prob.lo, prob.hi
     out = {"lo": lo, "hi": hi, "state": state}
@@ -237,7 +236,7 @@ def evaluate_run(dataset, model, encoder, threshold=PATTERN_THRESHOLD):
         align = affine_align(est.reshape(-1), truth.reshape(-1))
         out["hidden_estimate"] = est
     out["align"] = align
-    out["comparison"] = compare_equations(model, dataset, align, threshold)
+    out["comparison"] = compare_equations(model, dataset, align)
     return out
 
 

@@ -1,14 +1,13 @@
 """Finite-difference estimators.
 
-Central differences in time (loss targets) and periodic central stencils in
-space (used by the PDE term libraries). Time derivatives drop boundary
-samples rather than falling back to one-sided estimates; the valid index
-range is returned alongside the values.
+Central differences in time (loss targets), of accuracy order 2 or 4, and
+periodic central stencils of accuracy order 2 in space (used by the PDE term
+libraries). Time derivatives drop boundary samples rather than falling back
+to one-sided estimates; the valid index range is returned alongside the
+values.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +27,6 @@ CENTRAL_STENCILS_4 = {
     2: np.array([-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12]),
 }
 _BY_ACCURACY = {2: CENTRAL_STENCILS, 4: CENTRAL_STENCILS_4}
-
-
-@dataclass(frozen=True)
-class StencilSpec:
-    order: int          # derivative order p
-    axis: int
-    spacing: float
-    accuracy: int = 2
-
-    def __post_init__(self):
-        stencil_weights(self.order, self.spacing, self.accuracy)
 
 
 def stencil_weights(p, spacing, accuracy=2):
@@ -70,8 +58,9 @@ def time_derivative(series, p, dt, accuracy=2):
     return out, slice(half, half + out.shape[0])
 
 
-def spatial_stencil(field, spec: StencilSpec):
-    """Periodic central stencil along one axis; works on ndarray or Tensor."""
-    w = stencil_weights(spec.order, spec.spacing, spec.accuracy)
-    out = T.stencil(field, w, spec.axis, periodic=True)
+def spatial_stencil(field, order, axis, spacing):
+    """Periodic central `order`-th derivative along `axis` at the given grid
+    spacing, with the accuracy-2 stencil; works on ndarray or Tensor."""
+    out = T.stencil(field, stencil_weights(order, spacing), axis,
+                    periodic=True)
     return out if isinstance(field, T.Tensor) else out.data

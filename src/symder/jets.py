@@ -163,25 +163,10 @@ class Projection:
         self.kind = kind
         self.indices = list(indices) if indices is not None else None
 
-    def apply(self, state):
-        """Project a full state (Tensor or ndarray, components last)."""
-        if self.kind == "subset":
-            if isinstance(state, T.Tensor):
-                return state[..., self.indices]
-            return np.asarray(state)[..., self.indices]
-        if isinstance(state, T.Tensor):
-            mod = T.sqrt(T.square(state[..., 0]) + T.square(state[..., 1]))
-            return T.reshape(mod, mod.shape + (1,))
-        arr = np.asarray(state)
-        return np.sqrt(arr[..., 0] ** 2 + arr[..., 1] ** 2)[..., None]
 
-
-def visible_derivatives(jet: JetSeries, g: Projection, order=None):
-    """d^p g(x)/dt^p for p = 1..order, each shaped (..., n_visible)."""
-    if order is None:
-        order = jet.order
-    if order > jet.order:
-        raise ValueError(f"requested order {order} exceeds jet order {jet.order}")
+def visible_derivatives(jet: JetSeries, g: Projection):
+    """d^p g(x)/dt^p for p = 1..jet.order, each shaped (..., n_visible)."""
+    order = jet.order
     if g.kind == "subset":
         return [T.mul(jet.coeffs[p][..., g.indices], float(factorial(p)))
                 for p in range(1, order + 1)]

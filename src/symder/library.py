@@ -27,10 +27,10 @@ SUBSCRIPTS = {0: "x", 1: "y"}
 
 
 def _apply_stencil(value, order, axis, spacing):
-    spec = fd.StencilSpec(order=order, axis=axis, spacing=spacing)
     if hasattr(value, "apply_linear"):  # jet polynomial
-        return value.apply_linear(lambda c: fd.spatial_stencil(c, spec))
-    return fd.spatial_stencil(value, spec)
+        return value.apply_linear(
+            lambda c: fd.spatial_stencil(c, order, axis, spacing))
+    return fd.spatial_stencil(value, order, axis, spacing)
 
 
 class Term:

@@ -16,16 +16,16 @@ basin with a staged procedure built around a *free per-sample embedding*
                variables.  The gauge is removed in closed form: the
                embedding is orthogonalised / re-standardised and
                `library.change_variables` applies the same substitution to
-               the coefficient table.  The derivative-matching losses
-               (`loss_p1`, `loss_p2`) stay unchanged only while the mask
-               holds every term the substitution creates, which it zeroes
-               otherwise: re-standardising needs the lower-degree terms
-               under each active one, and orthogonalising mixes the visible
-               channels into w, so it runs on the full mask only.  The
-               hidden residual `reg` is measured in units of w and divides
-               by sd^2 when w is rescaled by 1/sd.  Re-standardising
-               periodically during descent ("gauge pinning") blocks the
-               scale-collapse degeneracy.
+               the coefficient table, so the derivative-matching losses
+               (`loss_p1`, `loss_p2`) do not move.  That needs the mask to
+               hold every term the substitution creates: re-standardising
+               shifts w only when the mask holds the lower-degree terms
+               under each active one, and otherwise rescales it alone;
+               orthogonalising mixes the visible channels into w, so it runs
+               on the full mask only.  The hidden residual `reg` is measured
+               in units of w and divides by sd^2 when w is rescaled by 1/sd.
+               Re-standardising periodically during descent ("gauge
+               pinning") blocks the scale-collapse degeneracy.
 3. regression  STLSQ on finite differences of the reconstructed state
                proposes a support.  Constant and linear terms are exempt
                from thresholding: with one channel unobserved, alternative
@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,65 +60,50 @@ from . import tensor as T
 from . import train as training
 from .tensor import square, tmean
 
-# descent budgets below this run the reduced schedule (no elimination)
+
+class Schedule(NamedTuple):
+    """Descent steps per phase of the staged recovery."""
+    warmup_steps: int
+    gauge_rounds: int
+    round_steps: int
+    baseline_steps: int
+    polish_steps: int
+
+
+# a budget below FULL_BUDGET is split in the proportions of REDUCED and runs
+# no elimination; from FULL_BUDGET on, in those of FULL, with elimination
 FULL_BUDGET = 20000
-# conv-fit steps of `distill`, on top of the descent budget
+REDUCED = Schedule(4000, 2, 1000, 1000, 3000)
+FULL = Schedule(6000, 3, 1500, 2000, 8000)
+TRIAL_STEPS = 3000       # descent steps of one elimination trial
+PIN_EVERY = 200          # descent re-standardizes w every PIN_EVERY steps
+STLSQ_THRESHOLD = 0.05   # STLSQ drops nonlinear terms below this
+GATE = 1.5               # accept a pruning if its loss <= GATE * baseline
+# conv-fit steps and peak rate of `distill`, on top of the descent budget
 DISTILL_STEPS = 3000
+DISTILL_LR = 3e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecoveryConfig:
-    warmup_steps: int = 6000
-    gauge_rounds: int = 3
-    round_steps: int = 1500
-    baseline_steps: int = 2000
-    trial_steps: int = 3000
-    polish_steps: int = 8000
+    """A staged recovery with a total descent budget of `steps`, split over
+    warmup, gauge rounds, baseline and polish in the proportions of the
+    schedule the budget picks; polish takes the integer remainder.
+    Elimination trials take data-dependent steps on top of the budget."""
+    steps: int
     lr: float = 2e-3           # warmup runs at lr / 2
-    pin_every: int = 200
-    stlsq_threshold: float = 0.05
-    gate: float = 1.5          # accept a pruning if trial loss <= gate * baseline
-    eliminate: bool = True
     seed: int = 0
 
-    @classmethod
-    def reduced(cls, seed=0, **kw):
-        """Small budget (~10k descent steps) for a quick hidden-state fit;
-        skips elimination, so the support is STLSQ's proposal."""
-        kw.setdefault("warmup_steps", 4000)
-        kw.setdefault("gauge_rounds", 2)
-        kw.setdefault("round_steps", 1000)
-        kw.setdefault("baseline_steps", 1000)
-        kw.setdefault("polish_steps", 3000)
-        kw.setdefault("eliminate", False)
-        return cls(seed=seed, **kw)
-
-    @classmethod
-    def from_budget(cls, steps, seed=0, **kw):
-        """Schedule with a total descent budget of exactly `steps`.
-
-        The budget picks the schedule, `reduced()` below FULL_BUDGET and the
-        default one otherwise, and is split over warmup, gauge rounds,
-        baseline and polish in that schedule's proportions; polish takes the
-        integer remainder. Elimination trials, which only the default
-        schedule runs, take data-dependent steps on top of the budget.
-        Other fields (such as `lr`) are passed through as keywords.
-        """
-        base = (cls.reduced(seed=seed, **kw) if steps < FULL_BUDGET
-                else cls(seed=seed, **kw))
-        total = base.descent_steps
-        warmup = steps * base.warmup_steps // total
-        round_steps = steps * base.round_steps // total
-        baseline = steps * base.baseline_steps // total
-        polish = steps - warmup - base.gauge_rounds * round_steps - baseline
-        return replace(base, warmup_steps=warmup, round_steps=round_steps,
-                       baseline_steps=baseline, polish_steps=polish)
+    @property
+    def eliminate(self):
+        return self.steps >= FULL_BUDGET
 
     @property
-    def descent_steps(self):
-        """Descent steps of the schedule, elimination trials excluded."""
-        return (self.warmup_steps + self.gauge_rounds * self.round_steps
-                + self.baseline_steps + self.polish_steps)
+    def schedule(self):
+        w, rounds, r, b, p = FULL if self.eliminate else REDUCED
+        total = w + rounds * r + b + p
+        w, r, b = (self.steps * n // total for n in (w, r, b))
+        return Schedule(w, rounds, r, b, self.steps - w - rounds * r - b)
 
 
 @dataclass
@@ -132,10 +118,10 @@ class RecoveryResult:
 class EmbeddingRecovery:
     """One hidden channel, quadratic (or lower) monomial library, uniform dt."""
 
-    def __init__(self, ds, model, config: RecoveryConfig | None = None):
+    def __init__(self, ds, model, config: RecoveryConfig):
         self.ds = ds
         self.model = model
-        self.cfg = config or RecoveryConfig()
+        self.cfg = config
         self.n_vis = ds.visible.shape[-1]
         if model.state_dim != self.n_vis + 1:
             raise ValueError("recovery pipeline expects exactly one hidden channel")
@@ -149,11 +135,13 @@ class EmbeddingRecovery:
         self.phi = self.emb.params["phi"]
         rng = np.random.default_rng(self.cfg.seed)
         self.phi.data[...] = rng.normal(0.0, 0.1, (self.n_time, 1))
-        # derivatives are matched with the accuracy-4 central stencils, so
-        # that the truncation floor sits well below coefficient-level loss
-        # gaps; the problem's window [lo, hi) drops their margins
-        self.prob = training.Problem(ds, model, self.emb, order=2,
-                                     alphas=(1.0, 1.0), accuracy=4)
+        # the problem matches derivatives with the accuracy-4 stencils of an
+        # ODE preset; its window [lo, hi) drops their margins
+        self.prob = training.Problem(ds, model, self.emb)
+        # `reg` applies a derivative stencil within the window
+        if self.prob.hi - self.prob.lo < len(fd.CENTRAL_STENCILS_4[1]):
+            raise training.SeriesTooShort(f"series of {self.n_time} samples "
+                                          "too short for the staged loss")
         self.history: list = []    # rows of train.HISTORY_FIELDS
         self.events: list = []
 
@@ -182,7 +170,8 @@ class EmbeddingRecovery:
         `shift` is [c_0, c_1, ..., c_n] over the visible channels u_j.
 
         A zero or non-finite sd raises TrainingDiverged before any change.
-        Entries the substitution moves onto masked terms are zeroed.
+        If the substitution moves a coefficient onto a masked term, theta
+        is left as it is and False is returned; otherwise True.
         """
         if not np.isfinite(sd) or sd == 0.0:
             raise training.TrainingDiverged(
@@ -194,15 +183,24 @@ class EmbeddingRecovery:
         g = np.zeros(h + 1)
         g[h] = shift[0]
         table = library.change_variables(library.model_table(self.model), A, g)
+        index = {t.key: i for i, t in enumerate(self.model.terms)}
+        if any(c and not self.model.mask[eq, index[k]]
+               for eq, row in table.items() for k, c in row.items()):
+            return False
         self._set_theta(library.model_theta(self.model, table))
+        return True
 
     def gauge_standardize(self):
         """Shift/scale the hidden series to zero mean, unit std, and rewrite
-        theta to match."""
+        theta to match. The shift moves each coefficient of a term in w onto
+        the terms of lower degree in w; where the mask lacks one of them the
+        series is rescaled alone, which creates no term and keeps the fit."""
         lo, hi = self.prob.lo, self.prob.hi
         w = self.phi.data[lo:hi, 0]
         m, s = float(w.mean()), float(w.std())
-        self._apply_shift([m] + [0.0] * self.n_vis, s)
+        if not self._apply_shift([m] + [0.0] * self.n_vis, s):
+            m = 0.0
+            self._apply_shift([0.0] * (self.n_vis + 1), s)
         self.phi.data[:, 0] = (self.phi.data[:, 0] - m) / s
 
     def gauge_orthogonalize(self):
@@ -224,13 +222,12 @@ class EmbeddingRecovery:
         """Cosine-decayed descent of (theta, embedding); appends one history
         row per step and returns the final loss. Raises TrainingDiverged on
         a loss that is not finite or exceeds train.DIVERGENCE_LIMIT."""
-        cfg = self.cfg
-        lr0 = cfg.lr if lr0 is None else lr0
+        lr0 = self.cfg.lr if lr0 is None else lr0
         opt = training.GradientOptimizer([self.model.theta_t, self.phi],
                                          lr=lr0)
 
         def pin_gauge(step):
-            if pin and step and step % cfg.pin_every == 0:
+            if pin and step and step % PIN_EVERY == 0:
                 self.gauge_standardize()
 
         training.descend(opt, training.backpropagated(self.loss_fn), nsteps,
@@ -266,7 +263,6 @@ class EmbeddingRecovery:
 
     def stlsq(self):
         """Sequentially thresholded LSQ; degree<=1 terms are never dropped."""
-        threshold = self.cfg.stlsq_threshold
         X, y = self._features_targets()
         keep = np.array([sum(t.exponents) <= 1 for t in self.model.terms])
         mask = np.zeros_like(self.model.mask)
@@ -275,7 +271,7 @@ class EmbeddingRecovery:
             for _ in range(12):
                 c = np.zeros(X.shape[1])
                 c[sup], *_ = np.linalg.lstsq(X[:, sup], y[:, eq], rcond=None)[0:1]
-                new = ((np.abs(c) >= threshold) | keep) & sup
+                new = ((np.abs(c) >= STLSQ_THRESHOLD) | keep) & sup
                 if (new == sup).all():
                     break
                 sup = new
@@ -308,7 +304,7 @@ class EmbeddingRecovery:
 
     def eliminate(self, baseline):
         """Greedy backward elimination: nonlinear terms first, then linear."""
-        cfg = self.cfg
+        baseline_steps = self.cfg.schedule.baseline_steps
         degrees = np.array([sum(t.exponents) for t in self.model.terms])
         for phase, sel in (("nonlinear", degrees >= 2), ("linear", degrees <= 1)):
             while True:
@@ -320,21 +316,21 @@ class EmbeddingRecovery:
                     self._restore(snap)
                     self._drop([(e, j)])
                     try:
-                        trials[(e, j)] = self.run(cfg.trial_steps)
+                        trials[(e, j)] = self.run(TRIAL_STEPS)
                     except training.TrainingDiverged:
                         trials[(e, j)] = float("inf")   # rejected by the gate
                 self._restore(snap)
-                gated = {k: L for k, L in trials.items() if L <= cfg.gate * baseline}
+                gated = {k: L for k, L in trials.items() if L <= GATE * baseline}
                 if not gated:
                     break
                 self._drop(gated)
-                new_loss = self.run(cfg.baseline_steps)
-                if len(gated) > 1 and new_loss > cfg.gate * baseline:
+                new_loss = self.run(baseline_steps)
+                if len(gated) > 1 and new_loss > GATE * baseline:
                     # jointly too aggressive; fall back to the single best prune
                     self._restore(snap)
                     e, j = min(gated, key=gated.get)
                     self._drop([(e, j)])
-                    new_loss = self.run(cfg.baseline_steps)
+                    new_loss = self.run(baseline_steps)
                     gated = {(e, j): new_loss}
                 baseline = min(new_loss, baseline)
                 dropped = ", ".join(f"eq{e} {self.names[j]}" for e, j in gated)
@@ -345,23 +341,23 @@ class EmbeddingRecovery:
     # --------------------------------------------------------------- routine
 
     def fit(self):
-        cfg = self.cfg
+        cfg, sched = self.cfg, self.cfg.schedule
         t0 = time.time()
         self.model.mask[...] = True
-        loss = self.run(cfg.warmup_steps, lr0=cfg.lr / 2, pin=False)
+        loss = self.run(sched.warmup_steps, lr0=cfg.lr / 2, pin=False)
         self.events.append(
             f"warmup: loss {loss:.4g} t {time.time() - t0:.0f}s")
-        for rd in range(cfg.gauge_rounds):
+        for rd in range(sched.gauge_rounds):
             self.gauge_orthogonalize()
             self._set_theta(self.ls_fit(self.model.mask))
-            loss = self.run(cfg.round_steps, pin=False)
+            loss = self.run(sched.round_steps, pin=False)
             self.events.append(
                 f"round {rd}: loss {loss:.4g} t {time.time() - t0:.0f}s")
         self.gauge_orthogonalize()
         mask = self.stlsq()
         self.model.mask[...] = mask
         self._set_theta(self.ls_fit(mask))
-        baseline = self.run(cfg.baseline_steps)
+        baseline = self.run(sched.baseline_steps)
         self.events.append(
             f"support: {int(mask.sum())} active, loss {baseline:.4g} "
             f"t {time.time() - t0:.0f}s")
@@ -371,7 +367,7 @@ class EmbeddingRecovery:
         baseline = float(self.loss_fn()[0].data)
         snap = self._snapshot()
         self._set_theta(self.ls_fit(self.model.mask))
-        loss = self.run(cfg.polish_steps)
+        loss = self.run(sched.polish_steps)
         if loss > baseline:
             self._restore(snap)
             loss = baseline
@@ -383,18 +379,19 @@ class EmbeddingRecovery:
                               loss=loss)
 
 
-def distill(recovery: EmbeddingRecovery, width=64, steps=DISTILL_STEPS,
-            lr=3e-3, seed=None):
-    """Fit a temporal-conv encoder to the recovered hidden series.
+def distill(recovery: EmbeddingRecovery, width):
+    """Fit a temporal-conv encoder of the given width to the recovered
+    hidden series, in DISTILL_STEPS steps from DISTILL_LR, seeded like the
+    recovery.
 
     Returns the conv encoder and appends a `distill:` event with the fit's
     last loss and the wall time to `recovery.events`; the descent rows are
     not kept.
     """
     t0 = time.time()
-    seed = recovery.cfg.seed if seed is None else seed
+    steps, lr = DISTILL_STEPS, DISTILL_LR
     spec = encoders.ode_encoder_spec(n_visible=recovery.n_vis, width=width)
-    enc = encoders.Encoder(spec, seed=seed)
+    enc = encoders.Encoder(spec, seed=recovery.cfg.seed)
     r = enc.radius
     tvis = T.Tensor(recovery.ds.visible)
     ttar = T.Tensor(recovery.phi.data[r:recovery.n_time - r])

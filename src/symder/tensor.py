@@ -246,25 +246,20 @@ def cos(a):
 # reductions and shape ops
 # ---------------------------------------------------------------------------
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a):
+    """Sum of every entry."""
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        g = np.asarray(g)
-        if axis is None:
-            return np.broadcast_to(g, a.shape).copy()
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.shape).copy()
+        return np.broadcast_to(np.asarray(g), a.shape).copy()
 
-    return Tensor(out, _parents=((a, vjp),), _op="sum")
+    return Tensor(a.data.sum(), _parents=((a, vjp),), _op="sum")
 
 
-def tmean(a, axis=None, keepdims=False):
+def tmean(a):
+    """Mean of every entry."""
     a = as_tensor(a)
-    count = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(tsum(a), 1.0 / a.size)
 
 
 def getitem(a, idx):
@@ -505,23 +500,19 @@ def _conv(op, x, w, b, tanh, periodic):
                   oshape, fold)
 
 
-def conv1d(x, w, padding="valid", *, b=None, tanh=False):
-    """act(correlation of x[T, Cin] with w[K, Cin, Cout] + b), act = tanh
-    when `tanh`, else the identity.
-
-    valid: output length T-K+1, out[t] = sum_k w[k]·x[t+k].
-    periodic: output length T, centered window (x index t+k-K//2 mod T).
+def conv1d(x, w, *, b=None, tanh=False):
+    """act(valid correlation of x[T, Cin] with w[K, Cin, Cout] + b), act =
+    tanh when `tanh`, else the identity: output length T-K+1,
+    out[t] = sum_k w[k]·x[t+k].
     """
     x, w = as_tensor(x), as_tensor(w)
     K, cin, cout = w.shape
     T = x.shape[0]
     if x.shape[1] != cin:
         raise ValueError(f"conv1d: input channels {x.shape[1]} != kernel {cin}")
-    if padding not in ("valid", "periodic"):
-        raise ValueError(f"conv1d: unknown padding {padding!r}")
-    if padding == "valid" and K > T:
+    if K > T:
         raise ValueError(f"conv1d: kernel {K} longer than input {T}")
-    return _conv("conv1d", x, w, b, tanh, (padding == "periodic",))
+    return _conv("conv1d", x, w, b, tanh, (False,))
 
 
 def conv3d(x, w, *, b=None, tanh=False):
@@ -614,7 +605,6 @@ def _reg_all():
         _register(name, (fn, rng_shapes[name], {}))
     _register("pow_int", (pow_int, ((4,),), {"n": 3}))
     _register("sum", (tsum, ((3, 4),), {}))
-    _register("sum_axis", (lambda a: tsum(a, axis=0), ((3, 4),), {}))
     _register("mean", (tmean, ((3, 4),), {}))
     _register("getitem", (lambda a: a[1:, ::2], ((4, 6),), {}))
     _register("reshape", (lambda a: reshape(a, (2, 6)), ((3, 4),), {}))
@@ -629,12 +619,9 @@ def _reg_all():
                                    ((2, 5, 3), (3, 4), (4,)), {}))
     _register("lincomb", (lambda a, b, c, w: lincomb([a, b, c], w),
                           ((4, 5), (4, 5), (5,), (2, 3)), {}))
-    _register("conv1d_valid", (lambda x, w: conv1d(x, w, "valid"),
-                               ((9, 2), (3, 2, 2)), {}))
-    _register("conv1d_periodic", (lambda x, w: conv1d(x, w, "periodic"),
-                                  ((7, 2), (3, 2, 2)), {}))
-    _register("conv1d_periodic_bias_tanh", (
-        lambda x, w, b: conv1d(x, w, "periodic", b=b, tanh=True),
+    _register("conv1d_valid", (conv1d, ((9, 2), (3, 2, 2)), {}))
+    _register("conv1d_valid_bias_tanh", (
+        lambda x, w, b: conv1d(x, w, b=b, tanh=True),
         ((7, 2), (3, 2, 3), (3,)), {}))
     _register("conv3d", (conv3d, ((6, 5, 4, 2), (3, 3, 3, 2, 2)), {}))
     _register("conv3d_bias_tanh", (lambda x, w, b: conv3d(x, w, b=b, tanh=True),

@@ -21,9 +21,14 @@ from . import tensor as T
 from . import fd, jets, encoders
 
 DIVERGENCE_LIMIT = 1e6
+ORDER = 2   # the loss matches time derivatives of orders 1..ORDER
 
 
 class TrainingDiverged(RuntimeError):
+    pass
+
+
+class SeriesTooShort(ValueError):
     pass
 
 
@@ -72,36 +77,40 @@ class GradientOptimizer:
 
 class Problem:
     """Binds one dataset to a candidate model and encoder; precomputes the
-    finite-difference targets, with central stencils of the given accuracy
-    order, and the shared valid time interior."""
+    finite-difference targets and the shared valid time interior. An ODE
+    preset takes the accuracy-4 central stencils, so that the truncation
+    floor sits well below the coefficient-level loss gaps of the staged
+    recovery; the others take accuracy 2."""
 
-    def __init__(self, dataset, model, encoder, order=2, alphas=(1.0, 1.0),
-                 beta_phase=0.0, accuracy=2):
-        if len(alphas) < order:
-            raise ValueError(f"need {order} loss weights, got {len(alphas)}")
+    def __init__(self, dataset, model, encoder, alphas=(1.0, 1.0),
+                 beta_phase=0.0):
+        if len(alphas) < ORDER:
+            raise ValueError(f"need {ORDER} loss weights, got {len(alphas)}")
         self.dataset = dataset
         self.model = model
         self.encoder = encoder
-        self.order = order
-        self.alphas = tuple(alphas)[:order]
+        self.alphas = tuple(alphas)[:ORDER]
         self.beta_phase = beta_phase
 
         vis = dataset.visible
         dt = dataset.norm.dt
         n_time = vis.shape[0]
         r = encoder.radius
+        accuracy = 4 if dataset.preset.kind == "ode" else 2
         margin = max(len(fd.stencil_weights(p, dt, accuracy)) // 2
-                     for p in range(1, order + 1))
+                     for p in range(1, ORDER + 1))
         lo = max(r, margin)
         hi = n_time - max(r, margin)
-        if hi - lo < 1:
-            raise ValueError("series too short for the requested derivatives")
+        # the wave's phase regularizer differences three samples in time
+        if hi - lo < (3 if beta_phase and model.kind == "complex" else 1):
+            raise SeriesTooShort(f"series of {n_time} samples too short "
+                                 "for the stencils and the encoder window")
         self.lo, self.hi = lo, hi
 
         # constant targets: FD_p(normalized visible) / sigma_p on [lo, hi)
         self.targets = {}
         self.deriv_scale = {}
-        for p in range(1, order + 1):
+        for p in range(1, ORDER + 1):
             d, valid = fd.time_derivative(vis, p, dt, accuracy)
             sigma = np.asarray(dataset.norm.deriv_std[p])
             self.targets[p] = d[lo - valid.start:hi - valid.start] / sigma
@@ -134,16 +143,16 @@ class Problem:
     def expand(self, lo=None, hi=None):
         """The state estimate on [lo, hi) and its jet through the model."""
         state = self.reconstruct(lo, hi)
-        return state, jets.propagate(state, self.model, self.order)
+        return state, jets.propagate(state, self.model, ORDER)
 
     def score(self, state, jet, lo=None, hi=None):
         """Loss and its parts for a state and jet from `expand(lo, hi)`."""
         lo = self.lo if lo is None else lo
         hi = self.hi if hi is None else hi
-        sym = jets.visible_derivatives(jet, self.projection, self.order)
+        sym = jets.visible_derivatives(jet, self.projection)
         total = None
         parts = {}
-        for p in range(1, self.order + 1):
+        for p in range(1, ORDER + 1):
             target = self.targets[p][lo - self.lo:hi - self.lo]
             resid = T.sub(T.mul(sym[p - 1], self.deriv_scale[p]), target)
             lp = T.tmean(T.square(resid))
@@ -200,17 +209,16 @@ def default_model(preset, seed=0):
 
 
 def default_encoder(dataset, width=None, seed=0):
+    """The joint path's encoder: conv3d for a PDE, free phases for a wave."""
     preset = dataset.preset
     n_vis = dataset.visible.shape[-1]
-    if preset.kind == "ode":
-        spec = encoders.ode_encoder_spec(n_visible=n_vis,
-                                         width=width or 128)
-    elif preset.kind == "pde":
+    if preset.kind == "pde":
         spec = encoders.pde_encoder_spec(n_visible=n_vis, width=width or 64)
     elif preset.kind == "nlse":
         spec = encoders.phase_embedding_spec(dataset.visible.shape[:-1])
     else:
-        raise ValueError(f"unknown system kind {preset.kind!r}")
+        raise ValueError(f"no joint-path encoder for system kind "
+                         f"{preset.kind!r}")
     return encoders.Encoder(spec, seed=seed)
 
 

@@ -299,11 +299,84 @@ def test_degenerate_embedding_exits_1(workspace, tmp_path, capsys,
         self.phi.data[...] = 0.0
 
     monkeypatch.setattr(recover.EmbeddingRecovery, "__init__", constant_start)
+    # with the optimizer steps skipped the warmup leaves the embedding
+    # constant
+    monkeypatch.setattr(train.GradientOptimizer, "step", lambda self: None)
     out = tmp_path / "run_const"
-    # at lr 0 the warmup leaves the embedding constant
     assert cli.main(["train", "--data", str(workspace / "data"),
-                     "--out", str(out), "--steps", "20", "--lr", "0"]) == 1
+                     "--out", str(out), "--steps", "20"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: training diverged") and \
         err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['{"preset": "lorenz", "se', '[1]',
+                                  '{"preset": "lorenz"}'],
+                         ids=["truncated", "not_an_object", "no_seed"])
+def test_bad_report_exits_3(tmp_path, capsys, text):
+    (tmp_path / "report.json").write_text(text)
+    assert cli.main(["report", "--run", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: corrupt report")
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def pde_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("pde") / "data"
+    assert cli.main(["generate", "--preset", "diffusion_source", "--out",
+                     str(data), "--n-time", "24", "--nx", "8"]) == 0
+    return data
+
+
+@pytest.fixture(scope="module")
+def short_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("short") / "data"
+    assert cli.main(["generate", "--preset", "lorenz", "--out", str(data),
+                     "--n-time", "3"]) == 0
+    return data
+
+
+@pytest.mark.parametrize("dataset,argv,key", [
+    ("ode", ["--steps", "-1"], "steps"),
+    ("ode", {"steps": -2}, "steps"),
+    ("ode", {"steps": "ten"}, "steps"),
+    ("ode", {"steps": 2.5}, "steps"),
+    ("ode", ["--width", "-3"], "width"),
+    ("ode", ["--lr", "-1"], "lr"),
+    ("ode", ["--lr", "0"], "lr"),
+    ("ode", ["--lr", "nan"], "lr"),
+    ("pde", {"alphas": [1.0]}, "alphas"),
+    ("pde", {"alphas": [1.0, -1.0]}, "alphas"),
+    ("pde", {"sparsify_every": -1}, "sparsify_every"),
+    ("pde", {"chunk_time": 1.5}, "chunk_time"),
+    ("pde", {"theta_threshold": 0}, "theta_threshold"),
+    ("pde", {"divergence_limit": -1}, "divergence_limit"),
+    ("pde", {"beta_phase": -1.0}, "beta_phase"),
+    ("generate", ["--n-time", "0"], "--n-time"),
+    ("generate", ["--nx", "-4"], "--nx"),
+    ("short", [], "too short"),
+])
+def test_bad_value_exits_1(workspace, pde_data, short_data, tmp_path, capsys,
+                           dataset, argv, key):
+    """A value no run can use ends in one error line that names it, before
+    anything is built or written."""
+    out = tmp_path / "out"
+    if dataset == "generate":
+        cmd = ["generate", "--preset", "diffusion_source", "--out", str(out)]
+    else:
+        data = {"ode": workspace / "data", "pde": pde_data,
+                "short": short_data}[dataset]
+        cmd = ["train", "--data", str(data), "--out", str(out)]
+    if isinstance(argv, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv))
+        argv = ["--config", str(cfg)]
+    capsys.readouterr()
+    assert cli.main(cmd + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert key in err and "Traceback" not in err
     assert not out.exists()

@@ -136,14 +136,14 @@ def test_rollout_self_consistency_lorenz():
     table = dg.true_coefficient_table(preset)
     rhs = dg.table_rhs(table, preset.state_dim)
     # 1 time unit = 100 samples
-    traj = dg.rollout(rhs, full[0], 101, preset.dt)
+    traj = dg.integrate(rhs, full[0], 101, preset.dt)
     rel = np.abs(traj - full[:101]).max() / np.abs(full[:101]).max()
     assert rel <= 1e-6
 
 
 def test_rollout_zero_model_constant():
     rhs = dg.table_rhs({0: {}, 1: {}, 2: {}}, 3)
-    traj = dg.rollout(rhs, np.array([1.0, 2.0, 3.0]), 10, 0.1)
+    traj = dg.integrate(rhs, np.array([1.0, 2.0, 3.0]), 10, 0.1)
     np.testing.assert_array_equal(traj, np.broadcast_to([1.0, 2.0, 3.0],
                                                         (10, 3)))
 

@@ -85,7 +85,7 @@ def _layer_chain(enc, visible):
         if i > 0:
             h = T.linear(h, w)
         elif enc.spec.kind == "temporal_conv":
-            h = T.conv1d(h, w, "valid")
+            h = T.conv1d(h, w)
         else:
             h = T.conv3d(h, w)
         h = T.add(h, b)
@@ -96,7 +96,7 @@ def _layer_chain(enc, visible):
 
 @pytest.mark.parametrize("spec, shape", [
     (E.ode_encoder_spec(n_visible=2, width=7), (23, 2)),
-    (E.pde_encoder_spec(n_visible=2, width=5, kernel=3), (7, 6, 5, 2)),
+    (E.pde_encoder_spec(n_visible=2, width=5), (7, 6, 5, 2)),
 ])
 def test_fused_layers_match_op_chain(spec, shape):
     # each layer is one fused node; the per-op chain is the reference
@@ -124,7 +124,7 @@ def test_fused_layers_match_op_chain(spec, shape):
 
 
 def test_encoder_layers_are_single_nodes():
-    enc = E.Encoder(E.pde_encoder_spec(n_visible=1, width=4, kernel=3), seed=0)
+    enc = E.Encoder(E.pde_encoder_spec(n_visible=1, width=4), seed=0)
     out = enc(T.Tensor(np.zeros((5, 4, 4, 1))))
     ops = []
     while out._parents:

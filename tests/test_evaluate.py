@@ -110,7 +110,7 @@ def test_phase_errors_detects_mismatch():
 def test_prediction_horizon_oracle(lorenz_ds, lorenz_oracle):
     model, enc, align = lorenz_oracle
     horizon = evaluate.prediction_horizon(model, lorenz_ds, align,
-                                          enc.hidden[0], start=0)
+                                          enc.hidden[0])
     assert horizon > 1.0   # Lyapunov times
 
 
@@ -128,7 +128,7 @@ def test_blow_up_ends_cleanly(lorenz_ds, lorenz_oracle):
     # floats that must end as a SimulationError, not an OverflowError
     rhs = datagen.table_rhs({0: {("mono", (3,)): 1.0}}, 1)
     with pytest.raises(datagen.SimulationError):
-        datagen.rollout(rhs, np.array([1e3]), 10, 0.1)
+        datagen.integrate(rhs, np.array([1e3]), 10, 0.1)
     model, enc, align = lorenz_oracle
     m2 = library.SymbolicModel.from_json(model.to_json())
     uu = [i for i, t in enumerate(m2.terms) if t.name == "u^2"][0]
@@ -169,7 +169,7 @@ def test_staged_run_scored_on_its_training_window():
     from symder import recover
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
-                                    recover.RecoveryConfig.from_budget(20))
+                                    recover.RecoveryConfig(20))
     enc = rec.fit().encoder
     n = ds.visible.shape[0]
     res = evaluate.evaluate_run(ds, rec.model, enc)

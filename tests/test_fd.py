@@ -52,25 +52,24 @@ def test_spatial_second_derivative_sine():
     dx = L / n
     x = np.arange(n) * dx
     u = np.sin(2 * np.pi * x / L)
-    spec = fd.StencilSpec(order=2, axis=0, spacing=dx)
-    d2 = fd.spatial_stencil(u, spec)
+    d2 = fd.spatial_stencil(u, 2, 0, dx)
     truth = -(2 * np.pi / L) ** 2 * u
     assert np.max(np.abs(d2 - truth)) < (2 * np.pi / L) ** 2 * (dx ** 2)
 
 
 def test_spatial_first_derivative_constant():
     u = np.full((8, 8), 2.5)
-    d = fd.spatial_stencil(u, fd.StencilSpec(order=1, axis=0, spacing=1.0))
+    d = fd.spatial_stencil(u, 1, 0, 1.0)
     np.testing.assert_array_equal(d, 0.0)
 
 
 def test_cross_derivatives_commute():
     rng = np.random.default_rng(0)
     u = rng.standard_normal((16, 16))
-    sx = fd.StencilSpec(order=1, axis=0, spacing=0.5)
-    sy = fd.StencilSpec(order=1, axis=1, spacing=0.7)
-    a = fd.spatial_stencil(fd.spatial_stencil(u, sx), sy)
-    b = fd.spatial_stencil(fd.spatial_stencil(u, sy), sx)
+    sx = (1, 0, 0.5)
+    sy = (1, 1, 0.7)
+    a = fd.spatial_stencil(fd.spatial_stencil(u, *sx), *sy)
+    b = fd.spatial_stencil(fd.spatial_stencil(u, *sy), *sx)
     # identical stencil sums up to scalar rounding order
     np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14)
 
@@ -78,17 +77,16 @@ def test_cross_derivatives_commute():
 def test_stencils_commute_with_cyclic_shift():
     rng = np.random.default_rng(1)
     u = rng.standard_normal(32)
-    spec = fd.StencilSpec(order=2, axis=0, spacing=0.3)
     np.testing.assert_array_equal(
-        fd.spatial_stencil(np.roll(u, 5), spec),
-        np.roll(fd.spatial_stencil(u, spec), 5))
+        fd.spatial_stencil(np.roll(u, 5), 2, 0, 0.3),
+        np.roll(fd.spatial_stencil(u, 2, 0, 0.3), 5))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_periodic_stencil_mean_zero(p):
     rng = np.random.default_rng(p)
     u = rng.standard_normal(64)
-    d = fd.spatial_stencil(u, fd.StencilSpec(order=p, axis=0, spacing=0.1))
+    d = fd.spatial_stencil(u, p, 0, 0.1)
     assert abs(d.mean()) < 1e-12 * np.abs(d).max()
 
 
@@ -115,10 +113,9 @@ def test_tensor_paths_match_numpy():
     assert valid == valid_t
 
     u = rng.standard_normal((8, 8))
-    spec = fd.StencilSpec(order=1, axis=-1, spacing=0.2)
     np.testing.assert_allclose(
-        fd.spatial_stencil(T.Tensor(u), spec).data,
-        fd.spatial_stencil(u, spec), rtol=1e-14)
+        fd.spatial_stencil(T.Tensor(u), 1, -1, 0.2).data,
+        fd.spatial_stencil(u, 1, -1, 0.2), rtol=1e-14)
 
 
 @pytest.mark.parametrize("p, degree", [(1, 4), (2, 5)])
@@ -141,9 +138,9 @@ def test_accuracy4_stencils_exact_on_polynomials(p, degree):
 def test_stencil_accuracy_validated():
     w = fd.stencil_weights(2, 0.5, accuracy=4)
     np.testing.assert_array_equal(w, fd.CENTRAL_STENCILS_4[2] / 0.25)
-    fd.StencilSpec(order=1, axis=0, spacing=1.0, accuracy=4)
+    fd.stencil_weights(1, 1.0, accuracy=4)
     with pytest.raises(ValueError):
-        fd.StencilSpec(order=3, axis=0, spacing=1.0, accuracy=4)
+        fd.stencil_weights(3, 1.0, accuracy=4)
     with pytest.raises(ValueError):
         fd.stencil_weights(1, 1.0, accuracy=6)
 
@@ -185,8 +182,7 @@ def test_stencil_matches_per_point_chain(p, accuracy, periodic):
 
 def test_stencil_one_node_per_application():
     u = T.Tensor(np.ones((6, 5)), requires_grad=True)
-    spec = fd.StencilSpec(order=2, axis=1, spacing=0.5, accuracy=4)
-    out = fd.spatial_stencil(u, spec)
+    out = fd.spatial_stencil(u, 2, 1, 0.5)
     assert out._op == "stencil" and out._parents[0][0] is u
     d, _ = fd.time_derivative(u, 1, 0.1)
     assert d._op == "stencil" and d._parents[0][0] is u

@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -14,26 +12,32 @@ def lorenz_ds():
 
 def _recovery(ds, steps):
     model = train.default_model(ds.preset, seed=0)
-    cfg = recover.RecoveryConfig.from_budget(steps, seed=0)
+    cfg = recover.RecoveryConfig(steps, seed=0)
     return recover.EmbeddingRecovery(ds, model, cfg)
 
 
-def test_budget_reproduces_packaged_schedules():
-    assert asdict(recover.RecoveryConfig.from_budget(20500)) == \
-        asdict(recover.RecoveryConfig())
-    assert asdict(recover.RecoveryConfig.from_budget(10000)) == \
-        asdict(recover.RecoveryConfig.reduced())
-    assert recover.RecoveryConfig.from_budget(10000, seed=3) == \
-        recover.RecoveryConfig.reduced(seed=3)
+@pytest.mark.parametrize("steps,split,eliminate", [
+    (1000, (400, 2, 100, 100, 300), False),
+    (10000, (4000, 2, 1000, 1000, 3000), False),
+    (19999, (7999, 2, 1999, 1999, 6003), False),
+    (20000, (5853, 3, 1463, 1951, 7807), True),
+    (20500, (6000, 3, 1500, 2000, 8000), True)])
+def test_budget_split_in_numbers(steps, split, eliminate):
+    # warmup / gauge rounds x round / baseline / polish
+    cfg = recover.RecoveryConfig(steps)
+    assert tuple(cfg.schedule) == split
+    assert cfg.eliminate is eliminate
 
 
 @pytest.mark.parametrize("steps", [0, 1, 3, 20, 9999, 19999, 20000, 50001])
 def test_budget_split_is_exact(steps):
-    cfg = recover.RecoveryConfig.from_budget(steps)
-    assert cfg.descent_steps == steps
-    assert min(cfg.warmup_steps, cfg.round_steps, cfg.baseline_steps,
-               cfg.polish_steps) >= 0
-    assert cfg.eliminate == (steps >= recover.FULL_BUDGET)
+    s = recover.RecoveryConfig(steps).schedule
+    assert (s.warmup_steps + s.gauge_rounds * s.round_steps
+            + s.baseline_steps + s.polish_steps) == steps
+    assert min(s.warmup_steps, s.round_steps, s.baseline_steps,
+               s.polish_steps) >= 0
+    assert recover.RecoveryConfig(steps).eliminate == \
+        (steps >= recover.FULL_BUDGET)
 
 
 def test_fit_writes_one_history_row_per_step(lorenz_ds):
@@ -57,19 +61,17 @@ def test_fit_raises_on_divergence(lorenz_ds):
         rec.fit()
 
 
-def test_diverging_trial_is_rejected(lorenz_ds):
+def test_diverging_trial_is_rejected(lorenz_ds, monkeypatch):
     # the first elimination trial runs at a rate that blows it up; it scores
-    # +inf, fails the gate, and elimination carries on
-    cfg = recover.RecoveryConfig(warmup_steps=60, gauge_rounds=1,
-                                 round_steps=10, baseline_steps=10,
-                                 trial_steps=7, polish_steps=10,
-                                 eliminate=True, seed=0)
-    rec = recover.EmbeddingRecovery(
-        lorenz_ds, train.default_model(lorenz_ds.preset, seed=0), cfg)
+    # +inf, fails the gate, and elimination carries on. A budget of 200 runs
+    # the full schedule, elimination included, at 58 / 3x14 / 19 / 81 steps
+    monkeypatch.setattr(recover, "FULL_BUDGET", 200)
+    monkeypatch.setattr(recover, "TRIAL_STEPS", 7)
+    rec = _recovery(lorenz_ds, 200)
     run, diverged = rec.run, []
 
     def run_first_trial_hot(nsteps, lr0=None, **kw):
-        if nsteps == cfg.trial_steps and not diverged:
+        if nsteps == recover.TRIAL_STEPS and not diverged:
             try:
                 return run(nsteps, lr0=1e6, **kw)
             except train.TrainingDiverged:
@@ -79,17 +81,18 @@ def test_diverging_trial_is_rejected(lorenz_ds):
 
     rec.run = run_first_trial_hot
     res = rec.fit()
-    assert diverged == [cfg.trial_steps]
+    assert diverged == [recover.TRIAL_STEPS]
     assert np.isfinite(res.loss)
     assert res.events[-1].startswith("polish")
     assert np.all(np.isfinite(rec.model.theta))
 
 
-def test_distill_logs_event(lorenz_ds):
+def test_distill_logs_event(lorenz_ds, monkeypatch):
+    monkeypatch.setattr(recover, "DISTILL_STEPS", 5)
     rec = _recovery(lorenz_ds, 10)
     res = rec.fit()
     n_rows = len(res.history)
-    recover.distill(rec, width=8, steps=5)
+    recover.distill(rec, 8)
     assert rec.events[-1].startswith("distill: loss ")
     assert len(res.history) == n_rows
 
@@ -171,3 +174,26 @@ def test_gauge_keeps_derivative_losses(lorenz_ds, gauge, support):
         # the hidden residual is measured in the hidden variable's units
         assert after["reg"] == pytest.approx(before["reg"] / sd ** 2,
                                              rel=1e-10)
+
+
+def test_gauge_keeps_fit_on_mask_without_shift_targets():
+    """With the u and v columns masked, the shift would move the u*w and
+    v*w coefficients onto u and v; the gauge rescales alone instead, and
+    the derivative losses hold."""
+    ds = datagen.simulate(datagen.get_preset("lorenz", n_time=200), seed=0)
+    rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset,
+                                                            seed=0),
+                                    recover.RecoveryConfig(10))
+    rec.phi.data[...] = np.random.default_rng(1).normal(1.0, 2.0,
+                                                        rec.phi.shape)
+    for name in ("u", "v"):
+        rec.model.mask[:, rec.names.index(name)] = False
+    rec.model.theta[~rec.model.mask] = 0.0
+    rec.model.sync()
+    before = rec.loss_fn()[1]
+    assert (before["loss_p1"], before["loss_p2"]) == pytest.approx(
+        (1.2748, 1.2592), abs=5e-5)
+    rec.gauge_standardize()
+    after = rec.loss_fn()[1]
+    for part in ("loss_p1", "loss_p2"):
+        assert after[part] == pytest.approx(before[part], rel=1e-12)

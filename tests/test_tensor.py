@@ -178,7 +178,7 @@ def test_conv1d_valid_full_kernel():
     # length-9 input with kernel 9 collapses to a single sample
     x = T.Tensor(np.arange(9.0).reshape(9, 1))
     w = T.Tensor(np.ones((9, 1, 1)))
-    out = T.conv1d(x, w, "valid")
+    out = T.conv1d(x, w)
     assert out.shape == (1, 1)
     assert out.data[0, 0] == 36.0
 
@@ -188,27 +188,13 @@ def test_conv1d_identity_kernel():
     x = rng.standard_normal((10, 1))
     w = np.zeros((3, 1, 1))
     w[1, 0, 0] = 1.0
-    out = T.conv1d(T.Tensor(x), T.Tensor(w), "valid")
+    out = T.conv1d(T.Tensor(x), T.Tensor(w))
     np.testing.assert_allclose(out.data, x[1:-1])
-
-
-def test_conv1d_periodic_matches_brute_force():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((5, 1))
-    w = rng.standard_normal((3, 1, 1))
-    out = T.conv1d(T.Tensor(x), T.Tensor(w), "periodic")
-    assert out.shape == (5, 1)
-    # entry 0 pairs the kernel with (x[-1], x[0], x[1])
-    expect0 = w[0, 0, 0] * x[4, 0] + w[1, 0, 0] * x[0, 0] + w[2, 0, 0] * x[1, 0]
-    assert abs(out.data[0, 0] - expect0) < 1e-14
-    for t in range(5):
-        expect = sum(w[k, 0, 0] * x[(t + k - 1) % 5, 0] for k in range(3))
-        assert abs(out.data[t, 0] - expect) < 1e-14
 
 
 def test_conv1d_kernel_too_long():
     with pytest.raises(ValueError, match="longer"):
-        T.conv1d(T.Tensor(np.ones((3, 1))), T.Tensor(np.ones((5, 1, 1))), "valid")
+        T.conv1d(T.Tensor(np.ones((3, 1))), T.Tensor(np.ones((5, 1, 1))))
 
 
 def test_conv3d_shapes_and_brute_force():
