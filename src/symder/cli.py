@@ -192,8 +192,11 @@ def _train_joint(args, ds, cfg):
     model = train.default_model(ds.preset, seed=args.seed)
     enc = train.default_encoder(ds, width=cfg["width"] or None,
                                 seed=args.seed)
+    # beta_phase weighs the hidden residual in physical time units; the
+    # problem scores it in model time units
+    beta = cfg.get("beta_phase", 0.0) / (model.s_t * ds.norm.dt) ** 2
     prob = train.Problem(ds, model, enc, alphas=tuple(cfg["alphas"]),
-                         beta_phase=cfg.get("beta_phase", 0.0))
+                         beta=beta)
     tcfg = train.TrainConfig(
         steps=cfg["steps"], lr=cfg["lr"],
         sparsify_every=cfg["sparsify_every"],

@@ -89,7 +89,7 @@ def get_preset(name, n_time=None, nx=None):
             name=name, kind="nlse",
             params={"dispersion": -0.5, "nonlinearity": -1.0},
             n_time=n_time or 500, dt=1e-3, grid=(n,),
-            spacing=(2 * np.pi / 64,),
+            spacing=(2 * np.pi / n,),
             visible="modulus", state_dim=2)
     raise ValueError(f"unknown preset {name!r}")
 
@@ -340,6 +340,10 @@ class Dataset:
                             n_time=meta["grid"]["n_time"],
                             nx=(meta["grid"]["extents"][0]
                                 if meta["grid"]["extents"] else None))
+        if tuple(meta["grid"]["spacing"]) != preset.spacing:
+            raise ValueError(f"grid spacing {meta['grid']['spacing']} "
+                             f"disagrees with the {preset.name} preset's "
+                             f"{list(preset.spacing)}")
         arrays = []
         for name in ("visible", "hidden"):
             f, shape = path / f"{name}.f64", meta[f"{name}_shape"]

@@ -14,7 +14,8 @@ Hidden layers use tanh; the final layer is linear. Each layer is one tape
 node: `tensor.conv1d`, `tensor.conv3d` or `tensor.linear` with the bias and
 the activation fused in. Aggregation rebuilds the full state: concatenation
 for subset projections, |psi| e^{i phi} (as paired real channels) for the
-wave system.
+wave system. The penalty that ties the reconstructed hidden state to the
+model lives in `train.Problem`, for every system alike.
 """
 
 from __future__ import annotations
@@ -164,20 +165,6 @@ def aggregate(kind, visible, hidden):
         return T.concat([T.reshape(re, re.shape + (1,)),
                          T.reshape(im, im.shape + (1,))], axis=-1)
     raise ValueError(f"unknown aggregation kind {kind!r}")
-
-
-def phase_regularizer(psi_hat, model, beta, dt):
-    """Penalty tying the symbolic d psi/dt of the reconstructed wave to its
-    central finite difference in time. psi_hat: Tensor (t, x, 2)."""
-    if beta == 0.0:
-        return T.Tensor(0.0)
-    if psi_hat.shape[0] < 3:
-        raise ValueError("phase regularizer needs >= 3 consecutive samples")
-    sym = model.evaluate(psi_hat)                      # model-time units
-    sym = T.mul(sym, 1.0 / (model.s_t * dt))           # -> physical time
-    diff = T.mul(T.sub(psi_hat[2:], psi_hat[:-2]), 1.0 / (2 * dt))
-    resid = T.sub(sym[1:-1], diff)
-    return T.mul(T.tmean(T.square(resid)), 2.0 * beta)  # sum re^2+im^2 halves
 
 
 # ---------------------------------------------------------------------------

@@ -272,11 +272,6 @@ class SymbolicModel:
                     + _contract([v[0] for v in values], th))
         return _contract(values, th)
 
-    def evaluate(self, state):
-        """sum_i theta_i f_i(state) as a Tensor shaped like `state`: the
-        first Taylor coefficient of the trajectory through `state`."""
-        return jets.propagate(state, self, 1).coeffs[1]
-
     # -- sparsification -----------------------------------------------------
     def sparsify(self, threshold):
         """Zero and permanently mask coefficients with |theta| < threshold.

@@ -10,7 +10,8 @@ basin with a staged procedure built around a *free per-sample embedding*
 1. warmup      joint gradient descent of (embedding, dense coefficients)
                under a derivative-matching loss that also penalises
                disagreement between the hidden equation and the finite-
-               difference derivative of the embedding itself.
+               difference derivative of the embedding itself: the loss is
+               `train.Problem`'s, with its hidden residual at weight 1.
 2. gauge       an unobserved channel is only identified up to an affine
                (and, before the support is fixed, linear-mixing) change of
                variables.  The gauge is removed in closed form: the
@@ -137,31 +138,17 @@ class EmbeddingRecovery:
         self.phi.data[...] = rng.normal(0.0, 0.1, (self.n_time, 1))
         # the problem matches derivatives with the accuracy-4 stencils of an
         # ODE preset; its window [lo, hi) drops their margins
-        self.prob = training.Problem(ds, model, self.emb)
-        # `reg` applies a derivative stencil within the window
-        if self.prob.hi - self.prob.lo < len(fd.CENTRAL_STENCILS_4[1]):
-            raise training.SeriesTooShort(f"series of {self.n_time} samples "
-                                          "too short for the staged loss")
+        self.prob = training.Problem(ds, model, self.emb, beta=1.0)
         self.history: list = []    # rows of train.HISTORY_FIELDS
         self.events: list = []
 
     # ------------------------------------------------------------------ loss
 
     def loss_fn(self):
-        """Staged loss and its parts: the derivative-matching parts of
-        `compute_loss` plus, as `reg`, the mean squared residual of the hidden
-        equation against the finite-difference derivative of the embedding.
-        Both score one state and jet; the jet's first coefficient is F(x)."""
-        state, jet = self.prob.expand()
-        base, parts = self.prob.score(state, jet)
-        F = jet.coeffs[1]
-        w = fd.CENTRAL_STENCILS_4[1]
-        r = len(w) // 2
-        dw = fd.apply_stencil(state[:, self.n_vis:], w * self.model.s_t)
-        resid = T.sub(F[r:-r, self.n_vis:], dw)
-        reg = tmean(square(resid))
-        parts["reg"] = reg.item()
-        return T.add(base, reg), parts
+        """Staged loss and its parts: the problem's derivative matching plus,
+        as `reg` at unit weight, the residual of the hidden equation against
+        the finite-difference derivative of the embedding."""
+        return self.prob.compute_loss()
 
     # ----------------------------------------------------------------- gauge
 

@@ -19,7 +19,7 @@ __all__ = [
     "as_tensor",
     "backward",
     "add", "sub", "mul", "div", "neg", "pow_int", "square",
-    "sqrt", "tanh", "sin", "cos",
+    "sqrt", "sin", "cos",
     "tsum", "tmean", "getitem", "reshape", "concat", "stencil",
     "linear", "lincomb", "conv1d", "conv3d",
     "OP_REGISTRY",
@@ -221,13 +221,6 @@ def sqrt(a):
     a = as_tensor(a)
     out = np.sqrt(a.data)
     return Tensor(out, _parents=((a, lambda g: g * 0.5 / out),), _op="sqrt")
-
-
-def tanh(a):
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return Tensor(out, _parents=((a, lambda g: g * (1.0 - out * out)),),
-                  _op="tanh")
 
 
 def sin(a):
@@ -595,11 +588,11 @@ def _reg_all():
     rng_shapes = {
         "add": ((3, 4), (4,)), "sub": ((3, 4), (3, 4)), "mul": ((2, 3), (3,)),
         "div": ((3, 4), (3, 4)), "neg": ((5,),),
-        "square": ((6,),), "sqrt": ((5,),), "tanh": ((4, 2),),
+        "square": ((6,),), "sqrt": ((5,),),
         "sin": ((7,),), "cos": ((7,),),
     }
     fns = {"add": add, "sub": sub, "mul": mul, "div": div, "neg": neg,
-           "square": square, "sqrt": sqrt, "tanh": tanh,
+           "square": square, "sqrt": sqrt,
            "sin": sin, "cos": cos}
     for name, fn in fns.items():
         _register(name, (fn, rng_shapes[name], {}))

@@ -80,17 +80,24 @@ class Problem:
     finite-difference targets and the shared valid time interior. An ODE
     preset takes the accuracy-4 central stencils, so that the truncation
     floor sits well below the coefficient-level loss gaps of the staged
-    recovery; the others take accuracy 2."""
+    recovery; the others take accuracy 2.
+
+    The loss is the weighted derivative matching of the visible projection
+    plus, when `beta` > 0, the hidden residual `reg`: beta times the sum over
+    hidden channels of the mean squared difference between the model's F on
+    the reconstructed state and the first-derivative stencil of that state,
+    both in model time units. The hidden channels are those after the
+    visible ones for a concatenated state, and both (re, im) for the wave."""
 
     def __init__(self, dataset, model, encoder, alphas=(1.0, 1.0),
-                 beta_phase=0.0):
+                 beta=0.0):
         if len(alphas) < ORDER:
             raise ValueError(f"need {ORDER} loss weights, got {len(alphas)}")
         self.dataset = dataset
         self.model = model
         self.encoder = encoder
         self.alphas = tuple(alphas)[:ORDER]
-        self.beta_phase = beta_phase
+        self.beta = beta
 
         vis = dataset.visible
         dt = dataset.norm.dt
@@ -101,8 +108,9 @@ class Problem:
                      for p in range(1, ORDER + 1))
         lo = max(r, margin)
         hi = n_time - max(r, margin)
-        # the wave's phase regularizer differences three samples in time
-        if hi - lo < (3 if beta_phase and model.kind == "complex" else 1):
+        # d/dt of the state in model time units, for the hidden residual
+        self.d_t = fd.stencil_weights(1, 1.0, accuracy) * model.s_t
+        if hi - lo < (len(self.d_t) if beta else 1):
             raise SeriesTooShort(f"series of {n_time} samples too short "
                                  "for the stencils and the encoder window")
         self.lo, self.hi = lo, hi
@@ -121,10 +129,12 @@ class Problem:
         if model.kind == "complex":
             self.agg_kind = "modulus_phase"
             self.projection = jets.Projection("modulus")
+            self.first_hidden = 0     # the phase moves both re and im
         else:
             self.agg_kind = "concat"
             self.projection = jets.Projection(
                 "subset", list(range(vis.shape[-1])))
+            self.first_hidden = vis.shape[-1]
 
     def reconstruct(self, lo=None, hi=None):
         """Full state estimate on the valid interior window [lo, hi)
@@ -159,30 +169,41 @@ class Problem:
             parts[f"loss_p{p}"] = lp.item()
             term = T.mul(lp, self.alphas[p - 1])
             total = term if total is None else T.add(total, term)
-        if self.beta_phase and self.model.kind == "complex":
-            reg = encoders.phase_regularizer(state, self.model,
-                                             self.beta_phase,
-                                             self.dataset.norm.dt)
+        parts["reg"] = 0.0
+        if self.beta:
+            r = len(self.d_t) // 2
+            h = self.first_hidden
+            hidden = state[..., h:] if h else state
+            F = jet.coeffs[1][r:-r, ..., h:]
+            reg = T.tmean(T.square(T.sub(
+                F, fd.apply_stencil(hidden, self.d_t))))
+            weight = self.beta * (self.model.state_dim - h)
+            reg = reg if weight == 1.0 else T.mul(reg, weight)
             parts["reg"] = reg.item()
             total = T.add(total, reg)
-        else:
-            parts["reg"] = 0.0
         return total, parts
 
     def compute_loss(self, lo=None, hi=None):
         return self.score(*self.expand(lo, hi), lo, hi)
 
     def chunks(self, chunk_time):
-        """Tile [lo, hi) into windows of at most chunk_time samples, each
-        with its weight in the equally-weighted full-batch average."""
-        if not chunk_time or chunk_time >= self.hi - self.lo:
-            return [(self.lo, self.hi, 1.0)]
-        out = []
+        """Tile [lo, hi) into windows of chunk_time samples, each with its
+        weight in the equally-weighted full-batch average. A tail shorter
+        than the residual stencil joins the window before it; with `beta`
+        > 0 a chunk_time below the stencil raises SeriesTooShort."""
         span = self.hi - self.lo
-        for a in range(self.lo, self.hi, chunk_time):
-            b = min(a + chunk_time, self.hi)
-            out.append((a, b, (b - a) / span))
-        return out
+        if not chunk_time or chunk_time >= span:
+            return [(self.lo, self.hi, 1.0)]
+        n = len(self.d_t)
+        if self.beta and chunk_time < n:
+            raise SeriesTooShort(f"chunk_time {chunk_time} is below the "
+                                 f"{n} samples of the hidden residual's "
+                                 "stencil")
+        cuts = list(range(self.lo, self.hi, chunk_time))
+        if self.hi - cuts[-1] < n:
+            cuts.pop()
+        bounds = cuts + [self.hi]
+        return [(a, b, (b - a) / span) for a, b in zip(bounds, bounds[1:])]
 
 
 def default_model(preset, seed=0):

@@ -123,6 +123,76 @@ def test_nlse_pipeline(tmp_path, capsys):
     assert "phase_error" in doc
 
 
+@pytest.fixture(scope="module")
+def nlse_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("nlse")
+    for n_time in (40, 33):
+        assert cli.main(["generate", "--preset", "nlse", "--out",
+                         str(root / str(n_time)), "--n-time", str(n_time),
+                         "--nx", "32"]) == 0
+    return root
+
+
+def test_chunk_below_the_residual_stencil_exits_1(nlse_data, tmp_path,
+                                                  capsys):
+    # the wave's hidden residual spans 3 samples; chunks of 2 cannot hold it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chunk_time": 2}))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(nlse_data / "40"), "--out",
+                     str(out), "--steps", "2", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "chunk_time 2" in err
+    assert not out.exists()
+
+
+def test_short_last_chunk_trains(nlse_data, tmp_path):
+    # window [1, 32) in chunks of 10 ends in a 1-sample tail, which joins
+    # the chunk before it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chunk_time": 10}))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(nlse_data / "33"), "--out",
+                     str(out), "--steps", "2", "--config", str(cfg)]) == 0
+    rows = train.load_history(out / "history.csv")
+    assert len(rows) == 2 and all(r["reg"] > 0 for r in rows)
+
+
+def test_beta_phase_weighs_the_hidden_field(pde_data, tmp_path):
+    # the diffusion preset scores no residual by default; beta_phase turns
+    # it on for the hidden field v
+    for beta, positive in ((None, False), (5.0, True)):
+        args = ["train", "--data", str(pde_data), "--out",
+                str(tmp_path / str(beta)), "--steps", "2"]
+        if beta is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"beta_phase": beta}))
+            args += ["--config", str(cfg)]
+        assert cli.main(args) == 0
+        rows = train.load_history(tmp_path / str(beta) / "history.csv")
+        assert all((r["reg"] > 0) == positive for r in rows), rows
+
+
+def test_spacing_disagreeing_with_the_preset_exits_3(nlse_data, tmp_path,
+                                                     capsys):
+    # an nlse dataset written when every grid took the spacing 2 pi / 64
+    data = tmp_path / "data"
+    data.mkdir()
+    for f in (nlse_data / "40").iterdir():
+        (data / f.name).write_bytes(f.read_bytes())
+    meta = json.loads((data / "meta.json").read_text())
+    meta["grid"]["spacing"] = [2 * np.pi / 64]
+    (data / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "run"), "--steps", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt dataset") and "spacing" in err
+    assert err.count("\n") == 1, err
+
+
 # tiny generation sizes per preset
 TINY = {"rossler": ["--n-time", "120"], "lorenz": ["--n-time", "120"],
         "diffusion_source": ["--n-time", "24", "--nx", "8"],

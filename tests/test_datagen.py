@@ -58,6 +58,19 @@ def test_nlse_dataset_shapes_and_modulus_floor():
     assert ds.visible_raw.min() > 1e-3  # modulus stays off the singular point
 
 
+def test_nlse_grid_spans_one_period():
+    # the humps are placed and wrapped with period 2 pi, so the grid must
+    # span 2 pi at every size
+    assert small("nlse").spacing == (2 * np.pi / 64,)
+    for nx in (32, 64, 96):
+        preset = small("nlse", nx=nx)
+        assert preset.spacing == (2 * np.pi / nx,)
+        mod = np.abs(dg.initial_condition(preset, np.random.default_rng(0)))
+        # |psi| meets itself across the periodic boundary (with the spacing
+        # 2 pi / 64 on 32 points it jumped there by 0.65)
+        assert abs(mod[0] - mod[-1]) < 0.01
+
+
 def test_rk4_self_convergence():
     for name, kw in [("lorenz", {"n_time": 200}),
                      ("diffusive_lv", {"n_time": 50, "nx": 16})]:

@@ -190,6 +190,134 @@ def test_fit_chunked_equals_full(lorenz_ds):
                                    rtol=1e-9)
 
 
+def test_short_tail_joins_the_chunk_before(lorenz_ds):
+    # [4, 396) in chunks of 97 leaves a 4-sample tail, shorter than the
+    # 5-sample stencil of an ODE preset's residual
+    prob = small_problem(lorenz_ds)
+    chunks = prob.chunks(97)
+    assert [(a, b) for a, b, _ in chunks] == [(4, 101), (101, 198),
+                                              (198, 295), (295, 396)]
+    assert sum(w for _, _, w in chunks) == pytest.approx(1.0, rel=1e-15)
+    assert [(a, b) for a, b, _ in prob.chunks(98)][-1] == (298, 396)
+
+
+def test_chunk_below_the_residual_stencil(lorenz_ds):
+    prob = small_problem(lorenz_ds)
+    # without the residual any chunk works; the 2-sample tail still joins
+    assert len(prob.chunks(2)) == 195
+    prob.beta = 1.0
+    with pytest.raises(train.SeriesTooShort, match="chunk_time 4"):
+        prob.chunks(4)
+    assert len(prob.chunks(5)) == 78
+
+
+# -- hidden residual -------------------------------------------------------------
+
+def wave_problem(phase, dt, beta, theta=None):
+    """A Problem on the unit-modulus wave e^{i phase}, phase shaped (t, x)
+    on the nlse grid and sampled every dt, whose phase embedding holds
+    `phase`; theta, if given, sets the model's coefficients."""
+    n_time, nx = phase.shape
+    preset = datagen.get_preset("nlse", n_time=n_time, nx=nx)
+    one = np.ones(1)
+    norm = datagen.NormalizationRecord(mean=np.zeros(1), std=one,
+                                       deriv_std={1: one, 2: one}, dt=dt)
+    ds = datagen.Dataset(preset=preset, seed=0,
+                         visible_raw=np.ones((n_time, nx, 1)),
+                         hidden_truth=phase[..., None], norm=norm)
+    model = library.nlse_library(dx=preset.spacing[0])
+    if theta is not None:
+        model.theta[:] = theta
+        model.sync()
+    enc = encoders.Encoder(encoders.phase_embedding_spec(phase.shape))
+    enc.params["phi"].data[...] = phase
+    return train.Problem(ds, model, enc, beta=beta)
+
+
+def test_hidden_residual_manufactured_decay():
+    # plane wave obeying the discrete dispersion of the stencil model:
+    # psi = exp(i(kx - w t)), w = (2 - 2 cos(k dx)) / (2 dx^2). For it the
+    # symbolic side is the exact time derivative, so the residual is the
+    # O(dt^2) central-difference error and the penalty decays as dt^4
+    nx = 32
+    dx = 2 * np.pi / nx
+    x = np.arange(nx) * dx
+    k = 1.0
+    w = (2 - 2 * np.cos(k * dx)) / (2 * dx ** 2)
+
+    def penalty(dt):
+        model = library.nlse_library(dx=dx)
+        theta = np.where([isinstance(t, library.WaveDerivative)
+                          and t.order == 2 for t in model.terms],
+                         0.5 * model.s_t * dt, 0.0)
+        ts = np.arange(7) * dt
+        prob = wave_problem(k * x[None, :] - w * ts[:, None], dt,
+                            1.0 / (model.s_t * dt) ** 2, theta)
+        return prob.compute_loss()[1]["reg"]
+
+    p1, p2 = penalty(0.02), penalty(0.01)
+    assert p1 < 1e-4
+    ratio = p1 / p2
+    assert 12.0 < ratio < 20.0   # dt^4 in the squared penalty
+
+
+def test_hidden_residual_zero_beta():
+    phase = np.random.default_rng(0).normal(size=(7, 8))
+    theta = np.random.default_rng(1).uniform(-1e-3, 1e-3, 8)
+    (total, parts), (total3, parts3) = [
+        wave_problem(phase, 0.05, beta, theta).compute_loss()
+        for beta in (0.0, 3.0)]
+    assert parts["reg"] == 0.0 and parts3["reg"] > 0.0
+    assert total.item() == parts["loss_p1"] + parts["loss_p2"]
+    # F's window, the stencil, sub, square, the mean's sum and scale, the
+    # weight, their two constants and the sum: beta 0 builds none of them
+    assert _tape_nodes(total) + 10 == _tape_nodes(total3)
+
+
+def test_hidden_residual_short_window():
+    phase = np.zeros((4, 8))       # window [1, 3): shorter than the stencil
+    wave_problem(phase, 0.1, 0.0)
+    with pytest.raises(train.SeriesTooShort):
+        wave_problem(phase, 0.1, 1.0)
+
+
+def test_hidden_residual_gradient_reaches_phase():
+    phase = np.random.default_rng(0).normal(size=(7, 8))
+    theta = np.random.default_rng(1).uniform(-1e-3, 1e-3, 8)
+    grads = []
+    for beta in (0.0, 10.0):
+        prob = wave_problem(phase, 0.05, beta, theta)
+        T.backward(prob.compute_loss()[0])
+        grads.append(prob.encoder.params["phi"].grad)
+    assert np.abs(grads[1] - grads[0]).max() > 0
+
+
+def test_hidden_residual_on_a_field():
+    # diffusion_source: the hidden field v is the last channel of a
+    # concatenated state, and the residual reaches the conv3d encoder
+    ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=24,
+                                             nx=8), seed=0)
+    grads, regs = [], []
+    for beta in (0.0, 5.0):
+        model = train.default_model(ds.preset)
+        prob = train.Problem(ds, model, train.default_encoder(ds, width=4),
+                             beta=beta)
+        total, parts = prob.compute_loss()
+        T.backward(total)
+        regs.append(parts["reg"])
+        grads.append(prob.encoder.params["w0"].grad)
+    assert regs[0] == 0.0 and regs[1] > 0.0
+    assert np.abs(grads[1] - grads[0]).max() > 0
+
+    # by hand: 5 * mean over the field of (F_v - s_t dv/dn)^2, with dv/dn
+    # the central difference per sample
+    state, jet = prob.expand()
+    v = state.data[..., 1]
+    dv = (v[2:] - v[:-2]) / 2 * model.s_t
+    ref = 5.0 * np.mean((jet.coeffs[1].data[1:-1, ..., 1] - dv) ** 2)
+    assert regs[1] == pytest.approx(ref, rel=1e-12)
+
+
 def test_cosine_lr_endpoints():
     lr = train.cosine_lr(1e-2, 11)
     np.testing.assert_allclose([lr(0), lr(5), lr(10)], [1e-2, 5.5e-3, 1e-3],
