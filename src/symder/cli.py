@@ -15,6 +15,7 @@ is first imported, which is why this module sets the environment up top.
 """
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -59,6 +60,29 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_MISSING = 2
 EXIT_CORRUPT = 3
+
+
+# glibc mallopt parameters, and the heap top it may keep unreturned
+M_TRIM_THRESHOLD = -1
+M_MMAP_MAX = -4
+TRIM_THRESHOLD = 1 << 30
+
+
+def keep_freed_heap():
+    """Have glibc's malloc keep the pages that freed arrays leave for reuse:
+    no array gets its own mmap, and up to TRIM_THRESHOLD bytes of free heap
+    top stay mapped. Each training step frees its tape as `backward` sweeps
+    it and builds one as large in the next forward, which would otherwise
+    fault every page back in. Returns True when both settings took; where
+    the C library has no `mallopt` it does nothing and returns False."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):   # no dlopen(NULL), no symbol
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(M_MMAP_MAX, 0) == 1
+            and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
 
 
 class CliError(Exception):
@@ -176,6 +200,7 @@ def cmd_train(args):
     if args.lr is not None:
         cfg["lr"] = args.lr
     check_config(cfg)
+    keep_freed_heap()
     try:
         if ds.preset.kind == "ode":
             return _train_staged(args, ds, cfg)

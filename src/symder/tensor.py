@@ -384,25 +384,20 @@ def _dense(op, x, w, b, tanh, cols, batch, fold):
     if tanh:
         np.tanh(yt, out=yt)
 
-    # dz(g) is shared by the parents' VJPs: made by the first, dropped after
-    # the last one that the backward sweep calls
-    users = sum(t.requires_grad for t in (x, w, b) if t is not None)
-    memo = [None, None, 0]          # upstream g, its dz, calls left
+    # dz(g) is made by the first of the parents' VJPs and shared by the
+    # rest; the one sweep calls them all with the same g, then drops them
+    memo = []
 
     def dz(g):
-        if memo[0] is not g:
+        if not memo:
             gt = g.reshape(-1, cout).T
             if tanh:
                 d = yt * yt
                 np.subtract(1.0, d, out=d)
                 d *= gt
                 gt = d
-            memo[:] = [g, gt, users]
-        out = memo[1]
-        memo[2] -= 1
-        if not memo[2]:
-            memo[:] = [None, None, 0]
-        return out
+            memo.append(gt)
+        return memo[0]
 
     parents = [(x, lambda g: fold(wmat @ dz(g))),
                (w, lambda g: (cols @ dz(g).T).reshape(w.shape))]
@@ -534,6 +529,11 @@ def backward(loss):
 
     Accumulates ``.grad`` on every tensor with requires_grad reachable from
     `loss` and returns {id(tensor): grad} for the leaves.
+
+    A graph is swept once: each node drops its VJPs, and with them the
+    arrays they saved, as soon as they have run, and the sweep drops its own
+    reference to the node as it passes. The nodes' values stay readable. A
+    second sweep through an already swept node raises ValueError.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward: loss must be a Tensor")
@@ -553,6 +553,8 @@ def backward(loss):
             continue
         if id(node) in visited:
             continue
+        if not node._parents and node._op != "leaf":
+            raise ValueError("backward: graph already swept")
         visited.add(id(node))
         stack.append((node, True))
         for parent, _ in node._parents:
@@ -561,7 +563,9 @@ def backward(loss):
 
     grads = {id(loss): np.ones_like(loss.data)}
     leaves = {}
-    for node in reversed(order):
+    # popping walks the reverse topological order and releases each node
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -577,6 +581,7 @@ def backward(loss):
                 grads[id(parent)] = grads[id(parent)] + contrib
             else:
                 grads[id(parent)] = contrib
+        node._parents = ()
     return leaves
 
 

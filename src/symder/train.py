@@ -190,7 +190,13 @@ class Problem:
         """Tile [lo, hi) into windows of chunk_time samples, each with its
         weight in the equally-weighted full-batch average. A tail shorter
         than the residual stencil joins the window before it; with `beta`
-        > 0 a chunk_time below the stencil raises SeriesTooShort."""
+        > 0 a chunk_time below the stencil raises SeriesTooShort.
+
+        The weighted window losses sum to the full-batch loss_p1 and
+        loss_p2. They sum to its reg only at `beta` 0: each window scores
+        the hidden residual on its own interior, so the samples within a
+        stencil radius of a seam drop out, and each window's mean is taken
+        over fewer samples than its weight assumes."""
         span = self.hi - self.lo
         if not chunk_time or chunk_time >= span:
             return [(self.lo, self.hi, 1.0)]
@@ -255,10 +261,9 @@ def backpropagated(forward):
     Tensor and its parts: each item runs forward and backward and yields
     `(value, parts)`.
 
-    Being a generator, it holds each loss's tape until the next one is
-    built, as a plain training loop does. Freeing the tape before the
-    optimizer step lets malloc hand the heap top back to the OS, and the
-    next forward pass then pays to fault it in again."""
+    `T.backward` frees each tape as it sweeps it, so between steps only the
+    scalar loss is held. `symder train` has malloc keep the freed pages
+    (`cli.keep_freed_heap`), so the next forward reuses them."""
     while True:
         total, parts = forward()
         T.backward(total)
@@ -323,9 +328,10 @@ def fit(problem, config, out_dir=None, log=None):
     chunks = problem.chunks(config.chunk_time)
 
     def losses():
-        # gradient accumulation over time windows: identical totals to one
-        # full-batch pass, but the tape never holds more than one window
-        # (a generator, for the reason `backpropagated` gives)
+        # gradient accumulation over time windows, each tape freed by its
+        # sweep. The totals of loss_p1 and loss_p2 equal one full-batch
+        # pass's; reg does only at beta 0, as each window's residual drops
+        # the samples at its seams (see `Problem.chunks`)
         while True:
             val, parts = 0.0, {}
             for lo, hi, w in chunks:

@@ -1,4 +1,5 @@
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -450,3 +451,12 @@ def test_bad_value_exits_1(workspace, pde_data, short_data, tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert key in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_keep_freed_heap_takes_on_glibc_only():
+    assert cli.keep_freed_heap() is (platform.libc_ver()[0] == "glibc")
+
+
+def test_keep_freed_heap_without_mallopt(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert cli.keep_freed_heap() is False

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,32 @@ def test_backward_rejects_nonscalar_and_detached():
         T.backward(T.square(x))
     with pytest.raises(ValueError, match="detached"):
         T.backward(T.tsum(T.Tensor([1.0])))
+
+
+def test_backward_frees_the_swept_tape():
+    x = T.Tensor([1.0, -2.0, 0.5], requires_grad=True)
+    h = T.square(x)
+    ref = weakref.ref(h.data)
+    loss = T.tsum(T.sin(h))
+    del h
+    assert ref() is not None
+    T.backward(loss)
+    assert ref() is None
+    assert loss.item() == pytest.approx(np.sin([1.0, 4.0, 0.25]).sum())
+    np.testing.assert_allclose(x.grad, 2.0 * x.data * np.cos(x.data ** 2))
+
+
+def test_second_backward_raises():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    h = T.square(x)
+    loss = T.tsum(h)
+    T.backward(loss)
+    grad = x.grad.copy()
+    with pytest.raises(ValueError, match="already swept"):
+        T.backward(loss)
+    with pytest.raises(ValueError, match="already swept"):
+        T.backward(T.tsum(T.mul(h, 3.0)))
+    np.testing.assert_array_equal(x.grad, grad)
 
 
 def test_backward_linearity():

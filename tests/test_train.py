@@ -390,12 +390,16 @@ def _tape_nodes(loss):
 
 def test_loss_tape_sizes():
     # guards the graph sizes against re-expansion: 118 and 287 nodes before
-    # fused encoder layers and one-node stencils
+    # fused encoder layers and one-node stencils. The sweep drops every
+    # node's VJPs, so afterwards each loss reaches only itself
     from symder import cli, recover
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
                                     recover.RecoveryConfig(10))
-    assert _tape_nodes(rec.loss_fn()[0]) == 104
+    loss = rec.loss_fn()[0]
+    assert _tape_nodes(loss) == 104
+    T.backward(loss)
+    assert _tape_nodes(loss) == 1
 
     ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=24,
                                              nx=8), seed=0)
@@ -403,4 +407,7 @@ def test_loss_tape_sizes():
                          train.default_encoder(ds),
                          alphas=cli.DEFAULT_CONFIGS["diffusion_source"][
                              "alphas"])
-    assert _tape_nodes(prob.compute_loss()[0]) == 106
+    loss = prob.compute_loss()[0]
+    assert _tape_nodes(loss) == 106
+    T.backward(loss)
+    assert _tape_nodes(loss) == 1
