@@ -85,13 +85,6 @@ class JetVar:
         return out
 
 
-def as_jet(x, order):
-    """Coerce a constant (Tensor/scalar) to a degree-`order` jet."""
-    if isinstance(x, JetVar):
-        return x
-    return JetVar([x] + [0.0] * order)
-
-
 def jet_sqrt(s: JetVar) -> JetVar:
     """Square root of a jet with strictly positive leading coefficient."""
     r0 = T.sqrt(T.as_tensor(s.coeffs[0]))
@@ -114,13 +107,6 @@ class JetSeries:
     order: int
 
 
-def _broadcast_to_field(c, field_shape):
-    c = T.as_tensor(c)
-    if c.shape != tuple(field_shape):
-        c = T.mul(c, np.ones(field_shape))
-    return c
-
-
 def propagate(state, model, order):
     """Expand the trajectory of dx/dt = model(x) through `state` to the given
     order. `state` has components along the trailing axis; all leading axes
@@ -132,24 +118,21 @@ def propagate(state, model, order):
     if ncomp != model.state_dim:
         raise ValueError(
             f"state has {ncomp} components, model expects {model.state_dim}")
-    field_shape = state.shape[:-1]
 
-    comp_jets = [JetVar([state[..., j]]) for j in range(ncomp)]
-    for p in range(order):
-        rhs = model.evaluate_components(comp_jets)
-        for j in range(ncomp):
-            f = as_jet(rhs[j], p)
-            cp = f.coeffs[p] if p < len(f.coeffs) else 0.0
-            comp_jets[j] = JetVar(
-                comp_jets[j].coeffs + [T.as_tensor(cp) * (1.0 / (p + 1))])
-
+    # coefficient p + 1 is F's coefficient p over p + 1, computed from the
+    # per-component jets of coefficients 0..p
     coeffs = [state]
-    for p in range(1, order + 1):
-        fields = [_broadcast_to_field(comp_jets[j].coeffs[p], field_shape)
-                  for j in range(ncomp)]
-        stacked = T.concat(
-            [T.reshape(f, f.shape + (1,)) for f in fields], axis=-1)
-        coeffs.append(stacked)
+    comps = [JetVar([state[..., j]]) for j in range(ncomp)]
+    for p in range(order):
+        c = model.evaluate_components(comps, p)
+        if p:
+            c = T.mul(c, 1.0 / (p + 1))
+        if c.shape != state.shape:   # a model that is constant in x
+            c = T.mul(c, np.ones(state.shape))
+        coeffs.append(c)
+        if p + 1 < order:
+            comps = [JetVar(cj.coeffs + [c[..., j]])
+                     for j, cj in enumerate(comps)]
     return JetSeries(coeffs=coeffs, order=order)
 
 

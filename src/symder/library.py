@@ -252,25 +252,33 @@ class SymbolicModel:
     def masked_theta(self):
         return T.mul(self.theta_t, self.mask.astype(float))
 
-    def evaluate_components(self, comps):
-        """Right-hand side per state channel; comps entries may be Tensors,
-        ndarrays, or jet polynomials. The active terms are contracted with
-        the masked coefficients in one `T.lincomb` per jet coefficient, so
+    def evaluate_components(self, comps, p):
+        """Taylor coefficient `p` of the right-hand side as one tensor with
+        the state's channels, (re, im) for the complex kind, along its
+        trailing axis. comps entries may be Tensors or ndarrays (p = 0) or
+        jet polynomials with coefficients up to p. The active terms are
+        contracted with the masked coefficients in one `T.lincomb`, so
         masked (equation, term) pairs contribute exact zeros."""
         geom = self.geometry()
         # masked-out terms contribute exactly zero with zero gradient; skip
         active = np.flatnonzero(self.mask if self.kind == "complex"
                                 else self.mask.any(axis=0))
         if not active.size:
-            return [0.0] * (2 if self.kind == "complex" else len(self.theta))
+            return T.Tensor(np.zeros(2 if self.kind == "complex"
+                                     else len(self.theta)))
         values = [self.terms[i].evaluate(comps, geom) for i in active]
-        th = T.getitem(self.masked_theta(), (Ellipsis, active))
         if self.kind == "complex":
-            # d psi/dt = i sum_i theta_i f_i: re += -theta f_im, im += theta f_re
-            th = T.reshape(th, (1, active.size))
-            return (_contract([v[1] for v in values], T.neg(th))
-                    + _contract([v[0] for v in values], th))
-        return _contract(values, th)
+            # d psi/dt = i sum_i theta_i f_i: re = -sum_i theta_i f_im,i
+            # and im = sum_i theta_i f_re,i, over the stacked (f_re, f_im)
+            n = active.size
+            th = T.getitem(self.masked_theta(), np.concatenate([active,
+                                                                active]))
+            rot = np.zeros((2, 2 * n))
+            rot[0, n:], rot[1, :n] = -1.0, 1.0
+            return T.lincomb([_coefficient(v[k], p) for k in (0, 1)
+                              for v in values], T.mul(th, rot))
+        th = T.getitem(self.masked_theta(), (Ellipsis, active))
+        return T.lincomb([_coefficient(v, p) for v in values], th)
 
     # -- sparsification -----------------------------------------------------
     def sparsify(self, threshold):
@@ -317,15 +325,12 @@ class SymbolicModel:
                    grid_spacing=tuple(doc["grid_spacing"]))
 
 
-def _contract(values, coef):
-    """Per equation j, sum_i coef[j, i] * values[i]: Tensors, or jets built
-    from one `T.lincomb` per Taylor coefficient (floats are constants)."""
-    lens = [len(v.coeffs) for v in values if isinstance(v, jets.JetVar)]
-    cols = [T.lincomb([v.coeffs[p] if isinstance(v, jets.JetVar) else
-                       v if p == 0 else 0.0 for v in values], coef)
-            for p in range(min(lens, default=1))]
-    rows = [[c[..., j] for c in cols] for j in range(coef.shape[0])]
-    return [jets.JetVar(r) if lens else r[0] for r in rows]
+def _coefficient(value, p):
+    """Taylor coefficient p of a term's value: a jet's, or for a Tensor or
+    a float, which are constant in time, the value itself at p = 0."""
+    if isinstance(value, jets.JetVar):
+        return value.coeffs[p]
+    return value if p == 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

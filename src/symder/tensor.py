@@ -37,22 +37,30 @@ class Tensor:
     """A dense real64 array plus optional tape participation.
 
     Immutable by convention after creation, except for leaf parameters whose
-    ``data`` the optimizer replaces between training steps.
+    ``data`` the optimizer replaces between training steps. A Tensor that
+    requires no gradient keeps the patch matrices convolutions build from
+    it in ``_patches``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_op",
+                 "_patches")
 
     def __init__(self, data, requires_grad=False, _parents=(), _op="leaf"):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p, _ in _parents
-        )
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
+        if not requires_grad:
+            for p, _ in _parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = bool(requires_grad)
         self.grad = None
         # parents: tuple of (Tensor, vjp) where vjp maps upstream grad -> grad
         # contribution for that parent.
         self._parents = _parents if self.requires_grad else ()
         self._op = _op
+        self._patches = None
 
     @property
     def shape(self):
@@ -132,8 +140,10 @@ def _unbroadcast(grad, shape):
 
 
 def _check_broadcast(a, b, opname):
+    if a.data.shape == b.data.shape:
+        return
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        np.broadcast_shapes(a.data.shape, b.data.shape)
     except ValueError:
         raise ValueError(
             f"{opname}: shapes {a.shape} and {b.shape} are not broadcastable"
@@ -255,17 +265,33 @@ def tmean(a):
     return mul(tsum(a), 1.0 / a.size)
 
 
+def _may_repeat(idx):
+    """Whether `idx` can pick one element twice. Only an array index can:
+    one integer list or array that holds no value twice and no negative
+    one (which could alias a positive one) cannot, nor can a boolean mask;
+    two or more array indices are taken to repeat."""
+    arrays = [i for i in (idx if isinstance(idx, tuple) else (idx,))
+              if isinstance(i, (list, np.ndarray))]
+    if not arrays:
+        return False
+    if len(arrays) > 1:
+        return True
+    arr = np.asarray(arrays[0])
+    if arr.dtype == bool:
+        return False
+    vals = arr.ravel().tolist()
+    return len(set(vals)) < len(vals) or min(vals, default=0) < 0
+
+
 def getitem(a, idx):
     a = as_tensor(a)
     out = a.data[idx]
-
-    # only array indices can repeat an element, which needs np.add.at
-    fancy = any(isinstance(i, (list, np.ndarray))
-                for i in (idx if isinstance(idx, tuple) else (idx,)))
+    # scattering onto zeros gives np.add.at's bits when nothing repeats
+    repeats = _may_repeat(idx)
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        if fancy:
+        if repeats:
             np.add.at(full, idx, g)
         else:
             full[idx] += g
@@ -374,7 +400,8 @@ def _dense(op, x, w, b, tanh, cols, batch, fold):
     which the next layer's `cols` reads without a copy. The bias and tanh
     are applied in place. The VJP forms g * (1 - y^2) once and feeds the x,
     w and b gradients from it; `fold` maps the (K, N) column gradient back
-    to x's shape, and runs only when x requires a gradient."""
+    to x's shape, and runs only when x requires a gradient (it may be None
+    when x requires none)."""
     b = None if b is None else as_tensor(b)
     wmat = w.data.reshape(-1, w.shape[-1])
     cout = wmat.shape[1]
@@ -425,8 +452,10 @@ def lincomb(values, coef):
     values = [as_tensor(v) for v in values]
     coef = as_tensor(coef)
     neq, n = coef.shape
-    shape = np.broadcast_shapes(*(v.shape for v in values))
-    phi = np.stack([np.broadcast_to(v.data, shape) for v in values], axis=-1)
+    shape = np.broadcast_shapes(*{v.shape for v in values})
+    phi = np.empty(shape + (n,))
+    for i, v in enumerate(values):
+        phi[..., i] = v.data
     out = phi @ coef.data.T
 
     def make_vjp(i, vshape):
@@ -458,8 +487,14 @@ def _conv(op, x, w, b, tanh, periodic):
 
     The patch matrix has one row per (kernel offset, input channel), in the
     order of w's rows, and one column per output point. Each offset's rows
-    are one block copy out of the padded, channels-first input."""
+    are one block copy out of the padded, channels-first input. An input
+    that requires no gradient keeps its patch matrix, with the output
+    extent, for later calls with the same kernel shape; its data must not
+    change in place meanwhile."""
     ks, cin = w.shape[:-2], w.shape[-2]
+    key = (w.shape[:-1], tuple(periodic))
+    if x._patches is not None and key in x._patches:
+        return _dense(op, x, w, b, tanh, *x._patches[key], None)
     pads = [(k // 2, k - 1 - k // 2) if per else (0, 0)
             for k, per in zip(ks, periodic)]
     xp = np.pad(np.moveaxis(x.data, -1, 0), [(0, 0)] + pads, mode="wrap")
@@ -473,6 +508,10 @@ def _conv(op, x, w, b, tanh, periodic):
     patches = np.empty((len(offsets), cin) + oshape)
     for i, off in enumerate(offsets):
         patches[i] = xp[window(off)]
+    cols = patches.reshape(len(offsets) * cin, -1)
+    if not x.requires_grad:
+        x._patches = x._patches or {}
+        x._patches[key] = (cols, oshape)
 
     def fold(gcols):
         gp = gcols.reshape(patches.shape)
@@ -484,8 +523,7 @@ def _conv(op, x, w, b, tanh, periodic):
                 gxp = _fold_periodic(gxp, a + 1, lo, hi)
         return np.moveaxis(gxp, 0, -1)
 
-    return _dense(op, x, w, b, tanh, patches.reshape(len(offsets) * cin, -1),
-                  oshape, fold)
+    return _dense(op, x, w, b, tanh, cols, oshape, fold)
 
 
 def conv1d(x, w, *, b=None, tanh=False):

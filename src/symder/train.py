@@ -45,7 +45,12 @@ class TrainConfig:
 
 class GradientOptimizer:
     """AdaBelief: Adam with the variance of (g - m) in place of that of g
-    (beliefs about the gradient rather than its magnitude)."""
+    (beliefs about the gradient rather than its magnitude).
+
+    One update runs over all parameters as one flat vector: the values
+    and gradients are gathered each step, so in-place writes to a
+    parameter's data between steps count, and a missing gradient is zero.
+    Each parameter's data is then a view into the updated vector."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-16
 
@@ -53,8 +58,9 @@ class GradientOptimizer:
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros(p.shape) for p in self.params]
-        self.s = [np.zeros(p.shape) for p in self.params]
+        self.bounds = np.cumsum([0] + [p.size for p in self.params])
+        self.m = np.zeros(self.bounds[-1])
+        self.s = np.zeros(self.bounds[-1])
 
     def zero_grad(self):
         for p in self.params:
@@ -64,15 +70,20 @@ class GradientOptimizer:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros(p.shape)
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            d = g - self.m[i]
-            self.s[i] = self.beta2 * self.s[i] + (1 - self.beta2) * d * d \
-                + self.eps
-            mhat = self.m[i] / bc1
-            shat = self.s[i] / bc2
-            p.data = p.data - self.lr * mhat / (np.sqrt(shat) + self.eps)
+        x = np.empty_like(self.m)
+        g = np.zeros_like(self.m)
+        for p, lo, hi in zip(self.params, self.bounds, self.bounds[1:]):
+            x[lo:hi] = p.data.reshape(-1)
+            if p.grad is not None:
+                g[lo:hi] = p.grad.reshape(-1)
+        self.m = self.beta1 * self.m + (1 - self.beta1) * g
+        d = g - self.m
+        self.s = self.beta2 * self.s + (1 - self.beta2) * d * d + self.eps
+        mhat = self.m / bc1
+        shat = self.s / bc2
+        x = x - self.lr * mhat / (np.sqrt(shat) + self.eps)
+        for p, lo, hi in zip(self.params, self.bounds, self.bounds[1:]):
+            p.data = x[lo:hi].reshape(p.shape)
 
 
 class Problem:

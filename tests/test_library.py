@@ -413,9 +413,13 @@ def test_lincomb_contraction_matches_reference(kind, order):
     n_eq = 2 if kind == "nlse" else len(m.theta)
     probes = [rng.standard_normal(shape[:-1])
               for _ in range((order + 1) * n_eq)]
+    def contract(comps):
+        # one state-shaped tensor per coefficient, split into equations
+        cs = [m.evaluate_components(comps, p) for p in range(order + 1)]
+        return [JetVar([c[..., j] for c in cs]) for j in range(n_eq)]
+
     results = []
-    for contract in (m.evaluate_components,
-                     lambda comps: reference_components(m, comps)):
+    for contract in (contract, lambda comps: reference_components(m, comps)):
         m.theta_t.zero_grad()
         leaves = [T.Tensor(s, requires_grad=True) for s in seeds]
         comps = [leaves[0][..., j] for j in range(shape[-1])]

@@ -243,6 +243,49 @@ def test_conv3d_shapes_and_brute_force():
     np.testing.assert_allclose(out.data[t, i, j], acc, rtol=1e-12)
 
 
+@pytest.mark.parametrize("conv, xshape, wshape", [
+    (T.conv1d, (11, 2), (3, 2, 4)),
+    (T.conv3d, (5, 4, 4, 2), (2, 3, 3, 2, 3))])
+def test_constant_conv_input_reuses_its_patches(conv, xshape, wshape):
+    rng = np.random.default_rng(4)
+    data = rng.standard_normal(xshape)
+    kept = T.Tensor(data)
+    for _ in range(3):
+        w = T.Tensor(rng.standard_normal(wshape), requires_grad=True)
+        outs, grads = [], []
+        for x in (kept, T.Tensor(data.copy())):
+            w.zero_grad()
+            out = conv(x, w, tanh=True)
+            T.backward(T.tsum(T.square(out)))
+            outs.append(out.data)
+            grads.append(w.grad)
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert grads[0].tobytes() == grads[1].tobytes()
+    assert len(kept._patches) == 1
+
+
+def test_conv_input_with_grad_keeps_no_patches():
+    rng = np.random.default_rng(5)
+    x = T.Tensor(rng.standard_normal((9, 2)), requires_grad=True)
+    w = T.Tensor(rng.standard_normal((3, 2, 2)), requires_grad=True)
+    for _ in range(2):
+        T.backward(T.tsum(T.conv1d(x, w)))
+    assert x._patches is None
+
+
+def test_getitem_scatter_repeats_only_where_an_index_can():
+    a = T.Tensor(np.arange(4.0), requires_grad=True)
+    T.backward(T.tsum(T.mul(T.getitem(a, [1, -3, 2]), [1.0, 2.0, 4.0])))
+    np.testing.assert_array_equal(a.grad, [0.0, 3.0, 4.0, 0.0])
+    b = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    T.backward(T.tsum(T.getitem(b, (Ellipsis, np.array([2, 0])))))
+    np.testing.assert_array_equal(b.grad, [[1.0, 0.0, 1.0]] * 2)
+    assert not T._may_repeat((Ellipsis, np.array([2, 0])))
+    assert not T._may_repeat(np.array([True, False, True]))
+    assert T._may_repeat([1, 1]) and T._may_repeat([0, -1])
+    assert T._may_repeat((np.array([0, 1]), np.array([1, 0])))
+
+
 def test_tensors_share_readonly():
     x = T.Tensor(np.ones(3))
     y = T.add(x, x)

@@ -53,6 +53,41 @@ def test_optimizer_none_grad_is_zero():
     np.testing.assert_array_equal(x.data, [2.0])
 
 
+def test_flat_adabelief_matches_per_parameter_reference():
+    # the per-parameter loop the flat update replaced, op for op
+    b1, b2, eps, lr = 0.9, 0.999, 1e-16, 0.05
+    rng = np.random.default_rng(3)
+    shapes = [(3, 4), (7, 1), ()]
+    starts = [rng.standard_normal(s) for s in shapes]
+    grads = [[rng.standard_normal(s) for s in shapes] for _ in range(5)]
+    ref = [x.copy() for x in starts]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    params = [T.Tensor(x.copy(), requires_grad=True) for x in starts]
+    opt = train.GradientOptimizer(params, lr=lr)
+    for t in range(1, 6):
+        if t == 3:      # an in-place write between steps, as the gauge does
+            ref[1][2:] *= -2.0
+            params[1].data[2:] *= -2.0
+        for i, p in enumerate(params):
+            # the middle parameter has no gradient on even steps
+            p.grad = None if (i == 1 and t % 2 == 0) else grads[t - 1][i]
+        opt.lr = lr
+        opt.step()
+        for i in range(3):
+            g = grads[t - 1][i] if not (i == 1 and t % 2 == 0) \
+                else np.zeros(shapes[i])
+            m[i] = b1 * m[i] + (1 - b1) * g
+            d = g - m[i]
+            v[i] = b2 * v[i] + (1 - b2) * d * d + eps
+            mhat = m[i] / (1.0 - b1 ** t)
+            shat = v[i] / (1.0 - b2 ** t)
+            ref[i] = ref[i] - lr * mhat / (np.sqrt(shat) + eps)
+        for p, r in zip(params, ref):
+            assert p.data.shape == r.shape
+            assert p.data.tobytes() == r.tobytes()
+
+
 # -- problem / loss ----------------------------------------------------------
 
 def test_problem_loss_finite(lorenz_ds):
@@ -390,14 +425,15 @@ def _tape_nodes(loss):
 
 def test_loss_tape_sizes():
     # guards the graph sizes against re-expansion: 118 and 287 nodes before
-    # fused encoder layers and one-node stencils. The sweep drops every
-    # node's VJPs, so afterwards each loss reaches only itself
+    # fused encoder layers and one-node stencils, 104 and 106 before one
+    # contraction per jet order. The sweep drops every node's VJPs, so
+    # afterwards each loss reaches only itself
     from symder import cli, recover
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
                                     recover.RecoveryConfig(10))
     loss = rec.loss_fn()[0]
-    assert _tape_nodes(loss) == 104
+    assert _tape_nodes(loss) == 83
     T.backward(loss)
     assert _tape_nodes(loss) == 1
 
@@ -408,6 +444,37 @@ def test_loss_tape_sizes():
                          alphas=cli.DEFAULT_CONFIGS["diffusion_source"][
                              "alphas"])
     loss = prob.compute_loss()[0]
-    assert _tape_nodes(loss) == 106
+    assert _tape_nodes(loss) == 92
     T.backward(loss)
     assert _tape_nodes(loss) == 1
+
+
+def test_staged_loss_builds_one_lincomb_per_jet_order():
+    from symder import recover
+    ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
+    rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
+                                    recover.RecoveryConfig(10))
+    seen, stack, ops = set(), [rec.loss_fn()[0]], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.append(node._op)
+            stack.extend(p for p, _ in node._parents)
+    assert ops.count("lincomb") == train.ORDER
+
+
+def test_nlse_step0_loss_parts_pinned():
+    # the parts before the contraction took one lincomb per jet order
+    from symder import cli
+    ds = datagen.simulate(datagen.get_preset("nlse", n_time=40, nx=32),
+                          seed=0)
+    cfg = cli.DEFAULT_CONFIGS["nlse"]
+    model = train.default_model(ds.preset)
+    beta = cfg["beta_phase"] / (model.s_t * ds.norm.dt) ** 2
+    prob = train.Problem(ds, model, train.default_encoder(ds),
+                         alphas=cfg["alphas"], beta=beta)
+    parts = prob.compute_loss()[1]
+    assert parts == pytest.approx({"loss_p1": 1.0001211309096325,
+                                   "loss_p2": 2985.527600457094,
+                                   "reg": 3037465.887493094}, rel=1e-12)
