@@ -248,25 +248,48 @@ def _train_staged(args, ds, cfg):
     rec = recover.EmbeddingRecovery(
         ds, train.default_model(ds.preset, seed=args.seed), rcfg)
     width = cfg["width"] or None
-    res = rec.fit()
-    enc = recover.distill(rec, width) if width else res.encoder
-    train.save_run(args.out, rec.model, enc, res.history,
+    loss = rec.fit()
+    enc = recover.distill(rec, width) if width else rec.emb
+    train.save_run(args.out, rec.model, enc, rec.history,
                    {"pipeline": "staged", "steps": cfg["steps"],
                     "distill_width": width,
                     "distill_steps": recover.DISTILL_STEPS if width else 0,
                     "recovery": {**rcfg.schedule._asdict(), "lr": rcfg.lr,
                                  "eliminate": rcfg.eliminate,
                                  "seed": rcfg.seed},
-                    "loss": res.loss, "events": res.events})
+                    "loss": loss, "events": rec.events})
     print(f"wrote {args.out}: {rec.model.active_terms()} active terms "
-          f"(staged, loss {res.loss:.3g})")
+          f"(staged, loss {loss:.3g})")
     return EXIT_OK
+
+
+def _evaluate_run(args, ds, model, encoder):
+    """`evaluate.evaluate_run` for eval and predict. A run that does not fit
+    the dataset (a model of another kind or state size than the preset's,
+    a conv encoder of other visible channels, a per-sample embedding of
+    another series), or a series too short to score, raises CliError."""
+    vis, spec = ds.visible.shape, encoder.spec
+    embeds = spec.kind == "phase_embedding"
+    for what, have, want in (
+            ("model kind and state size", (model.kind, model.state_dim),
+             ("complex" if ds.preset.kind == "nlse" else "real",
+              ds.preset.state_dim)),
+            ("embedded series" if embeds else "visible channels",
+             spec.shape[:len(vis) - 1] if embeds else spec.n_visible,
+             vis[:-1] if embeds else vis[-1])):
+        if have != want:
+            raise CliError(f"run {args.run} does not fit {args.data}: "
+                           f"{what} {have}, the dataset's {want}")
+    try:
+        return evaluate.evaluate_run(ds, model, encoder)
+    except train.SeriesTooShort as e:
+        raise CliError(f"cannot evaluate on {args.data}: {e}")
 
 
 def cmd_eval(args):
     ds = load_dataset(args.data)
     model, encoder = load_run(args.run)
-    res = evaluate.evaluate_run(ds, model, encoder)
+    res = _evaluate_run(args, ds, model, encoder)
     extra = {}
     if "phase_error" in res:
         extra = {"phase_error": res["phase_error"],
@@ -287,7 +310,7 @@ def cmd_predict(args):
     model, encoder = load_run(args.run)
     if ds.preset.kind != "ode":
         raise CliError("predict supports the ODE presets only", EXIT_FAIL)
-    res = evaluate.evaluate_run(ds, model, encoder)
+    res = _evaluate_run(args, ds, model, encoder)
     start = args.start - res["lo"]
     if start < 0 or start >= res["hidden_estimate"].shape[0]:
         raise CliError(f"--start must be in [{res['lo']}, {res['hi']})",

@@ -14,7 +14,6 @@ the state and the model coefficients come out of the usual backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -26,7 +25,8 @@ MODULUS_FLOOR = 1e-8  # |psi| below this makes d|psi|/dt ill-conditioned
 
 class JetVar:
     """Truncated polynomial in the expansion variable; coefficients are
-    Tensors (or scalars, which broadcast)."""
+    Tensors (or scalars, which broadcast). It carries a term's value and,
+    from `propagate`, the trajectory itself."""
 
     __slots__ = ("coeffs",)
 
@@ -50,12 +50,6 @@ class JetVar:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rsub__(self, other):
-        return (-1.0) * self + other
-
     def __mul__(self, other):
         if isinstance(other, JetVar):
             n = min(len(self.coeffs), len(other.coeffs))
@@ -70,9 +64,6 @@ class JetVar:
         return JetVar([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 0:
@@ -98,19 +89,11 @@ def jet_sqrt(s: JetVar) -> JetVar:
     return JetVar(out)
 
 
-@dataclass
-class JetSeries:
-    """Taylor coefficients c_p = (1/p!) d^p x/dt^p of the state trajectory,
-    each shaped like the state (components in the trailing axis)."""
-
-    coeffs: list
-    order: int
-
-
 def propagate(state, model, order):
     """Expand the trajectory of dx/dt = model(x) through `state` to the given
-    order. `state` has components along the trailing axis; all leading axes
-    are batch/grid axes evaluated simultaneously."""
+    order: a JetVar whose coefficients c_p = (1/p!) d^p x/dt^p are each
+    shaped like the state. `state` has components along the trailing axis;
+    all leading axes are batch/grid axes evaluated simultaneously."""
     if order < 1:
         raise ValueError(f"jet order must be >= 1, got {order}")
     state = T.as_tensor(state)
@@ -133,7 +116,7 @@ def propagate(state, model, order):
         if p + 1 < order:
             comps = [JetVar(cj.coeffs + [c[..., j]])
                      for j, cj in enumerate(comps)]
-    return JetSeries(coeffs=coeffs, order=order)
+    return JetVar(coeffs)
 
 
 class Projection:
@@ -147,7 +130,7 @@ class Projection:
         self.indices = list(indices) if indices is not None else None
 
 
-def visible_derivatives(jet: JetSeries, g: Projection):
+def visible_derivatives(jet: JetVar, g: Projection):
     """d^p g(x)/dt^p for p = 1..jet.order, each shaped (..., n_visible)."""
     order = jet.order
     if g.kind == "subset":

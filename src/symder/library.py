@@ -15,7 +15,7 @@ conversion of `physical_coefficients` and evaluation move between variables.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -217,6 +217,10 @@ class SymbolicModel:
     kind "complex": a single complex equation d psi/dt = i * sum theta_i f_i
     with real theta (purely imaginary coefficients; follows from the global
     phase symmetry of the wave presets).
+
+    theta is copied once and is then also the data of the tape leaf
+    `theta_t`, which the optimizer updates in place. Its shape must fit the
+    terms and, for the real kind, state_dim.
     """
 
     terms: list
@@ -228,16 +232,19 @@ class SymbolicModel:
     kind: str = "real"
     spatial_axes: tuple = ()
     grid_spacing: tuple = ()
-    theta_t: T.Tensor = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=np.float64)
+        self.theta = np.array(self.theta, dtype=np.float64)
         self.mask = np.asarray(self.mask, dtype=bool)
-        if self.theta.shape != self.mask.shape:
+        shape = ((len(self.terms),) if self.kind == "complex"
+                 else (self.state_dim, len(self.terms)))
+        if self.theta.shape != shape:
+            raise ValueError(
+                f"theta has shape {self.theta.shape}, not {shape}")
+        if self.mask.shape != shape:
             raise ValueError("theta and mask shapes differ")
         self.theta[~self.mask] = 0.0
-        if self.theta_t is None:
-            self.theta_t = T.Tensor(self.theta.copy(), requires_grad=True)
+        self.theta_t = T.Tensor(self.theta, requires_grad=True)
 
     # -- geometry -----------------------------------------------------------
     def geometry(self):
@@ -245,10 +252,6 @@ class SymbolicModel:
                         spacing=tuple(self.s_x * d for d in self.grid_spacing))
 
     # -- evaluation ---------------------------------------------------------
-    def sync(self):
-        """Push the master numpy coefficients into the tape leaf."""
-        self.theta_t.data = self.theta.copy()
-
     def masked_theta(self):
         return T.mul(self.theta_t, self.mask.astype(float))
 
@@ -289,7 +292,6 @@ class SymbolicModel:
         small = (np.abs(self.theta) < threshold) & self.mask
         self.mask &= ~small
         self.theta[~self.mask] = 0.0
-        self.sync()
         return int(small.sum())
 
     def active_terms(self):

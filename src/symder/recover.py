@@ -43,15 +43,16 @@ basin with a staged procedure built around a *free per-sample embedding*
                (fewer nonlinear terms) model.
 5. polish      cosine-decayed descent on the final support.
 
-The result is the trained model plus the embedding encoder; `distill` fits
-a conv encoder to the embedding for deployment-style reconstruction.
+`fit` leaves the trained model and the embedding encoder on the recovery;
+`distill` fits a conv encoder to the embedding for deployment-style
+reconstruction.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -105,15 +106,6 @@ class RecoveryConfig:
         total = w + rounds * r + b + p
         w, r, b = (self.steps * n // total for n in (w, r, b))
         return Schedule(w, rounds, r, b, self.steps - w - rounds * r - b)
-
-
-@dataclass
-class RecoveryResult:
-    model: object
-    encoder: object            # phase_embedding encoder holding the hidden series
-    history: list = field(default_factory=list)   # one row per descent step
-    events: list = field(default_factory=list)    # phase log messages
-    loss: float = float("nan")
 
 
 class EmbeddingRecovery:
@@ -174,7 +166,7 @@ class EmbeddingRecovery:
         if any(c and not self.model.mask[eq, index[k]]
                for eq, row in table.items() for k, c in row.items()):
             return False
-        self._set_theta(library.model_theta(self.model, table))
+        self.model.theta[...] = library.model_theta(self.model, table)
         return True
 
     def gauge_standardize(self):
@@ -273,19 +265,14 @@ class EmbeddingRecovery:
         return (self.model.theta.copy(), self.model.mask.copy(),
                 self.phi.data.copy())
 
-    def _set_theta(self, th):
-        self.model.theta[...] = th
-        self.model.theta_t.data[...] = th
-
     def _drop(self, terms):
         """Mask out and zero the given (equation, term) coefficients."""
         for e, j in terms:
             self.model.mask[e, j] = False
             self.model.theta[e, j] = 0.0
-        self.model.theta_t.data[...] = self.model.theta
 
     def _restore(self, snap):
-        self._set_theta(snap[0])
+        self.model.theta[...] = snap[0]
         self.model.mask[...] = snap[1]
         self.phi.data[...] = snap[2]
 
@@ -328,6 +315,9 @@ class EmbeddingRecovery:
     # --------------------------------------------------------------- routine
 
     def fit(self):
+        """Run the staged schedule and return the final loss. The trained
+        model, the embedding encoder `emb`, the per-step `history` and the
+        phase `events` are read off the recovery."""
         cfg, sched = self.cfg, self.cfg.schedule
         t0 = time.time()
         self.model.mask[...] = True
@@ -336,14 +326,14 @@ class EmbeddingRecovery:
             f"warmup: loss {loss:.4g} t {time.time() - t0:.0f}s")
         for rd in range(sched.gauge_rounds):
             self.gauge_orthogonalize()
-            self._set_theta(self.ls_fit(self.model.mask))
+            self.model.theta[...] = self.ls_fit(self.model.mask)
             loss = self.run(sched.round_steps, pin=False)
             self.events.append(
                 f"round {rd}: loss {loss:.4g} t {time.time() - t0:.0f}s")
         self.gauge_orthogonalize()
         mask = self.stlsq()
         self.model.mask[...] = mask
-        self._set_theta(self.ls_fit(mask))
+        self.model.theta[...] = self.ls_fit(mask)
         baseline = self.run(sched.baseline_steps)
         self.events.append(
             f"support: {int(mask.sum())} active, loss {baseline:.4g} "
@@ -353,7 +343,7 @@ class EmbeddingRecovery:
         # refit + polish on the final support, kept only when they help
         baseline = float(self.loss_fn()[0].data)
         snap = self._snapshot()
-        self._set_theta(self.ls_fit(self.model.mask))
+        self.model.theta[...] = self.ls_fit(self.model.mask)
         loss = self.run(sched.polish_steps)
         if loss > baseline:
             self._restore(snap)
@@ -361,9 +351,7 @@ class EmbeddingRecovery:
         self.events.append(
             f"polish: loss {loss:.4g} active {int(self.model.mask.sum())} "
             f"t {time.time() - t0:.0f}s")
-        return RecoveryResult(model=self.model, encoder=self.emb,
-                              history=self.history, events=self.events,
-                              loss=loss)
+        return loss
 
 
 def distill(recovery: EmbeddingRecovery, width):

@@ -37,9 +37,9 @@ class Tensor:
     """A dense real64 array plus optional tape participation.
 
     Immutable by convention after creation, except for leaf parameters whose
-    ``data`` the optimizer replaces between training steps. A Tensor that
-    requires no gradient keeps the patch matrices convolutions build from
-    it in ``_patches``.
+    ``data`` the optimizer writes in place between training steps. A Tensor
+    that requires no gradient keeps the patch matrices convolutions build
+    from it in ``_patches``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_op",
@@ -565,8 +565,8 @@ def conv3d(x, w, *, b=None, tanh=False):
 def backward(loss):
     """Reverse-mode sweep from a real scalar loss.
 
-    Accumulates ``.grad`` on every tensor with requires_grad reachable from
-    `loss` and returns {id(tensor): grad} for the leaves.
+    Accumulates ``.grad`` on every leaf with requires_grad reachable from
+    `loss`; returns None.
 
     A graph is swept once: each node drops its VJPs, and with them the
     arrays they saved, as soon as they have run, and the sweep drops its own
@@ -600,7 +600,6 @@ def backward(loss):
                 stack.append((parent, False))
 
     grads = {id(loss): np.ones_like(loss.data)}
-    leaves = {}
     # popping walks the reverse topological order and releases each node
     while order:
         node = order.pop()
@@ -609,7 +608,6 @@ def backward(loss):
             continue
         if not node._parents:
             node.grad = g if node.grad is None else node.grad + g
-            leaves[id(node)] = node.grad
             continue
         for parent, vjp in node._parents:
             if not parent.requires_grad:
@@ -620,7 +618,6 @@ def backward(loss):
             else:
                 grads[id(parent)] = contrib
         node._parents = ()
-    return leaves
 
 
 # ---------------------------------------------------------------------------

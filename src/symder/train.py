@@ -50,7 +50,9 @@ class GradientOptimizer:
     One update runs over all parameters as one flat vector: the values
     and gradients are gathered each step, so in-place writes to a
     parameter's data between steps count, and a missing gradient is zero.
-    Each parameter's data is then a view into the updated vector."""
+    The updated values are written back into each parameter's own array,
+    so arrays that share its memory (such as `SymbolicModel.theta`) see
+    them."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-16
 
@@ -83,7 +85,7 @@ class GradientOptimizer:
         shat = self.s / bc2
         x = x - self.lr * mhat / (np.sqrt(shat) + self.eps)
         for p, lo, hi in zip(self.params, self.bounds, self.bounds[1:]):
-            p.data = x[lo:hi].reshape(p.shape)
+            p.data[...] = x[lo:hi].reshape(p.shape)
 
 
 class Problem:
@@ -242,7 +244,6 @@ def default_model(preset, seed=0):
     rng = np.random.default_rng(seed)
     model.theta[...] = rng.uniform(-init_scale, init_scale, model.theta.shape)
     model.theta[~model.mask] = 0.0
-    model.sync()
     return model
 
 
@@ -290,7 +291,7 @@ def descend(opt, losses, steps, lr, model=None, before=None, after=None,
     yields `(value, parts)` (see `backpropagated`). A loss that is not
     finite or exceeds `limit` raises TrainingDiverged before the optimizer
     step. After the step the coefficients of `model` (if given) are
-    re-masked and copied to its master array, `after(step, value)` runs,
+    re-masked, `after(step, value)` runs,
     and one HISTORY_FIELDS row is appended to `history`, numbered on from
     its length. Returns `history`.
     """
@@ -304,8 +305,7 @@ def descend(opt, losses, steps, lr, model=None, before=None, after=None,
         check_loss(value, step, limit)
         opt.step()
         if model is not None:
-            model.theta_t.data[~model.mask] = 0.0
-            model.theta[...] = model.theta_t.data
+            model.theta[~model.mask] = 0.0
         if after is not None:
             after(step, value)
         history.append({

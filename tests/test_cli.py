@@ -4,7 +4,7 @@ import platform
 import numpy as np
 import pytest
 
-from symder import cli, datagen, train
+from symder import cli, datagen, encoders, train
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +451,80 @@ def test_bad_value_exits_1(workspace, pde_data, short_data, tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert key in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def misfits(workspace, pde_data, short_data, tmp_path_factory):
+    """Datasets and runs that do not fit each other, by name."""
+    root = tmp_path_factory.mktemp("misfits")
+    paths = {"lorenz": workspace / "data", "pde": pde_data,
+             "short": short_data, "lorenz_conv": workspace / "run"}
+    for n_time in (240, 60):
+        paths[f"lorenz_{n_time}"] = root / f"lorenz_{n_time}"
+        assert cli.main(["generate", "--preset", "lorenz", "--out",
+                         str(paths[f"lorenz_{n_time}"]), "--n-time",
+                         str(n_time)]) == 0
+    for name, data, width in (("lorenz_emb", workspace / "data", "0"),
+                              ("pde_run", pde_data, "8")):
+        paths[name] = root / name
+        assert cli.main(["train", "--data", str(data), "--out",
+                         str(paths[name]), "--steps", "20",
+                         "--width", width]) == 0
+    # the conv run's model with an encoder that reads one visible channel
+    one = paths["lorenz_1ch"] = root / "lorenz_1ch"
+    one.mkdir()
+    (one / "model.json").write_bytes((workspace / "run" / "model.json")
+                                     .read_bytes())
+    encoders.save_checkpoint(
+        encoders.Encoder(encoders.ode_encoder_spec(n_visible=1, width=8)),
+        one / "encoder.ckpt")
+    return paths
+
+
+@pytest.mark.parametrize("cmd,data,run,says", [
+    ("eval", "pde", "lorenz_conv", "state size ('real', 3)"),
+    ("predict", "lorenz", "pde_run", "state size ('real', 2)"),
+    ("eval", "lorenz_240", "lorenz_emb", "(120,), the dataset's (240,)"),
+    ("eval", "lorenz_60", "lorenz_emb", "series (120,)"),
+    ("eval", "short", "lorenz_emb", "series (120,)"),
+    ("eval", "short", "lorenz_conv", "too short"),
+    ("eval", "lorenz", "lorenz_1ch", "visible channels 1, the dataset's 2"),
+])
+def test_run_that_does_not_fit_the_data_exits_1(misfits, capsys, cmd, data,
+                                                run, says):
+    """eval and predict refuse a run trained for other data in one line:
+    another system, another series length, a series too short to score."""
+    capsys.readouterr()
+    assert cli.main([cmd, "--data", str(misfits[data]),
+                     "--run", str(misfits[run])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert says in err and "Traceback" not in err
+
+
+def _drop_term_spec(run):
+    doc = json.loads((run / "model.json").read_text())
+    doc["term_spec"].pop()
+    (run / "model.json").write_text(json.dumps(doc))
+
+
+def _state_dim_2(run):
+    doc = json.loads((run / "model.json").read_text())
+    doc["state_dim"] = 2
+    (run / "model.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("damage", [_drop_term_spec, _state_dim_2])
+def test_inconsistent_model_exits_3(workspace, tmp_path, capsys, damage):
+    data, run = _copy_workspace(workspace, tmp_path)
+    (run / "report.json").unlink(missing_ok=True)
+    damage(run)
+    capsys.readouterr()
+    assert cli.main(["eval", "--data", str(data), "--run", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt model file"), err
+    assert err.count("\n") == 1 and "theta has shape" in err, err
+    assert not (run / "report.json").exists()
 
 
 def test_keep_freed_heap_takes_on_glibc_only():

@@ -65,7 +65,6 @@ def test_pattern_detects_spurious_and_missing(lorenz_ds, lorenz_oracle):
     m2.theta[0, uu] = 0.5
     uv = [i for i, t in enumerate(m2.terms) if t.name == "u*v"][0]
     m2.theta[2, uv] = 0.0
-    m2.sync()
     cmp = evaluate.compare_equations(m2, lorenz_ds, align)
     assert not cmp["pattern_match"]
     assert (0, ("mono", (2, 0, 0))) in cmp["spurious"]
@@ -77,7 +76,6 @@ def test_normalized_table_threshold_masks_noise(lorenz_ds, lorenz_oracle):
     m2 = library.SymbolicModel.from_json(model.to_json())
     vv = [i for i, t in enumerate(m2.terms) if t.name == "v^2"][0]
     m2.theta[1, vv] = 1e-4   # below the pattern threshold
-    m2.sync()
     cmp = evaluate.compare_equations(m2, lorenz_ds, align)
     assert cmp["pattern_match"]
 
@@ -118,7 +116,6 @@ def test_prediction_horizon_bad_model(lorenz_ds, lorenz_oracle):
     model, enc, align = lorenz_oracle
     m2 = library.SymbolicModel.from_json(model.to_json())
     m2.theta *= -3.0
-    m2.sync()
     horizon = evaluate.prediction_horizon(m2, lorenz_ds, align, enc.hidden[0])
     assert horizon < 0.5
 
@@ -133,7 +130,6 @@ def test_blow_up_ends_cleanly(lorenz_ds, lorenz_oracle):
     m2 = library.SymbolicModel.from_json(model.to_json())
     uu = [i for i, t in enumerate(m2.terms) if t.name == "u^2"][0]
     m2.theta[0, uu] = 1e6
-    m2.sync()
     horizon = evaluate.prediction_horizon(m2, lorenz_ds, align, enc.hidden[0])
     assert horizon == 0.0
 
@@ -156,7 +152,6 @@ def test_nlse_truth_table_roundtrip():
     model = train.default_model(ds.preset, seed=0)
     truth_n = evaluate.truth_normalized_table(ds, model)
     model.theta[...] = library.model_theta(model, truth_n)
-    model.sync()
     align = evaluate.Alignment(a=np.ones(1), b=np.zeros(1),
                                rel_error=np.zeros(1))
     cmp = evaluate.compare_equations(model, ds, align)
@@ -170,7 +165,8 @@ def test_staged_run_scored_on_its_training_window():
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
                                     recover.RecoveryConfig(20))
-    enc = rec.fit().encoder
+    rec.fit()
+    enc = rec.emb
     n = ds.visible.shape[0]
     res = evaluate.evaluate_run(ds, rec.model, enc)
     assert (res["lo"], res["hi"]) == (rec.prob.lo, rec.prob.hi) == (2, n - 2)

@@ -141,7 +141,6 @@ def lorenz_model():
     m.theta[1, idx["u"]], m.theta[1, idx["v"]] = 28.0, -1.0
     m.theta[1, idx["u*w"]] = -1.0
     m.theta[2, idx["u*v"]], m.theta[2, idx["w"]] = 1.0, -8.0 / 3.0
-    m.sync()
     return m
 
 
@@ -151,20 +150,17 @@ def random_models(seed=0):
     for name in ("rossler", "lorenz"):
         m = lib.ode_library(s_t=1.0)
         m.theta[:] = rng.uniform(-0.6, 0.6, m.theta.shape)
-        m.sync()
         state = rng.uniform(-0.8, 0.8, (3,))
         out.append((name, m, state))
     for name in ("diffusion_source", "diffusive_lv"):
         m = lib.pde_library(dx=1.0, dy=1.0, s_t=1.0, s_x=1.0)
         m.theta[:] = rng.uniform(-0.4, 0.4, m.theta.shape)
-        m.sync()
         state = rng.uniform(-0.5, 0.5, (8, 8, 2))
         out.append((name, m, state))
     m = lib.nlse_library(dx=0.5, s_t=1.0)
     m.theta[:] = rng.uniform(-0.3, 0.3, m.theta.shape)
     # high-order stencils amplify; keep them mild for the oracle comparison
     m.theta[2:4] *= 0.1
-    m.sync()
     x = np.arange(16) * 0.5
     psi = (1.0 + 0.2 * np.cos(2 * np.pi * x / 8.0)) * \
         np.exp(1j * 0.3 * np.sin(2 * np.pi * x / 8.0))
@@ -294,7 +290,6 @@ def test_global_phase_modulus_invariant():
     m = lib.nlse_library(dx=0.5, s_t=1.0)
     m.theta[:] = 0.0
     m.theta[4] = 1.0  # |psi|^2 psi
-    m.sync()
     x = np.arange(16) * 0.5
     phi = 0.4 * np.sin(2 * np.pi * x / 8.0)
     state = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
@@ -306,7 +301,6 @@ def test_global_phase_modulus_invariant():
 def test_modulus_guard():
     m = lib.nlse_library(dx=0.5, s_t=1.0)
     m.theta[4] = 1.0
-    m.sync()
     state = np.zeros((8, 2))
     state[:, 0] = 1.0
     state[3, 0] = 0.0  # zero-modulus grid point
@@ -324,33 +318,32 @@ def test_order_validation():
 def test_gradients_wrt_theta_and_state():
     m = lorenz_model()
     m.theta *= 0.05  # keep higher derivatives tame for FD
-    m.sync()
+    base = m.theta.copy()
     state_data = np.array([0.3, -0.2, 0.5])
     rng = np.random.default_rng(7)
     w2 = rng.standard_normal(3)
 
     def loss_value(theta, sdata):
-        m.theta_t.data = theta
+        m.theta_t.data[...] = theta
         st = T.Tensor(sdata, requires_grad=True)
         jet = jets.propagate(st, m, order=2)
         return st, T.tsum(T.mul(jet.coeffs[2], w2))
 
-    st, loss = loss_value(m.theta.copy(), state_data)
+    st, loss = loss_value(base, state_data)
     T.backward(loss)
     gtheta = m.theta_t.grad.copy()
     gstate = st.grad.copy()
 
     step = 1e-6
     for (j, i) in [(0, 1), (1, 3), (2, 5), (1, 6)]:
-        tp = m.theta.copy(); tp[j, i] += step
-        tm = m.theta.copy(); tm[j, i] -= step
+        tp = base.copy(); tp[j, i] += step
+        tm = base.copy(); tm[j, i] -= step
         num = (float(loss_value(tp, state_data)[1].data)
                - float(loss_value(tm, state_data)[1].data)) / (2 * step)
         assert abs(gtheta[j, i] - num) <= 1e-5 * max(1.0, abs(num))
-    m.theta_t.data = m.theta.copy()
     for k in range(3):
         sp = state_data.copy(); sp[k] += step
         sm = state_data.copy(); sm[k] -= step
-        num = (float(loss_value(m.theta.copy(), sp)[1].data)
-               - float(loss_value(m.theta.copy(), sm)[1].data)) / (2 * step)
+        num = (float(loss_value(base, sp)[1].data)
+               - float(loss_value(base, sm)[1].data)) / (2 * step)
         assert abs(gstate[k] - num) <= 1e-5 * max(1.0, abs(num))

@@ -23,7 +23,6 @@ def norm_record(mean, std, dt):
 def test_zero_model_evaluates_to_zero():
     m = lib.ode_library()
     m.theta[:] = 0.0
-    m.sync()
     out = rhs(m, np.ones((5, 3)))
     np.testing.assert_array_equal(out.data, 0.0)
 
@@ -34,7 +33,6 @@ def test_rossler_first_component():
     names = [t.name for t in m.terms]
     m.theta[0, names.index("v")] = -1.0
     m.theta[0, names.index("w")] = -1.0
-    m.sync()
     out = rhs(m, np.array([1.0, 2.0, 3.0]))
     assert out.data[0] == -5.0
 
@@ -45,7 +43,6 @@ def test_laplacian_of_constant_field_is_zero():
     m.theta[:] = 0.0
     m.theta[0, names.index("dxx(u)")] = 0.1
     m.theta[0, names.index("dyy(u)")] = 0.1
-    m.sync()
     state = np.full((4, 8, 8, 2), 2.3)
     out = rhs(m, state)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-14)
@@ -65,8 +62,6 @@ def test_linearity_in_theta():
     t1 = rng.standard_normal(m1.theta.shape)
     t2 = rng.standard_normal(m1.theta.shape)
     m1.theta[:], m2.theta[:], m12.theta[:] = t1, t2, t1 + t2
-    for m in (m1, m2, m12):
-        m.sync()
     state = rng.standard_normal((7, 3))
     np.testing.assert_allclose(rhs(m12, state).data,
                                rhs(m1, state).data + rhs(m2, state).data,
@@ -79,7 +74,6 @@ def test_sparsify_threshold_and_counts():
     m.theta[0, 0], m.theta[0, 1] = 0.5, 5e-4
     m.mask[:] = False
     m.mask[0, :2] = True
-    m.sync()
     n = m.sparsify(1e-3)
     assert n == 1
     assert m.theta[0, 1] == 0.0 and m.theta[0, 0] == 0.5
@@ -92,7 +86,6 @@ def test_sparsify_noop_and_idempotent():
     m.theta[0, :3] = [0.5, -0.7, 0.2]
     m.mask[:] = False
     m.mask[0, :3] = True
-    m.sync()
     assert m.sparsify(0.1) == 0
     assert m.sparsify(0.1) == 0  # idempotent at fixed threshold
     # all-zero masked coefficients: nothing newly zeroed
@@ -108,7 +101,6 @@ def test_masked_coefficients_get_zero_gradient():
     m.theta[:] = rng.standard_normal(m.theta.shape)
     m.mask[:, ::2] = False
     m.theta[~m.mask] = 0.0
-    m.sync()
     state = T.Tensor(rng.standard_normal((6, 3)))
     loss = T.tsum(T.square(rhs(m, state)))
     T.backward(loss)
@@ -124,7 +116,6 @@ def test_masked_never_revive():
     m.theta[:] = 1.0
     m.sparsify(2.0)  # masks everything
     m.theta[:] = 5.0  # even large values stay masked
-    m.sync()
     assert m.sparsify(1e-3) == 0
     assert m.active_terms() == 0
     out = rhs(m, np.ones(3))
@@ -140,7 +131,6 @@ def test_json_roundtrip_exact():
         m.theta[:] = rng.standard_normal(m.theta.shape)
         m.mask.flat[::3] = False
         m.theta[~m.mask] = 0.0
-        m.sync()
         m2 = lib.SymbolicModel.from_json(m.to_json())
         np.testing.assert_array_equal(m.theta, m2.theta)
         np.testing.assert_array_equal(m.mask, m2.mask)
@@ -151,6 +141,39 @@ def test_json_roundtrip_exact():
         json.loads(m.to_json())  # valid JSON document
 
 
+def test_theta_is_one_array_from_json_on():
+    m = lib.ode_library()
+    m.theta[:] = np.random.default_rng(4).standard_normal(m.theta.shape)
+    m.mask[0, 1:4] = False
+    m2 = lib.SymbolicModel.from_json(m.to_json())
+    assert np.shares_memory(m2.theta, m2.theta_t.data)
+    np.testing.assert_array_equal(m2.theta[~m2.mask], 0.0)
+    m2.theta[1, 2] = 7.0
+    assert m2.theta_t.data[1, 2] == 7.0
+
+
+def test_models_built_from_one_array_share_no_memory():
+    theta = np.ones((3, 10))
+    m1, m2 = (lib.SymbolicModel(terms=lib.monomial_terms(3), theta=theta,
+                                mask=np.ones((3, 10), dtype=bool),
+                                state_dim=3) for _ in range(2))
+    for a in (m1.theta, m1.theta_t.data):
+        for b in (theta, m2.theta, m2.theta_t.data):
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("kind,theta,state_dim", [
+    ("real", np.zeros((3, 9)), 3),     # one term short
+    ("real", np.zeros((3, 10)), 2),    # state_dim disagrees
+    ("complex", np.zeros((2, 10)), 2),
+])
+def test_theta_shape_must_fit_terms_and_state(kind, theta, state_dim):
+    with pytest.raises(ValueError, match="theta has shape"):
+        lib.SymbolicModel(terms=lib.monomial_terms(3), theta=theta,
+                          mask=np.ones(theta.shape, dtype=bool),
+                          state_dim=state_dim, kind=kind)
+
+
 def test_physical_coefficients_pure_time_scale():
     m = lib.ode_library(s_t=10.0)
     names = [t.name for t in m.terms]
@@ -159,7 +182,6 @@ def test_physical_coefficients_pure_time_scale():
     i = names.index("u")
     m.theta[0, i] = 2.84
     m.mask[0, i] = True
-    m.sync()
     norm = norm_record([0, 0, 0], [1, 1, 1], dt=1.0)
     table = lib.physical_coefficients(m, norm)
     assert table[0][("mono", (1, 0, 0))] == pytest.approx(0.284, rel=1e-12)
@@ -169,14 +191,12 @@ def test_physical_coefficients_stencil_and_field_scales():
     # stencils act at spacing s_x * dx: an order-p term divides by s_x^p
     m = lib.pde_library(dx=0.5, dy=0.5, s_t=10.0, s_x=2.0)
     m.theta[0, [t.name for t in m.terms].index("dxx(u)")] = 3.0
-    m.sync()
     table = lib.physical_coefficients(m, norm_record([0, 0], [1, 1], dt=0.1))
     assert table[0][("deriv", 0, (2, 0))] == pytest.approx(3.0 / 1.0 / 4.0)
     # psi was divided by std, so |psi|^q psi picks up std^-q
     m = lib.nlse_library(dx=0.3, s_t=10.0)
     m.theta[[t.name for t in m.terms].index("|psi|^2*psi")] = 3.0
     m.theta[[t.name for t in m.terms].index("dx^2(psi)")] = 5.0
-    m.sync()
     table = lib.physical_coefficients(m, norm_record([0], [2.0], dt=0.1))
     assert table[0][("wave_nonlin", 2)] == pytest.approx(3.0 / 1.0 / 4.0)
     assert table[0][("wave_deriv", 2)] == pytest.approx(5.0 / 1.0)
@@ -186,7 +206,6 @@ def test_physical_coefficients_identity():
     rng = np.random.default_rng(3)
     m = lib.ode_library(s_t=1.0)
     m.theta[:] = rng.standard_normal(m.theta.shape)
-    m.sync()
     norm = norm_record([0, 0, 0], [1, 1, 1], dt=1.0)
     table = lib.physical_coefficients(m, norm)
     for j in range(3):
@@ -209,10 +228,8 @@ def test_time_rescale_invariance():
     lam = 3.7
     m1 = lib.ode_library(s_t=10.0)
     m1.theta[:] = theta
-    m1.sync()
     m2 = lib.ode_library(s_t=10.0 * lam)
     m2.theta[:] = theta * lam
-    m2.sync()
     t1 = lib.physical_coefficients(m1, norm)
     t2 = lib.physical_coefficients(m2, norm)
     for j in t1:
@@ -235,7 +252,6 @@ def test_physical_coefficients_undo_normalization():
                           mask=np.ones((2, 6), dtype=bool), s_t=s_t,
                           state_dim=2)
     m.theta[...] = lib.model_theta(m, fwd)
-    m.sync()
     table = lib.physical_coefficients(m, norm_record(mean, std, dt))
     for j in truth:
         for key, c in table[j].items():
@@ -389,7 +405,6 @@ def _oracle_model(kind, rng):
         m.mask[1:-1, 4] = False        # one partly masked term
         m.mask[1:, 2] = False          # one term masked everywhere
     m.theta[~m.mask] = 0.0
-    m.sync()
     return m, shape
 
 

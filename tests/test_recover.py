@@ -42,21 +42,29 @@ def test_budget_split_is_exact(steps):
 
 def test_fit_writes_one_history_row_per_step(lorenz_ds):
     rec = _recovery(lorenz_ds, 12)
-    res = rec.fit()
-    assert [row["step"] for row in res.history] == list(range(12))
-    for row in res.history:
+    rec.fit()
+    assert [row["step"] for row in rec.history] == list(range(12))
+    for row in rec.history:
         assert list(row) == train.HISTORY_FIELDS
         # staged loss = both derivative orders (unit weights) + hidden residual
         assert row["total_loss"] == pytest.approx(
             row["loss_p1"] + row["loss_p2"] + row["reg"], rel=1e-12)
         assert row["reg"] > 0.0
-    assert res.events[-1].startswith("polish")
+    assert rec.events[-1].startswith("polish")
+
+
+def test_fit_keeps_theta_in_its_tape_leaf(lorenz_ds):
+    rec = _recovery(lorenz_ds, 12)
+    rec.fit()
+    m = rec.model
+    assert np.shares_memory(m.theta, m.theta_t.data)
+    assert not m.mask.all()
+    np.testing.assert_array_equal(m.theta[~m.mask], 0.0)
 
 
 def test_fit_raises_on_divergence(lorenz_ds):
     rec = _recovery(lorenz_ds, 12)
     rec.model.theta[...] = 1e6
-    rec.model.sync()
     with pytest.raises(train.TrainingDiverged):
         rec.fit()
 
@@ -80,21 +88,21 @@ def test_diverging_trial_is_rejected(lorenz_ds, monkeypatch):
         return run(nsteps, lr0=lr0, **kw)
 
     rec.run = run_first_trial_hot
-    res = rec.fit()
+    loss = rec.fit()
     assert diverged == [recover.TRIAL_STEPS]
-    assert np.isfinite(res.loss)
-    assert res.events[-1].startswith("polish")
+    assert np.isfinite(loss)
+    assert rec.events[-1].startswith("polish")
     assert np.all(np.isfinite(rec.model.theta))
 
 
 def test_distill_logs_event(lorenz_ds, monkeypatch):
     monkeypatch.setattr(recover, "DISTILL_STEPS", 5)
     rec = _recovery(lorenz_ds, 10)
-    res = rec.fit()
-    n_rows = len(res.history)
+    rec.fit()
+    n_rows = len(rec.history)
     recover.distill(rec, 8)
     assert rec.events[-1].startswith("distill: loss ")
-    assert len(res.history) == n_rows
+    assert len(rec.history) == n_rows
 
 
 def test_loss_fn_matches_two_pass_formula(lorenz_ds):
@@ -166,7 +174,6 @@ def test_gauge_keeps_derivative_losses(lorenz_ds, gauge, support):
         rec.model.mask[...] = (_degree(rec) <= 1)[None, :]
     rec.model.theta[...] = rng.normal(0.0, 0.5, rec.model.theta.shape)
     rec.model.theta[~rec.model.mask] = 0.0
-    rec.model.sync()
     before = rec.loss_fn()[1]
     sd = float(rec.phi.data[rec.prob.lo:rec.prob.hi].std())
     getattr(rec, gauge)()
@@ -192,7 +199,6 @@ def test_gauge_keeps_fit_on_mask_without_shift_targets():
     for name in ("u", "v"):
         rec.model.mask[:, rec.names.index(name)] = False
     rec.model.theta[~rec.model.mask] = 0.0
-    rec.model.sync()
     before = rec.loss_fn()[1]
     assert (before["loss_p1"], before["loss_p2"]) == pytest.approx(
         (1.2748, 1.2592), abs=5e-5)

@@ -159,7 +159,6 @@ def test_fit_zero_steps(lorenz_ds):
 def test_fit_divergence_guard(lorenz_ds):
     prob = small_problem(lorenz_ds)
     prob.model.theta[...] = 1e6
-    prob.model.sync()
     with pytest.raises(train.TrainingDiverged):
         train.fit(prob, train.TrainConfig(steps=5))
 
@@ -174,6 +173,16 @@ def test_sparsify_keeps_masked_zero(lorenz_ds):
     np.testing.assert_array_equal(m.theta[~m.mask], 0.0)
     np.testing.assert_array_equal(m.theta_t.data[~m.mask], 0.0)
     assert m.theta.shape == m.mask.shape
+
+
+def test_fit_step_with_sparsify_keeps_theta_in_its_tape_leaf(lorenz_ds):
+    prob = small_problem(lorenz_ds)
+    train.fit(prob, train.TrainConfig(steps=1, sparsify_every=1,
+                                      theta_threshold=0.05))
+    m = prob.model
+    assert np.shares_memory(m.theta, m.theta_t.data)
+    assert not m.mask.all()
+    np.testing.assert_array_equal(m.theta[~m.mask], 0.0)
 
 
 def test_save_run_roundtrip(lorenz_ds, tmp_path):
@@ -263,7 +272,6 @@ def wave_problem(phase, dt, beta, theta=None):
     model = library.nlse_library(dx=preset.spacing[0])
     if theta is not None:
         model.theta[:] = theta
-        model.sync()
     enc = encoders.Encoder(encoders.phase_embedding_spec(phase.shape))
     enc.params["phi"].data[...] = phase
     return train.Problem(ds, model, enc, beta=beta)
@@ -394,7 +402,6 @@ def oracle_setup(ds):
     normed = library.change_variables(phys, np.diag(alpha), gamma,
                                       time=model.s_t * ds.norm.dt)
     model.theta[...] = library.model_theta(model, normed)
-    model.sync()
     hidden_norm = (hid - h_mean) / h_std
     return model, OracleEncoder(hidden_norm)
 
