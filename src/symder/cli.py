@@ -151,9 +151,13 @@ def load_dataset(path):
 
 
 def load_run(run_dir):
+    """(model, encoder, record) of a run. The record holds what config.json
+    says of the data the run was trained on, `preset` and `data_seed`, as
+    far as it says it: it is empty for a run without config.json."""
     run_dir = Path(run_dir)
     model_path = run_dir / "model.json"
     ckpt_path = run_dir / "encoder.ckpt"
+    config_path = run_dir / "config.json"
     for p in (model_path, ckpt_path):
         if not p.exists():
             raise CliError(f"run artifact not found: {p}", EXIT_MISSING)
@@ -165,7 +169,13 @@ def load_run(run_dir):
         encoder = encoders.load_checkpoint(ckpt_path)
     except encoders.CheckpointError as e:
         raise CliError(str(e), EXIT_CORRUPT)
-    return model, encoder
+    try:
+        doc = json.loads(config_path.read_text()) if config_path.exists() \
+            else {}
+        record = {k: doc[k] for k in ("preset", "data_seed") if k in doc}
+    except (TypeError, ValueError) as e:
+        raise CliError(f"corrupt run config {config_path}: {e}", EXIT_CORRUPT)
+    return model, encoder, record
 
 
 # -- subcommands --------------------------------------------------------------
@@ -242,18 +252,19 @@ def _train_staged(args, ds, cfg):
     Elimination trials add history rows beyond the budget. `lr` is the
     recovery's peak rate (warmup runs at half of it). A `width` above 0
     additionally distills the embedding into a temporal-conv encoder of
-    that width in `recover.DISTILL_STEPS` further steps, which write no
-    history rows; that encoder is then the one saved."""
+    that width by least squares, in `recover.DISTILL_SOLVES` damped
+    Gauss-Newton solves, which write no history rows; that encoder is then
+    the one saved."""
     rcfg = recover.RecoveryConfig(cfg["steps"], lr=cfg["lr"], seed=args.seed)
     rec = recover.EmbeddingRecovery(
         ds, train.default_model(ds.preset, seed=args.seed), rcfg)
     width = cfg["width"] or None
     loss = rec.fit()
     enc = recover.distill(rec, width) if width else rec.emb
-    train.save_run(args.out, rec.model, enc, rec.history,
+    train.save_run(args.out, ds, rec.model, enc, rec.history,
                    {"pipeline": "staged", "steps": cfg["steps"],
                     "distill_width": width,
-                    "distill_steps": recover.DISTILL_STEPS if width else 0,
+                    "distill_solves": recover.DISTILL_SOLVES if width else 0,
                     "recovery": {**rcfg.schedule._asdict(), "lr": rcfg.lr,
                                  "eliminate": rcfg.eliminate,
                                  "seed": rcfg.seed},
@@ -263,20 +274,27 @@ def _train_staged(args, ds, cfg):
     return EXIT_OK
 
 
-def _evaluate_run(args, ds, model, encoder):
+def _evaluate_run(args, ds, model, encoder, record):
     """`evaluate.evaluate_run` for eval and predict. A run that does not fit
     the dataset (a model of another kind or state size than the preset's,
     a conv encoder of other visible channels, a per-sample embedding of
-    another series), or a series too short to score, raises CliError."""
+    another series; a run whose record names another preset, or, for a
+    per-sample embedding, another dataset seed), or a series too short to
+    score, raises CliError."""
     vis, spec = ds.visible.shape, encoder.spec
     embeds = spec.kind == "phase_embedding"
-    for what, have, want in (
-            ("model kind and state size", (model.kind, model.state_dim),
-             ("complex" if ds.preset.kind == "nlse" else "real",
-              ds.preset.state_dim)),
-            ("embedded series" if embeds else "visible channels",
-             spec.shape[:len(vis) - 1] if embeds else spec.n_visible,
-             vis[:-1] if embeds else vis[-1])):
+    checks = [
+        ("model kind and state size", (model.kind, model.state_dim),
+         ("complex" if ds.preset.kind == "nlse" else "real",
+          ds.preset.state_dim)),
+        ("embedded series" if embeds else "visible channels",
+         spec.shape[:len(vis) - 1] if embeds else spec.n_visible,
+         vis[:-1] if embeds else vis[-1]),
+        ("preset", record.get("preset", ds.preset.name), ds.preset.name)]
+    if embeds:
+        checks.append(("data seed", record.get("data_seed", ds.seed),
+                       ds.seed))
+    for what, have, want in checks:
         if have != want:
             raise CliError(f"run {args.run} does not fit {args.data}: "
                            f"{what} {have}, the dataset's {want}")
@@ -288,8 +306,8 @@ def _evaluate_run(args, ds, model, encoder):
 
 def cmd_eval(args):
     ds = load_dataset(args.data)
-    model, encoder = load_run(args.run)
-    res = _evaluate_run(args, ds, model, encoder)
+    model, encoder, record = load_run(args.run)
+    res = _evaluate_run(args, ds, model, encoder, record)
     extra = {}
     if "phase_error" in res:
         extra = {"phase_error": res["phase_error"],
@@ -307,10 +325,10 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     ds = load_dataset(args.data)
-    model, encoder = load_run(args.run)
+    model, encoder, record = load_run(args.run)
     if ds.preset.kind != "ode":
         raise CliError("predict supports the ODE presets only", EXIT_FAIL)
-    res = _evaluate_run(args, ds, model, encoder)
+    res = _evaluate_run(args, ds, model, encoder, record)
     start = args.start - res["lo"]
     if start < 0 or start >= res["hidden_estimate"].shape[0]:
         raise CliError(f"--start must be in [{res['lo']}, {res['hi']})",

@@ -45,22 +45,20 @@ basin with a staged procedure built around a *free per-sample embedding*
 
 `fit` leaves the trained model and the embedding encoder on the recovery;
 `distill` fits a conv encoder to the embedding for deployment-style
-reconstruction.
+reconstruction, by Levenberg-Marquardt on normal equations built in closed
+form.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import encoders, fd, library
-from . import tensor as T
 from . import train as training
-from .tensor import square, tmean
 
 
 class Schedule(NamedTuple):
@@ -81,9 +79,10 @@ TRIAL_STEPS = 3000       # descent steps of one elimination trial
 PIN_EVERY = 200          # descent re-standardizes w every PIN_EVERY steps
 STLSQ_THRESHOLD = 0.05   # STLSQ drops nonlinear terms below this
 GATE = 1.5               # accept a pruning if its loss <= GATE * baseline
-# conv-fit steps and peak rate of `distill`, on top of the descent budget
-DISTILL_STEPS = 3000
-DISTILL_LR = 3e-3
+# damped Gauss-Newton solves of `distill`, on top of the descent budget, and
+# the time samples per block of the Jacobian it builds its normal equations from
+DISTILL_SOLVES = 60
+DISTILL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -354,32 +353,115 @@ class EmbeddingRecovery:
         return loss
 
 
+def conv_patches(visible, kernel):
+    """The patch matrix of a series (n, channels) for a temporal conv of the
+    given kernel: row t holds visible[t:t + kernel], in the row order of
+    the first conv weight reshaped to (kernel * channels, width)."""
+    win = np.lib.stride_tricks.sliding_window_view(visible, kernel, axis=0)
+    return win.transpose(0, 2, 1).reshape(win.shape[0], -1)
+
+
+def conv_forward(params, patches):
+    """A temporal-conv encoder of kernels (K, 1, 1) on the patch matrix of
+    its input, from its parameters as arrays in `Encoder.parameters()`
+    order: the two tanh layers' activations h1 and h2, and the output y."""
+    w0, b0, w1, b1, w2, b2 = params
+    h1 = np.tanh(patches @ w0.reshape(patches.shape[1], -1) + b0)
+    h2 = np.tanh(h1 @ w1 + b1)
+    return h1, h2, h2 @ w2[:, 0] + b2[0]
+
+
+def conv_normal_equations(params, patches, target, jtj, jtr,
+                          block=DISTILL_BLOCK):
+    """Fill jtj with J^T J and jtr with J^T r, in place, for the residual
+    r = y - target of `conv_forward`, where J = dr/d(params flattened in
+    order); return r^T r.
+
+    J is built in closed form: its row at time t is the patch times dy/dz1,
+    dy/dz1, h1 times dy/dz2, dy/dz2, h2 and 1, where z1 and z2 are the tanh
+    layers' inputs. It is filled `block` time samples at a time into one
+    buffer, so the full Jacobian is never held."""
+    _, _, w1, _, w2, _ = params
+    h1, h2, y = conv_forward(params, patches)
+    res = y - target
+    dz2 = (1.0 - h2 * h2) * w2[:, 0]
+    dz1 = (1.0 - h1 * h1) * (dz2 @ w1.T)
+    k, width = patches.shape[1], h1.shape[1]
+    # the columns of w0 | b0 | w1 | b1 | w2 | b2 end at a, b, c, d, -1, end
+    a, b = k * width, (k + 1) * width
+    c, d = b + width * width, b + width * (width + 1)
+    jtj[...] = 0.0
+    jtr[...] = 0.0
+    buf = np.empty((block, len(jtr)))
+    buf[:, -1] = 1.0
+    for lo in range(0, len(res), block):
+        t = slice(lo, lo + block)
+        m = len(res[t])
+        jac = buf[:m]
+        np.multiply(patches[t, :, None], dz1[t, None, :],
+                    out=jac[:, :a].reshape(m, k, width))
+        jac[:, a:b] = dz1[t]
+        np.multiply(h1[t, :, None], dz2[t, None, :],
+                    out=jac[:, b:c].reshape(m, width, width))
+        jac[:, c:d] = dz2[t]
+        jac[:, d:-1] = h2[t]
+        jtj += jac.T @ jac
+        jtr += jac.T @ res[t]
+    return float(res @ res)
+
+
 def distill(recovery: EmbeddingRecovery, width):
     """Fit a temporal-conv encoder of the given width to the recovered
-    hidden series, in DISTILL_STEPS steps from DISTILL_LR, seeded like the
-    recovery.
+    hidden series by least squares, from the encoder's seeded start, in
+    DISTILL_SOLVES damped Gauss-Newton solves (Levenberg-Marquardt).
 
-    Returns the conv encoder and appends a `distill:` event with the fit's
-    last loss and the wall time to `recovery.events`; the descent rows are
-    not kept.
+    Each solve takes (J^T J + lam D) h = -J^T r and keeps the step if it
+    lowers the loss. D is Marquardt's diagonal scaling, diag(J^T J), held
+    at its largest value so far in each entry (as MINPACK holds it), so a
+    tanh unit that saturates keeps its damping. lam starts at 1 and follows
+    Nielsen's rule on the ratio rho of the actual to the predicted
+    reduction: it is multiplied by max(1/3, 1 - (2 rho - 1)^3) on a kept
+    step, and by nu, which then doubles, on a refused one.
+
+    Returns the conv encoder and appends a `distill:` event with the final
+    mean squared error and the wall time to `recovery.events`; the fit
+    writes no history rows.
     """
     t0 = time.time()
-    steps, lr = DISTILL_STEPS, DISTILL_LR
     spec = encoders.ode_encoder_spec(n_visible=recovery.n_vis, width=width)
     enc = encoders.Encoder(spec, seed=recovery.cfg.seed)
     r = enc.radius
-    tvis = T.Tensor(recovery.ds.visible)
-    ttar = T.Tensor(recovery.phi.data[r:recovery.n_time - r])
+    patches = conv_patches(recovery.ds.visible, enc.receptive_field)
+    target = recovery.phi.data[r:recovery.n_time - r, 0]
+    arrays = [p.data for _, p in enc.parameters()]
+    cuts = np.cumsum([a.size for a in arrays])[:-1]
 
-    def fit_loss():
-        return tmean(square(T.sub(enc(tvis), ttar))), {}
+    def unflatten(theta):
+        return [v.reshape(a.shape) for v, a in zip(np.split(theta, cuts),
+                                                    arrays)]
 
-    opt = training.GradientOptimizer([p for _, p in enc.parameters()], lr=lr)
-    # only the last row is read, for the event's loss
-    rows = training.descend(opt, training.backpropagated(fit_loss), steps,
-                            training.cosine_lr(lr, steps),
-                            history=deque(maxlen=1))
-    loss = rows[-1]["total_loss"] if rows else float("nan")
-    recovery.events.append(f"distill: loss {loss:.4g} "
-                           f"t {time.time() - t0:.0f}s")
+    theta = np.concatenate([a.ravel() for a in arrays])
+    jtj, jtr = np.empty((len(theta), len(theta))), np.empty(len(theta))
+    lam, nu, kept, scale = 1.0, 2.0, True, 0.0
+    for _ in range(DISTILL_SOLVES):
+        if kept:
+            sse = conv_normal_equations(unflatten(theta), patches, target,
+                                        jtj, jtr)
+            diag = jtj.diagonal().copy()
+            scale = np.maximum(scale, diag)
+        np.fill_diagonal(jtj, diag + lam * scale)
+        step = np.linalg.solve(jtj, -jtr)
+        res = conv_forward(unflatten(theta + step), patches)[2] - target
+        rho = (sse - res @ res) / (step @ (lam * scale * step - jtr))
+        kept = rho > 0.0
+        if kept:
+            theta, sse = theta + step, float(res @ res)
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            lam, nu = lam * nu, 2.0 * nu
+    for a, v in zip(arrays, unflatten(theta)):
+        a[...] = v
+    recovery.events.append(f"distill: loss {sse / len(target):.4g} "
+                           f"t {time.time() - t0:.2f}s")
     return enc

@@ -366,7 +366,8 @@ def fit(problem, config, out_dir=None, log=None):
                       model=model, after=after,
                       limit=config.divergence_limit)
     if out_dir is not None:
-        save_run(out_dir, model, encoder, history, asdict(config))
+        save_run(out_dir, problem.dataset, model, encoder, history,
+                 asdict(config))
     return history
 
 
@@ -381,14 +382,17 @@ def write_history(path, history):
         wtr.writerows(history)
 
 
-def save_run(out_dir, model, encoder, history, config):
+def save_run(out_dir, dataset, model, encoder, history, config):
     """Write a run's artifacts: history.csv, model.json, encoder.ckpt and
-    config.json, which holds the JSON document `config`."""
+    config.json, which holds the JSON document `config` after the name of
+    the dataset's preset (`preset`) and its seed (`data_seed`)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_history(out_dir / "history.csv", history)
     (out_dir / "model.json").write_text(model.to_json())
-    (out_dir / "config.json").write_text(json.dumps(config, indent=1))
+    record = {"preset": dataset.preset.name, "data_seed": dataset.seed}
+    (out_dir / "config.json").write_text(
+        json.dumps({**record, **config}, indent=1))
     encoders.save_checkpoint(encoder, out_dir / "encoder.ckpt")
 
 

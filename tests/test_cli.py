@@ -247,7 +247,7 @@ def test_config_width_distills(workspace, tmp_path):
     assert enc.spec.kind == "temporal_conv"
     doc = json.loads((out / "config.json").read_text())
     assert doc["distill_width"] == 8
-    assert doc["distill_steps"] == recover.DISTILL_STEPS
+    assert doc["distill_solves"] == recover.DISTILL_SOLVES
     assert doc["events"][-1].startswith("distill:")
     assert len(train.load_history(out / "history.csv")) == 3
 
@@ -459,11 +459,14 @@ def misfits(workspace, pde_data, short_data, tmp_path_factory):
     root = tmp_path_factory.mktemp("misfits")
     paths = {"lorenz": workspace / "data", "pde": pde_data,
              "short": short_data, "lorenz_conv": workspace / "run"}
-    for n_time in (240, 60):
-        paths[f"lorenz_{n_time}"] = root / f"lorenz_{n_time}"
-        assert cli.main(["generate", "--preset", "lorenz", "--out",
-                         str(paths[f"lorenz_{n_time}"]), "--n-time",
-                         str(n_time)]) == 0
+    for name, preset, n_time, seed in (("lorenz_240", "lorenz", 240, 0),
+                                       ("lorenz_60", "lorenz", 60, 0),
+                                       ("lorenz_seed1", "lorenz", 120, 1),
+                                       ("rossler", "rossler", 120, 0)):
+        paths[name] = root / name
+        assert cli.main(["generate", "--preset", preset, "--out",
+                         str(paths[name]), "--n-time", str(n_time),
+                         "--seed", str(seed)]) == 0
     for name, data, width in (("lorenz_emb", workspace / "data", "0"),
                               ("pde_run", pde_data, "8")):
         paths[name] = root / name
@@ -489,17 +492,58 @@ def misfits(workspace, pde_data, short_data, tmp_path_factory):
     ("eval", "short", "lorenz_emb", "series (120,)"),
     ("eval", "short", "lorenz_conv", "too short"),
     ("eval", "lorenz", "lorenz_1ch", "visible channels 1, the dataset's 2"),
+    ("eval", "rossler", "lorenz_conv", "preset lorenz, the dataset's rossler"),
+    ("predict", "rossler", "lorenz_emb", "preset lorenz, the dataset's rossler"),
+    ("eval", "lorenz_seed1", "lorenz_emb", "data seed 0, the dataset's 1"),
+    ("predict", "lorenz_seed1", "lorenz_emb", "data seed 0, the dataset's 1"),
 ])
 def test_run_that_does_not_fit_the_data_exits_1(misfits, capsys, cmd, data,
                                                 run, says):
     """eval and predict refuse a run trained for other data in one line:
-    another system, another series length, a series too short to score."""
+    another system, another series length, a series too short to score,
+    another preset or, for a per-sample embedding, another trajectory."""
     capsys.readouterr()
     assert cli.main([cmd, "--data", str(misfits[data]),
                      "--run", str(misfits[run])]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert says in err and "Traceback" not in err
+
+
+def test_conv_encoder_may_score_another_trajectory(misfits, tmp_path):
+    assert cli.main(["eval", "--data", str(misfits["lorenz_seed1"]),
+                     "--run", str(misfits["lorenz_conv"]),
+                     "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_run_without_its_record_is_scored(misfits, tmp_path):
+    """A run whose config.json is missing, or predates the record of its
+    data, is scored on any dataset that fits its shapes."""
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("model.json", "encoder.ckpt"):
+        (run / name).write_bytes((misfits["lorenz_emb"] / name).read_bytes())
+    assert cli.main(["eval", "--data", str(misfits["lorenz_seed1"]),
+                     "--run", str(run)]) == 0
+    doc = json.loads((misfits["lorenz_emb"] / "config.json").read_text())
+    assert (doc["preset"], doc["data_seed"]) == ("lorenz", 0)
+    del doc["preset"], doc["data_seed"]
+    (run / "config.json").write_text(json.dumps(doc))
+    assert cli.main(["eval", "--data", str(misfits["rossler"]),
+                     "--run", str(run)]) == 0
+
+
+def test_corrupt_run_config_exits_3(misfits, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("model.json", "encoder.ckpt"):
+        (run / name).write_bytes((misfits["lorenz_emb"] / name).read_bytes())
+    (run / "config.json").write_text("[1, 2")
+    capsys.readouterr()
+    assert cli.main(["eval", "--data", str(misfits["lorenz"]),
+                     "--run", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt run config") and err.count("\n") == 1
 
 
 def _drop_term_spec(run):

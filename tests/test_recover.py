@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from symder import datagen, fd, jets, recover, train
+from symder import datagen, encoders, fd, jets, recover, train
 from symder import tensor as T
 
 
@@ -96,13 +98,84 @@ def test_diverging_trial_is_rejected(lorenz_ds, monkeypatch):
 
 
 def test_distill_logs_event(lorenz_ds, monkeypatch):
-    monkeypatch.setattr(recover, "DISTILL_STEPS", 5)
+    monkeypatch.setattr(recover, "DISTILL_SOLVES", 5)
     rec = _recovery(lorenz_ds, 10)
     rec.fit()
     n_rows = len(rec.history)
     recover.distill(rec, 8)
-    assert rec.events[-1].startswith("distill: loss ")
+    assert re.fullmatch(r"distill: loss \S+ t \d+\.\d\ds", rec.events[-1])
     assert len(rec.history) == n_rows
+
+
+def _random_conv_encoder(seed):
+    enc = encoders.Encoder(encoders.ode_encoder_spec(n_visible=2, width=8))
+    rng = np.random.default_rng(seed)
+    for _, p in enc.parameters():
+        p.data[...] = rng.normal(size=p.shape)
+    return enc
+
+
+def test_distill_forward_matches_tape(lorenz_ds):
+    enc = _random_conv_encoder(1)
+    vis = lorenz_ds.visible
+    patches = recover.conv_patches(vis, enc.receptive_field)
+    y = recover.conv_forward([p.data for _, p in enc.parameters()], patches)[2]
+    np.testing.assert_allclose(y, enc(T.Tensor(vis)).data[:, 0], rtol=0,
+                               atol=1e-13)
+
+
+@pytest.mark.parametrize("block", [128, 7])
+def test_distill_normal_equations_match_tape_gradient(lorenz_ds, block):
+    """(2/N) J^T r is the tape gradient of the mean squared error, and
+    u^T J^T J v the product of central differences of the output along u
+    and v, in any block size."""
+    enc = _random_conv_encoder(2)
+    vis = lorenz_ds.visible
+    rng = np.random.default_rng(3)
+    target = rng.normal(size=vis.shape[0] - 8)
+    params = [p.data for _, p in enc.parameters()]
+    patches = recover.conv_patches(vis, enc.receptive_field)
+    jtj, jtr = np.empty((233, 233)), np.full(233, np.nan)
+    sse = recover.conv_normal_equations(params, patches, target, jtj, jtr,
+                                        block=block)
+    loss = T.tmean(T.square(T.sub(enc(T.Tensor(vis)),
+                                  T.Tensor(target[:, None]))))
+    T.backward(loss)
+    assert sse / len(target) == pytest.approx(float(loss.data), rel=1e-13)
+    grads = 2.0 / len(target) * jtr
+    for name, p in enc.parameters():
+        g, grads = grads[:p.size], grads[p.size:]
+        np.testing.assert_allclose(g.reshape(p.shape), p.grad, rtol=1e-10,
+                                   atol=1e-10 * np.abs(p.grad).max(),
+                                   err_msg=name)
+    assert grads.size == 0
+
+    def along(d, h=1e-6):
+        cuts = np.cumsum([a.size for a in params])[:-1]
+        y = [recover.conv_forward(
+                 [a + s * h * v.reshape(a.shape)
+                  for a, v in zip(params, np.split(d, cuts))], patches)[2]
+             for s in (1, -1)]
+        return (y[0] - y[1]) / (2 * h)
+
+    u, v = rng.normal(size=(2, len(jtr)))
+    assert u @ jtj @ v == pytest.approx(along(u) @ along(v), rel=1e-6)
+
+
+# the mean squared error of the encoder that 3000 AdaBelief steps from the
+# same seeded start fit to this fixture's embedding
+DESCENT_DISTILL_LOSS = 0.0002909144432741439
+
+
+def test_distill_ends_below_the_descent_fit():
+    ds = datagen.simulate(datagen.get_preset("lorenz", n_time=300), seed=0)
+    rec = _recovery(ds, 1000)
+    rec.fit()
+    enc = recover.distill(rec, 8)
+    r = enc.radius
+    loss = T.tmean(T.square(T.sub(enc(T.Tensor(ds.visible)),
+                                  T.Tensor(rec.phi.data[r:-r]))))
+    assert float(loss.data) < DESCENT_DISTILL_LOSS
 
 
 def test_loss_fn_matches_two_pass_formula(lorenz_ds):
