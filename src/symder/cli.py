@@ -71,10 +71,11 @@ TRIM_THRESHOLD = 1 << 30
 def keep_freed_heap():
     """Have glibc's malloc keep the pages that freed arrays leave for reuse:
     no array gets its own mmap, and up to TRIM_THRESHOLD bytes of free heap
-    top stay mapped. Each training step frees its tape as `backward` sweeps
-    it and builds one as large in the next forward, which would otherwise
-    fault every page back in. Returns True when both settings took; where
-    the C library has no `mallopt` it does nothing and returns False."""
+    top stay mapped. Each training step frees the arrays of its loss and
+    gradient (a joint step's tape as `backward` sweeps it) and builds as
+    many in the next, which would otherwise fault every page back in.
+    Returns True when both settings took; where the C library has no
+    `mallopt` it does nothing and returns False."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):   # no dlopen(NULL), no symbol

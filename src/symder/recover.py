@@ -43,6 +43,12 @@ basin with a staged procedure built around a *free per-sample embedding*
                (fewer nonlinear terms) model.
 5. polish      cosine-decayed descent on the final support.
 
+Every descent step takes the loss and its gradients from
+`EmbeddingRecovery.loss_and_grad`, which writes them out in plain numpy: the
+library is quadratic monomials, so the jet needs only the product rule, and
+no tape is built. `loss_fn` is the same loss on the tape, the reference the
+tests hold the closed form to.
+
 `fit` leaves the trained model and the embedding encoder on the recovery;
 `distill` fits a conv encoder to the embedding for deployment-style
 reconstruction, by Levenberg-Marquardt on normal equations built in closed
@@ -133,6 +139,24 @@ class EmbeddingRecovery:
         self.history: list = []    # rows of train.HISTORY_FIELDS
         self.events: list = []
 
+        # `loss_and_grad` takes term i as the product x1[a_i] * x1[b_i] of
+        # two rows of x1 = [1, state] over the window, channels first
+        pairs = []
+        for t in model.terms:
+            if not isinstance(t, library.Monomial) or sum(t.exponents) > 2:
+                raise ValueError(f"term {t.name} is not a monomial of degree "
+                                 "2 or less; the staged loss takes no other")
+            rows = [j + 1 for j, e in enumerate(t.exponents) for _ in range(e)]
+            pairs.append([0] * (2 - len(rows)) + rows)
+        self.factors = np.array(pairs).T
+        # onehot[k] @ v sums the rows of v onto the rows of x1 that factor k
+        # takes them from
+        self.onehot = (self.factors[:, None, :] ==
+                       np.arange(self.n_vis + 2)[:, None]).astype(float)
+        lo, hi = self.prob.lo, self.prob.hi
+        self.x1 = np.ones((self.n_vis + 2, hi - lo))
+        self.x1[1:-1] = self.vis[lo:hi].T
+
     # ------------------------------------------------------------------ loss
 
     def loss_fn(self):
@@ -140,6 +164,57 @@ class EmbeddingRecovery:
         as `reg` at unit weight, the residual of the hidden equation against
         the finite-difference derivative of the embedding."""
         return self.prob.compute_loss()
+
+    def loss_and_grad(self):
+        """`loss_fn` in closed form, off the tape: returns the loss value and
+        its parts, and writes its gradients to `theta_t.grad` and
+        `phi.grad`.
+
+        Over the window, x1 = [1, state] is (1 + d, N) and the features
+        x1[a] * x1[b] are (terms, N), so F = theta @ features. Along F each
+        feature moves by f1[a] * x1[b] + x1[a] * f1[b], with f1 = [0, F]
+        (the product rule), and theta times that is the second derivative
+        whose visible rows `loss_p2` matches. The chain rule then runs the
+        same steps backwards."""
+        prob, h = self.prob, self.n_vis
+        th = self.model.theta * self.model.mask
+        (a, b), (oa, ob), x1 = self.factors, self.onehot, self.x1
+        x1[-1] = self.phi.data[prob.lo:prob.hi, 0]
+        xa, xb = x1[a], x1[b]
+        feats = xa * xb
+        f1 = np.zeros_like(x1)
+        F = np.matmul(th, feats, out=f1[1:])
+        fa, fb = f1[a], f1[b]
+        dfeats = fa * xb + xa * fb
+        s1, s2 = (prob.deriv_scale[p][:, None] for p in (1, 2))
+        r1 = F[:h] * s1 - prob.targets[1].T
+        r2 = (th[:h] @ dfeats) * s2 - prob.targets[2].T
+        # the hidden residual: F of w against the stencil derivative of w
+        r = len(prob.d_t) // 2
+        e = F[h, r:-r] - np.convolve(x1[-1], prob.d_t[::-1], "valid")
+        parts = {"loss_p1": float(r1.ravel() @ r1.ravel()) / r1.size,
+                 "loss_p2": float(r2.ravel() @ r2.ravel()) / r2.size,
+                 "reg": prob.beta * float(e @ e) / e.size}
+        value = (prob.alphas[0] * parts["loss_p1"]
+                 + prob.alphas[1] * parts["loss_p2"] + parts["reg"])
+
+        g2 = (2.0 * prob.alphas[1] / r2.size) * r2 * s2
+        gth = np.zeros_like(th)
+        gth[:h] = g2 @ dfeats.T
+        gdfeats = th[:h].T @ g2
+        ge = (2.0 * prob.beta / e.size) * e
+        gF = (oa @ (gdfeats * xb) + ob @ (gdfeats * xa))[1:]
+        gF[:h] += (2.0 * prob.alphas[0] / r1.size) * r1 * s1
+        gF[h, r:-r] += ge
+        gth += gF @ feats.T
+        gfeats = th.T @ gF
+        gw = (oa[-1] @ (gfeats * xb + gdfeats * fb)
+              + ob[-1] @ (gfeats * xa + gdfeats * fa)
+              - np.convolve(ge, prob.d_t, "full"))
+        self.model.theta_t.grad = gth * self.model.mask
+        self.phi.grad = np.zeros_like(self.phi.data)
+        self.phi.grad[prob.lo:prob.hi, 0] = gw
+        return value, parts
 
     # ----------------------------------------------------------------- gauge
 
@@ -208,13 +283,14 @@ class EmbeddingRecovery:
             if pin and step and step % PIN_EVERY == 0:
                 self.gauge_standardize()
 
-        training.descend(opt, training.backpropagated(self.loss_fn), nsteps,
+        # iter(f, None) calls f for each item, and f never returns None
+        training.descend(opt, iter(self.loss_and_grad, None), nsteps,
                          training.cosine_lr(lr0, nsteps), model=self.model,
                          before=pin_gauge, history=self.history)
         loss = self.history[-1]["total_loss"] if nsteps else float("nan")
         if pin:
             self.gauge_standardize()
-            loss = float(self.loss_fn()[0].data)
+            loss = self.loss_and_grad()[0]
             training.check_loss(loss, nsteps)
         return loss
 
@@ -340,7 +416,7 @@ class EmbeddingRecovery:
         if cfg.eliminate:
             baseline = self.eliminate(baseline)
         # refit + polish on the final support, kept only when they help
-        baseline = float(self.loss_fn()[0].data)
+        baseline = self.loss_and_grad()[0]
         snap = self._snapshot()
         self.model.theta[...] = self.ls_fit(self.model.mask)
         loss = self.run(sched.polish_steps)

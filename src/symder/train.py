@@ -268,27 +268,13 @@ def check_loss(value, step, limit=DIVERGENCE_LIMIT):
             f"loss {value:.3g} at step {step} (limit {limit:g})")
 
 
-def backpropagated(forward):
-    """Losses for `descend` from `forward()`, which returns a scalar loss
-    Tensor and its parts: each item runs forward and backward and yields
-    `(value, parts)`.
-
-    `T.backward` frees each tape as it sweeps it, so between steps only the
-    scalar loss is held. `symder train` has malloc keep the freed pages
-    (`cli.keep_freed_heap`), so the next forward reuses them."""
-    while True:
-        total, parts = forward()
-        T.backward(total)
-        yield float(total.data), parts
-
-
 def descend(opt, losses, steps, lr, model=None, before=None, after=None,
             limit=DIVERGENCE_LIMIT, history=None):
     """The descent loop every training phase runs.
 
     Each step sets `opt.lr = lr(step)`, calls `before(step)`, clears the
-    gradients and takes `next(losses)`, which runs forward and backward and
-    yields `(value, parts)` (see `backpropagated`). A loss that is not
+    gradients and takes `next(losses)`, which writes the gradients of the
+    optimizer's parameters and yields `(value, parts)`. A loss that is not
     finite or exceeds `limit` raises TrainingDiverged before the optimizer
     step. After the step the coefficients of `model` (if given) are
     re-masked, `after(step, value)` runs,

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from symder import datagen, encoders, fd, jets, recover, train
+from symder import datagen, encoders, fd, jets, library, recover, train
 from symder import tensor as T
 
 
@@ -279,3 +279,68 @@ def test_gauge_keeps_fit_on_mask_without_shift_targets():
     after = rec.loss_fn()[1]
     for part in ("loss_p1", "loss_p2"):
         assert after[part] == pytest.approx(before[part], rel=1e-12)
+
+
+def _tape_loss_and_grad(rec):
+    """`loss_and_grad` on the tape: `loss_fn` and its backward sweep."""
+    total, parts = rec.loss_fn()
+    T.backward(total)
+    return float(total.data), parts
+
+
+@pytest.mark.parametrize("case", ["full", "partial", "gauged"])
+def test_loss_and_grad_matches_tape(lorenz_ds, case):
+    rec = _recovery(lorenz_ds, 10)
+    rng = np.random.default_rng(11)
+    rec.phi.data[...] = rng.normal(0.5, 2.0, rec.phi.shape)
+    rec.model.theta[...] = rng.normal(0.0, 0.5, rec.model.theta.shape)
+    if case == "partial":
+        rec.model.mask[:, rec.names.index("u*w")] = False
+        rec.model.mask[[0, 2], [rec.names.index("v"), rec.names.index("1")]] \
+            = False
+        rec.model.theta[~rec.model.mask] = 0.0
+    if case == "gauged":
+        rec.gauge_standardize()
+    out = []
+    for loss_and_grad in (rec.loss_and_grad, lambda: _tape_loss_and_grad(rec)):
+        rec.model.theta_t.zero_grad()
+        rec.phi.zero_grad()
+        value, parts = loss_and_grad()
+        out.append((value, parts, rec.model.theta_t.grad.copy(),
+                    rec.phi.grad.copy()))
+    (v, parts, gth, gphi), (v0, parts0, gth0, gphi0) = out
+    assert v == pytest.approx(v0, rel=1e-12)
+    assert parts.keys() == parts0.keys()
+    for k in parts0:
+        assert parts[k] == pytest.approx(parts0[k], rel=1e-12)
+    np.testing.assert_array_equal(gth[~rec.model.mask], 0.0)
+    np.testing.assert_allclose(gth, gth0, rtol=1e-10,
+                               atol=1e-12 * np.abs(gth0).max())
+    np.testing.assert_allclose(gphi, gphi0, rtol=1e-10,
+                               atol=1e-12 * np.abs(gphi0).max())
+
+
+def test_fit_history_matches_tape_descent(lorenz_ds):
+    closed, tape = _recovery(lorenz_ds, 12), _recovery(lorenz_ds, 12)
+    tape.loss_and_grad = lambda: _tape_loss_and_grad(tape)
+    closed.fit()
+    tape.fit()
+    assert len(closed.history) == len(tape.history) == 12
+    for row, row0 in zip(closed.history, tape.history):
+        assert row.keys() == row0.keys()
+        for k, v in row0.items():
+            assert row[k] == pytest.approx(v, rel=1e-10, abs=1e-10), k
+    np.testing.assert_array_equal(closed.model.mask, tape.model.mask)
+
+
+@pytest.mark.parametrize("term", [library.Monomial((3, 0, 0)),
+                                  library.SpatialDerivative(0, (1, 0))])
+def test_recovery_refuses_terms_off_the_closed_form(lorenz_ds, term):
+    model = train.default_model(lorenz_ds.preset, seed=0)
+    model = library.SymbolicModel(terms=model.terms + [term],
+                                  theta=np.zeros((3, len(model.terms) + 1)),
+                                  mask=np.ones((3, len(model.terms) + 1)),
+                                  s_t=model.s_t, state_dim=3)
+    with pytest.raises(ValueError, match=re.escape(term.name)):
+        recover.EmbeddingRecovery(lorenz_ds, model,
+                                  recover.RecoveryConfig(10))
