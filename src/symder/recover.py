@@ -45,9 +45,10 @@ basin with a staged procedure built around a *free per-sample embedding*
 
 Every descent step takes the loss and its gradients from
 `EmbeddingRecovery.loss_and_grad`, which writes them out in plain numpy: the
-library is quadratic monomials, so the jet needs only the product rule, and
-no tape is built. `loss_fn` is the same loss on the tape, the reference the
-tests hold the closed form to.
+library is monomials of degree 2 or less, so each equation is a quadratic
+form in [1, state], its time derivative is that form's gradient along the
+state's, and no tape is built. `loss_fn` is the same loss on the tape, the
+reference the tests hold the closed form to.
 
 `fit` leaves the trained model and the embedding encoder on the recovery;
 `distill` fits a conv encoder to the embedding for deployment-style
@@ -139,22 +140,23 @@ class EmbeddingRecovery:
         self.history: list = []    # rows of train.HISTORY_FIELDS
         self.events: list = []
 
-        # `loss_and_grad` takes term i as the product x1[a_i] * x1[b_i] of
-        # two rows of x1 = [1, state] over the window, channels first
-        pairs = []
-        for t in model.terms:
+        # `loss_and_grad` takes equation j as the quadratic form x^T P_j x / 2
+        # in x = x1 = [1, state] over the window, channels first. P_j,
+        # flattened, is theta[j] @ E: term i is x1[a] * x1[b], so E adds its
+        # coefficient to P_j[a, b] and to P_j[b, a] (twice to P_j[a, a] when
+        # a == b), which keeps P_j symmetric
+        d = self.n_vis + 2
+        self.E = np.zeros((len(model.terms), d * d))
+        for i, t in enumerate(model.terms):
             if not isinstance(t, library.Monomial) or sum(t.exponents) > 2:
                 raise ValueError(f"term {t.name} is not a monomial of degree "
                                  "2 or less; the staged loss takes no other")
             rows = [j + 1 for j, e in enumerate(t.exponents) for _ in range(e)]
-            pairs.append([0] * (2 - len(rows)) + rows)
-        self.factors = np.array(pairs).T
-        # onehot[k] @ v sums the rows of v onto the rows of x1 that factor k
-        # takes them from
-        self.onehot = (self.factors[:, None, :] ==
-                       np.arange(self.n_vis + 2)[:, None]).astype(float)
+            a, b = [0] * (2 - len(rows)) + rows
+            self.E[i, a * d + b] += 1.0
+            self.E[i, b * d + a] += 1.0
         lo, hi = self.prob.lo, self.prob.hi
-        self.x1 = np.ones((self.n_vis + 2, hi - lo))
+        self.x1 = np.ones((d, hi - lo))
         self.x1[1:-1] = self.vis[lo:hi].T
 
     # ------------------------------------------------------------------ loss
@@ -170,28 +172,27 @@ class EmbeddingRecovery:
         its parts, and writes its gradients to `theta_t.grad` and
         `phi.grad`.
 
-        Over the window, x1 = [1, state] is (1 + d, N) and the features
-        x1[a] * x1[b] are (terms, N), so F = theta @ features. Along F each
-        feature moves by f1[a] * x1[b] + x1[a] * f1[b], with f1 = [0, F]
-        (the product rule), and theta times that is the second derivative
-        whose visible rows `loss_p2` matches. The chain rule then runs the
-        same steps backwards."""
+        Over the window, x = x1 = [1, state] is (D, N), and equation j is the
+        quadratic form F_j = x^T P_j x / 2. Y = P x, one (equations * D, D)
+        @ (D, N) product, holds dF_j/dx, so F_j = sum_a x[a] Y[j, a] / 2,
+        and along F the second derivative is sum_a Y[j, a] f[a], with
+        f = [0, F]: `loss_p2` matches its visible rows. The chain rule then
+        runs the same steps backwards, and reaches theta through E^T; of the
+        gradient in x only the row of w is needed."""
         prob, h = self.prob, self.n_vis
         th = self.model.theta * self.model.mask
-        (a, b), (oa, ob), x1 = self.factors, self.onehot, self.x1
-        x1[-1] = self.phi.data[prob.lo:prob.hi, 0]
-        xa, xb = x1[a], x1[b]
-        feats = xa * xb
-        f1 = np.zeros_like(x1)
-        F = np.matmul(th, feats, out=f1[1:])
-        fa, fb = f1[a], f1[b]
-        dfeats = fa * xb + xa * fb
+        x = self.x1
+        x[-1] = self.phi.data[prob.lo:prob.hi, 0]
+        n_eq, d = th.shape[0], x.shape[0]
+        P = (th @ self.E).reshape(n_eq * d, d)
+        Y = (P @ x).reshape(n_eq, d, -1)
+        F = 0.5 * np.einsum("jan,an->jn", Y, x)
         s1, s2 = (prob.deriv_scale[p][:, None] for p in (1, 2))
         r1 = F[:h] * s1 - prob.targets[1].T
-        r2 = (th[:h] @ dfeats) * s2 - prob.targets[2].T
+        r2 = np.einsum("jan,an->jn", Y[:h, 1:], F) * s2 - prob.targets[2].T
         # the hidden residual: F of w against the stencil derivative of w
         r = len(prob.d_t) // 2
-        e = F[h, r:-r] - np.convolve(x1[-1], prob.d_t[::-1], "valid")
+        e = F[h, r:-r] - np.convolve(x[-1], prob.d_t[::-1], "valid")
         parts = {"loss_p1": float(r1.ravel() @ r1.ravel()) / r1.size,
                  "loss_p2": float(r2.ravel() @ r2.ravel()) / r2.size,
                  "reg": prob.beta * float(e @ e) / e.size}
@@ -199,17 +200,16 @@ class EmbeddingRecovery:
                  + prob.alphas[1] * parts["loss_p2"] + parts["reg"])
 
         g2 = (2.0 * prob.alphas[1] / r2.size) * r2 * s2
-        gth = np.zeros_like(th)
-        gth[:h] = g2 @ dfeats.T
-        gdfeats = th[:h].T @ g2
         ge = (2.0 * prob.beta / e.size) * e
-        gF = (oa @ (gdfeats * xb) + ob @ (gdfeats * xa))[1:]
+        gF = np.einsum("jn,jan->an", g2, Y[:h, 1:])
         gF[:h] += (2.0 * prob.alphas[0] / r1.size) * r1 * s1
         gF[h, r:-r] += ge
-        gth += gF @ feats.T
-        gfeats = th.T @ gF
-        gw = (oa[-1] @ (gfeats * xb + gdfeats * fb)
-              + ob[-1] @ (gfeats * xa + gdfeats * fa)
+        gY = 0.5 * gF[:, None] * x
+        gY[:h, 1:] += g2[:, None] * F
+        gY = gY.reshape(n_eq * d, -1)
+        gth = (gY @ x.T).reshape(n_eq, d * d) @ self.E.T
+        # w enters through Y = P x and through the x of F's sum over x[a] Y
+        gw = (P[:, -1] @ gY + 0.5 * np.einsum("jn,jn->n", gF, Y[:, -1])
               - np.convolve(ge, prob.d_t, "full"))
         self.model.theta_t.grad = gth * self.model.mask
         self.phi.grad = np.zeros_like(self.phi.data)
@@ -394,25 +394,25 @@ class EmbeddingRecovery:
         model, the embedding encoder `emb`, the per-step `history` and the
         phase `events` are read off the recovery."""
         cfg, sched = self.cfg, self.cfg.schedule
-        t0 = time.time()
+        t0 = time.perf_counter()
+
+        def log(event):     # stamped with the seconds since the start
+            self.events.append(f"{event} t {time.perf_counter() - t0:.2f}s")
+
         self.model.mask[...] = True
         loss = self.run(sched.warmup_steps, lr0=cfg.lr / 2, pin=False)
-        self.events.append(
-            f"warmup: loss {loss:.4g} t {time.time() - t0:.0f}s")
+        log(f"warmup: loss {loss:.4g}")
         for rd in range(sched.gauge_rounds):
             self.gauge_orthogonalize()
             self.model.theta[...] = self.ls_fit(self.model.mask)
             loss = self.run(sched.round_steps, pin=False)
-            self.events.append(
-                f"round {rd}: loss {loss:.4g} t {time.time() - t0:.0f}s")
+            log(f"round {rd}: loss {loss:.4g}")
         self.gauge_orthogonalize()
         mask = self.stlsq()
         self.model.mask[...] = mask
         self.model.theta[...] = self.ls_fit(mask)
         baseline = self.run(sched.baseline_steps)
-        self.events.append(
-            f"support: {int(mask.sum())} active, loss {baseline:.4g} "
-            f"t {time.time() - t0:.0f}s")
+        log(f"support: {int(mask.sum())} active, loss {baseline:.4g}")
         if cfg.eliminate:
             baseline = self.eliminate(baseline)
         # refit + polish on the final support, kept only when they help
@@ -423,9 +423,7 @@ class EmbeddingRecovery:
         if loss > baseline:
             self._restore(snap)
             loss = baseline
-        self.events.append(
-            f"polish: loss {loss:.4g} active {int(self.model.mask.sum())} "
-            f"t {time.time() - t0:.0f}s")
+        log(f"polish: loss {loss:.4g} active {int(self.model.mask.sum())}")
         return loss
 
 
@@ -503,7 +501,7 @@ def distill(recovery: EmbeddingRecovery, width):
     mean squared error and the wall time to `recovery.events`; the fit
     writes no history rows.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = encoders.ode_encoder_spec(n_visible=recovery.n_vis, width=width)
     enc = encoders.Encoder(spec, seed=recovery.cfg.seed)
     r = enc.radius
@@ -539,5 +537,5 @@ def distill(recovery: EmbeddingRecovery, width):
     for a, v in zip(arrays, unflatten(theta)):
         a[...] = v
     recovery.events.append(f"distill: loss {sse / len(target):.4g} "
-                           f"t {time.time() - t0:.2f}s")
+                           f"t {time.perf_counter() - t0:.2f}s")
     return enc

@@ -288,9 +288,29 @@ def _tape_loss_and_grad(rec):
     return float(total.data), parts
 
 
-@pytest.mark.parametrize("case", ["full", "partial", "gauged"])
+def _recovery_on_terms(ds, terms):
+    """A recovery whose model has the given terms, all active."""
+    model = library.SymbolicModel(terms=terms,
+                                  theta=np.zeros((3, len(terms))),
+                                  mask=np.ones((3, len(terms))),
+                                  s_t=library.ode_library().s_t, state_dim=3)
+    return recover.EmbeddingRecovery(ds, model, recover.RecoveryConfig(10))
+
+
+@pytest.mark.parametrize("case", ["full", "partial", "gauged", "linear",
+                                  "permuted", "empty_row"])
 def test_loss_and_grad_matches_tape(lorenz_ds, case):
-    rec = _recovery(lorenz_ds, 10)
+    # linear: constant and linear terms only, which the quadratic form takes
+    # as pairs with the constant row of [1, state]; permuted: the terms in
+    # another order; empty_row: one equation with every term masked
+    if case == "linear":
+        rec = _recovery_on_terms(lorenz_ds, library.monomial_terms(3, 1))
+    elif case == "permuted":
+        terms = library.monomial_terms(3)
+        order = np.random.default_rng(5).permutation(len(terms))
+        rec = _recovery_on_terms(lorenz_ds, [terms[i] for i in order])
+    else:
+        rec = _recovery(lorenz_ds, 10)
     rng = np.random.default_rng(11)
     rec.phi.data[...] = rng.normal(0.5, 2.0, rec.phi.shape)
     rec.model.theta[...] = rng.normal(0.0, 0.5, rec.model.theta.shape)
@@ -299,6 +319,9 @@ def test_loss_and_grad_matches_tape(lorenz_ds, case):
         rec.model.mask[[0, 2], [rec.names.index("v"), rec.names.index("1")]] \
             = False
         rec.model.theta[~rec.model.mask] = 0.0
+    if case == "empty_row":
+        rec.model.mask[2] = False
+        rec.model.theta[2] = 0.0
     if case == "gauged":
         rec.gauge_standardize()
     out = []
@@ -320,17 +343,48 @@ def test_loss_and_grad_matches_tape(lorenz_ds, case):
                                atol=1e-12 * np.abs(gphi0).max())
 
 
-def test_fit_history_matches_tape_descent(lorenz_ds):
-    closed, tape = _recovery(lorenz_ds, 12), _recovery(lorenz_ds, 12)
+def _assert_fit_matches_tape_descent(ds, steps):
+    """A `fit` of the given budget gives the same history rows and mask as
+    one whose `loss_and_grad` is patched to the tape."""
+    closed, tape = _recovery(ds, steps), _recovery(ds, steps)
     tape.loss_and_grad = lambda: _tape_loss_and_grad(tape)
     closed.fit()
     tape.fit()
-    assert len(closed.history) == len(tape.history) == 12
+    assert len(closed.history) == len(tape.history) == steps
     for row, row0 in zip(closed.history, tape.history):
         assert row.keys() == row0.keys()
         for k, v in row0.items():
             assert row[k] == pytest.approx(v, rel=1e-10, abs=1e-10), k
     np.testing.assert_array_equal(closed.model.mask, tape.model.mask)
+
+
+def test_fit_history_matches_tape_descent(lorenz_ds):
+    _assert_fit_matches_tape_descent(lorenz_ds, 12)
+
+
+def test_fit_history_matches_tape_descent_across_a_pin(lorenz_ds):
+    # at a budget of 1000 the polish runs 300 steps and re-standardizes w at
+    # its step PIN_EVERY = 200, inside the descent
+    assert recover.RecoveryConfig(1000).schedule.polish_steps \
+        > recover.PIN_EVERY
+    _assert_fit_matches_tape_descent(lorenz_ds, 1000)
+
+
+def test_fit_logs_timed_events(lorenz_ds):
+    # each phase event ends with the seconds since the start of `fit`, to
+    # 0.01 s, as the distill event does
+    rec = _recovery(lorenz_ds, 12)
+    rec.fit()
+    t = r" t \d+\.\d\ds"
+    patterns = [r"warmup: loss \S+" + t, r"round 0: loss \S+" + t,
+                r"round 1: loss \S+" + t,
+                r"support: \d+ active, loss \S+" + t,
+                r"polish: loss \S+ active \d+" + t]
+    assert len(rec.events) == len(patterns)
+    for pattern, event in zip(patterns, rec.events):
+        assert re.fullmatch(pattern, event), event
+    times = [float(e.split(" t ")[-1][:-1]) for e in rec.events]
+    assert times == sorted(times)
 
 
 @pytest.mark.parametrize("term", [library.Monomial((3, 0, 0)),
