@@ -314,7 +314,7 @@ def cmd_eval(args):
         extra = {"phase_error": res["phase_error"],
                  "phase_gradient_error": res["phase_gradient_error"]}
     doc = evaluate.report(model, ds, res["align"], res["comparison"],
-                          extra=extra)
+                          extra=extra, baselines=res.get("baselines"))
     out = Path(args.out) if args.out else Path(args.run) / "report.json"
     evaluate.write_report(doc, out)
     print(f"wrote {out}")
@@ -358,6 +358,10 @@ def cmd_report(args):
             f"active terms: {doc['active_terms']}",
             "hidden rel error: "
             f"{', '.join(f'{e:.4g}' for e in doc['hidden']['rel_error'])}"]
+        if "constant_rel_error" in doc["hidden"]:
+            ratio = evaluate.baseline_ratio(doc["hidden"])
+            lines.append("hidden rel error / best of constant and visible "
+                         f"affine: {', '.join(f'{r:.4g}' for r in ratio)}")
         for eq, row in doc["equations"].items():
             terms = "  ".join(f"{c:+.4g} {name}" for name, c in row.items())
             lines.append(f"  d[{eq}]/dt = {terms}")

@@ -106,27 +106,35 @@ def _lap(f, spacing):
 
 
 def make_rhs(preset):
-    """rhs(*components) -> tuple; floats for the ODEs, fields for the PDEs."""
+    """rhs(*components) -> tuple; floats for the ODEs, fields for the PDEs.
+    The parameters are bound once, outside the right-hand side."""
     p = preset.params
     if preset.name == "rossler":
+        a, b, c = p["a"], p["b"], p["c"]
+
         def rhs(u, v, w):
-            return (-v - w, u + p["a"] * v, p["b"] + w * (u - p["c"]))
+            return (-v - w, u + a * v, b + w * (u - c))
         return rhs
     if preset.name == "lorenz":
+        sigma, rho, beta = p["sigma"], p["rho"], p["beta"]
+
         def rhs(u, v, w):
-            return (p["sigma"] * (v - u), u * (p["rho"] - w) - v,
-                    u * v - p["beta"] * w)
+            return (sigma * (v - u), u * (rho - w) - v, u * v - beta * w)
         return rhs
     if preset.name == "diffusion_source":
+        D, k, spacing = p["D"], p["k"], preset.spacing
+
         def rhs(u, v):
-            return (p["D"] * _lap(u, preset.spacing) + v, -p["k"] * v)
+            return (D * _lap(u, spacing) + v, -k * v)
         return rhs
     if preset.name == "diffusive_lv":
+        Du, Dv, spacing = p["Du"], p["Dv"], preset.spacing
+        alpha, beta, delta, gamma = (p["alpha"], p["beta"], p["delta"],
+                                     p["gamma"])
+
         def rhs(u, v):
-            du = p["Du"] * _lap(u, preset.spacing) + \
-                p["alpha"] * u - p["beta"] * u * v
-            dv = p["Dv"] * _lap(v, preset.spacing) + \
-                p["delta"] * u * v - p["gamma"] * v
+            du = Du * _lap(u, spacing) + alpha * u - beta * u * v
+            dv = Dv * _lap(v, spacing) + delta * u * v - gamma * v
             return (du, dv)
         return rhs
     raise ValueError(f"no ODE/PDE right-hand side for preset {preset.name!r}")
@@ -172,14 +180,38 @@ def true_coefficient_table(preset):
 # ---------------------------------------------------------------------------
 
 def rk4_step(rhs, x, dt):
-    """RK4 on a tuple of components (floats for one ODE state, fields for a
-    PDE), in the operation order of RK4 on stacked arrays."""
+    """RK4 on a tuple of components (fields for a PDE, or floats for an ODE
+    state of other than three components), in the operation order of RK4 on
+    stacked arrays. `rk4_stepper` picks it or `rk4_step3` for a state."""
     k1 = rhs(*x)
     k2 = rhs(*[a + 0.5 * dt * k for a, k in zip(x, k1)])
     k3 = rhs(*[a + 0.5 * dt * k for a, k in zip(x, k2)])
     k4 = rhs(*[a + dt * k for a, k in zip(x, k3)])
     return tuple(a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4))
+
+
+def rk4_step3(rhs, x, dt):
+    """`rk4_step` unrolled on a state of three floats, in the same
+    operation order: x + (dt/2)*k, x + dt*k3 and
+    x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so it rounds alike."""
+    u, v, w = x
+    h2, h6 = 0.5 * dt, dt / 6.0
+    a1, b1, c1 = rhs(u, v, w)
+    a2, b2, c2 = rhs(u + h2 * a1, v + h2 * b1, w + h2 * c1)
+    a3, b3, c3 = rhs(u + h2 * a2, v + h2 * b2, w + h2 * c2)
+    a4, b4, c4 = rhs(u + dt * a3, v + dt * b3, w + dt * c3)
+    return (u + h6 * (a1 + 2 * a2 + 2 * a3 + a4),
+            v + h6 * (b1 + 2 * b2 + 2 * b3 + b4),
+            w + h6 * (c1 + 2 * c2 + 2 * c3 + c4))
+
+
+def rk4_stepper(x):
+    """The RK4 step for state x, a tuple of components: `rk4_step3` for
+    three floats, `rk4_step` for fields and floats of other counts."""
+    if len(x) == 3 and all(type(c) is float for c in x):
+        return rk4_step3
+    return rk4_step
 
 
 def _check_state(x, step):
@@ -190,17 +222,29 @@ def _check_state(x, step):
 
 
 def integrate(rhs, x0, n_steps, dt, substeps=10):
-    """RK4 trajectory sampled every dt; internal step dt/substeps."""
+    """RK4 trajectory sampled every dt; internal step dt/substeps.
+
+    x0 holds the components on its last axis. A 1-D x0 is stepped on
+    Python floats (`rk4_step3` for three of them), any other on fields
+    (`rk4_step`); both round as RK4 on stacked arrays does. Each sample is
+    checked against MAX_STATE_NORM: on floats by `abs(c) <= MAX_STATE_NORM`,
+    which NaN fails, with `_check_state` called only to raise, so both
+    paths stop at the same step with the same message."""
     x0 = np.asarray(x0, dtype=np.float64)
-    x = tuple(x0.tolist() if x0.ndim == 1 else np.moveaxis(x0, -1, 0))
+    floats = x0.ndim == 1
+    x = tuple(x0.tolist() if floats else np.moveaxis(x0, -1, 0))
+    step = rk4_stepper(x)
     out = np.empty((n_steps,) + x0.shape)
     out[0] = x0
     sub = dt / substeps
     for i in range(1, n_steps):
         for _ in range(substeps):
-            x = rk4_step(rhs, x, sub)
-        out[i] = np.stack(x, axis=-1)
-        _check_state(out[i], i)
+            x = step(rhs, x, sub)
+        if floats and all(abs(c) <= MAX_STATE_NORM for c in x):
+            out[i] = x
+        else:
+            out[i] = np.stack(x, axis=-1)
+            _check_state(out[i], i)
     return out
 
 

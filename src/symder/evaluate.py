@@ -192,13 +192,14 @@ def prediction_horizon(model, dataset, align, hidden_estimate):
     hidden_idx = [j for j in range(model.state_dim) if j not in vis_idx]
     x[hidden_idx] = align.a * np.atleast_1d(hidden_estimate) + align.b
     x = tuple(x.tolist())
+    step = datagen.rk4_stepper(x)
     scale = np.sqrt(np.mean((truth_vis - truth_vis.mean(axis=0)) ** 2))
     horizon_steps = 0
     substeps = dataset.preset.substeps
     sub_dt = dataset.norm.dt / substeps
     for k in range(1, n_steps + 1):
         for _ in range(substeps):
-            x = datagen.rk4_step(rhs, x, sub_dt)
+            x = step(rhs, x, sub_dt)
         if not np.all(np.isfinite(x)):
             break
         dev = np.sqrt(np.mean((np.take(x, vis_idx) - truth_vis[k]) ** 2))
@@ -210,10 +211,39 @@ def prediction_horizon(model, dataset, align, hidden_estimate):
     return horizon / tau if tau else horizon
 
 
+def hidden_baselines(dataset, lo, hi):
+    """Relative errors, per hidden channel on the window [lo, hi), of two
+    estimates that need no model: the channel's mean (the best constant)
+    and the least-squares affine map of the visible channels at the same
+    sample and grid point. A hidden estimate explains something only where
+    its error is below both."""
+    vis = dataset.visible[lo:hi]
+    vis = vis.reshape(-1, vis.shape[-1])
+    features = np.column_stack([vis, np.ones(len(vis))])
+    truth = dataset.hidden_truth[lo:hi]
+    out = {"constant_rel_error": [], "visible_affine_rel_error": []}
+    for t in truth.reshape(-1, truth.shape[-1]).T:
+        coef, *_ = np.linalg.lstsq(features, t, rcond=None)
+        out["constant_rel_error"].append(
+            relative_error(np.full_like(t, t.mean()), t))
+        out["visible_affine_rel_error"].append(
+            relative_error(features @ coef, t))
+    return out
+
+
+def baseline_ratio(hidden):
+    """A report's hidden error over the smaller of its two baselines, per
+    channel: below 1 beats both."""
+    return [e / min(c, a) for e, c, a in zip(
+        hidden["rel_error"], hidden["constant_rel_error"],
+        hidden["visible_affine_rel_error"])]
+
+
 def evaluate_run(dataset, model, encoder):
     """Reconstruct the hidden state on the window the loss trained, align it
     with the truth, and compare the learned equations; returns a result
-    dict with the alignment, the comparison, and the reconstructed state."""
+    dict with the alignment, the comparison, and the reconstructed state;
+    for a real state, also the `hidden_baselines` of that window."""
     from .train import Problem
     prob = Problem(dataset, model, encoder)
     state = prob.reconstruct().data
@@ -235,6 +265,7 @@ def evaluate_run(dataset, model, encoder):
         truth = dataset.hidden_truth[lo:hi]
         align = affine_align(est.reshape(-1), truth.reshape(-1))
         out["hidden_estimate"] = est
+        out["baselines"] = hidden_baselines(dataset, lo, hi)
     out["align"] = align
     out["comparison"] = compare_equations(model, dataset, align)
     return out
@@ -248,8 +279,9 @@ def _key_name(key):
     return library.term_from_key(key).name
 
 
-def report(model, dataset, align, comparison, extra=None):
-    """JSON-serializable summary of one recovery run."""
+def report(model, dataset, align, comparison, extra=None, baselines=None):
+    """JSON-serializable summary of one recovery run; `baselines`, from
+    `hidden_baselines`, join the hidden errors."""
     doc = {
         "preset": dataset.preset.name,
         "seed": dataset.seed,
@@ -257,6 +289,7 @@ def report(model, dataset, align, comparison, extra=None):
         "hidden": {
             "a": align.a.tolist(), "b": align.b.tolist(),
             "rel_error": align.rel_error.tolist(),
+            **(baselines or {}),
         },
         "pattern_match": comparison["pattern_match"],
         "missing": [[eq, _key_name(k)]

@@ -351,8 +351,9 @@ class EmbeddingRecovery:
         self.model.mask[...] = snap[1]
         self.phi.data[...] = snap[2]
 
-    def eliminate(self, baseline):
-        """Greedy backward elimination: nonlinear terms first, then linear."""
+    def eliminate(self, baseline, log):
+        """Greedy backward elimination: nonlinear terms first, then linear.
+        Each pruning is written through `log`, which stamps it."""
         baseline_steps = self.cfg.schedule.baseline_steps
         degrees = np.array([sum(t.exponents) for t in self.model.terms])
         for phase, sel in (("nonlinear", degrees >= 2), ("linear", degrees <= 1)):
@@ -383,8 +384,8 @@ class EmbeddingRecovery:
                     gated = {(e, j): new_loss}
                 baseline = min(new_loss, baseline)
                 dropped = ", ".join(f"eq{e} {self.names[j]}" for e, j in gated)
-                self.events.append(f"eliminate[{phase}]: dropped {dropped} "
-                                   f"loss {new_loss:.4g}")
+                log(f"eliminate[{phase}]: dropped {dropped} "
+                    f"loss {new_loss:.4g}")
         return baseline
 
     # --------------------------------------------------------------- routine
@@ -414,7 +415,7 @@ class EmbeddingRecovery:
         baseline = self.run(sched.baseline_steps)
         log(f"support: {int(mask.sum())} active, loss {baseline:.4g}")
         if cfg.eliminate:
-            baseline = self.eliminate(baseline)
+            baseline = self.eliminate(baseline, log)
         # refit + polish on the final support, kept only when they help
         baseline = self.loss_and_grad()[0]
         snap = self._snapshot()

@@ -69,6 +69,7 @@ def test_eval_and_report(workspace, capsys):
     assert cli.main(["report", "--run", str(workspace / "run")]) == 0
     out = capsys.readouterr().out
     assert "pattern match" in out and "d[" in out
+    assert "hidden rel error / best of constant and visible affine" in out
 
 
 def test_report_before_eval(tmp_path):

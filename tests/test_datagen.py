@@ -111,12 +111,38 @@ def test_periodic_shift_equivariance():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def _divergence_message(rhs, x0, n_steps=200, dt=1e-2):
+    # numpy warns where the field path overflows; Python floats do not
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(dg.SimulationError, match="step") as err:
+        dg.integrate(rhs, x0, n_steps, dt)
+    return str(err.value)
+
+
 def test_divergence_reporting():
-    preset = small("lorenz", n_time=100)
-    rhs = dg.make_rhs(preset)
     bad_rhs = lambda *x: tuple(1e6 * c for c in x)  # noqa: E731
     with pytest.raises(dg.SimulationError, match="step"):
         dg.integrate(bad_rhs, np.ones(3), 100, 1e-2)
+    # a three-float state (float path, `rk4_step3`) ends as the same state
+    # stacked as a (1, 3) field (`rk4_step`) does: the same message at the
+    # same step
+    nan = float("nan")
+    cases = {
+        # e^(20 t) passes MAX_STATE_NORM near t = 0.92
+        "norm": (lambda u, v, w: (20.0 * u, v, -w), [1.0, 2.0, 3.0],
+                 "step 93:"),
+        "nan": (lambda u, v, w: (u, v * nan, w), [1.0, 2.0, 3.0],
+                "step 1: max|state| = nan"),
+        # u^3 from 1e3 overflows inside the first sample: Python's `*`
+        # gives inf there, and no OverflowError may escape
+        "u^3": (dg.table_rhs({0: {("mono", (3, 0, 0)): 1.0}}, 3),
+                [1e3, 1.0, 1.0], "step 1: max|state| = inf"),
+    }
+    for name, (rhs, x0, expect) in cases.items():
+        x0 = np.array(x0)
+        floats = _divergence_message(rhs, x0)
+        assert expect in floats, (name, floats)
+        assert _divergence_message(rhs, x0[None]) == floats, name
 
 
 def test_dataset_roundtrip(tmp_path):

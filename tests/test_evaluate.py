@@ -147,6 +147,27 @@ def test_report_json(lorenz_ds, lorenz_oracle, tmp_path):
     assert "equations" in loaded and "2" in loaded["equations"]
 
 
+def test_report_hidden_baselines(lorenz_ds, lorenz_oracle):
+    # the oracle's hidden error is far below both baselines; a constant
+    # estimate scores the constant baseline, about 1 against the smaller
+    # of the two (w is nearly uncorrelated with u and v)
+    model, enc, _ = lorenz_oracle
+    res = evaluate.evaluate_run(lorenz_ds, model, enc)
+    doc = evaluate.report(model, lorenz_ds, res["align"], res["comparison"],
+                          baselines=res["baselines"])
+    hidden = json.loads(json.dumps(doc))["hidden"]
+    assert set(hidden) == {"a", "b", "rel_error", "constant_rel_error",
+                           "visible_affine_rel_error"}
+    assert evaluate.baseline_ratio(hidden)[0] < 1e-6
+    lo, hi = res["lo"], res["hi"]
+    truth = lorenz_ds.hidden_truth[lo:hi, 0]
+    const = evaluate.affine_align(np.zeros(hi - lo), truth)
+    hidden["rel_error"] = const.rel_error.tolist()
+    assert hidden["rel_error"][0] == pytest.approx(
+        hidden["constant_rel_error"][0], rel=1e-12)
+    assert evaluate.baseline_ratio(hidden)[0] == pytest.approx(1.0, abs=0.1)
+
+
 def test_nlse_truth_table_roundtrip():
     ds = datagen.simulate(datagen.get_preset("nlse", n_time=50), seed=0)
     model = train.default_model(ds.preset, seed=0)

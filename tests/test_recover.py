@@ -387,6 +387,21 @@ def test_fit_logs_timed_events(lorenz_ds):
     assert times == sorted(times)
 
 
+def test_elimination_logs_timed_events(lorenz_ds, monkeypatch):
+    # the `eliminate[...]` events are stamped like the other phase events,
+    # in seconds since the start of `fit`; a budget of 200 runs the full
+    # schedule, elimination included, at 7-step trials
+    monkeypatch.setattr(recover, "FULL_BUDGET", 200)
+    monkeypatch.setattr(recover, "TRIAL_STEPS", 7)
+    rec = _recovery(lorenz_ds, 200)
+    rec.fit()
+    assert any(e.startswith("eliminate[") for e in rec.events), rec.events
+    for event in rec.events:
+        assert re.search(r" t \d+\.\d\ds$", event), event
+    times = [float(e.split(" t ")[-1][:-1]) for e in rec.events]
+    assert times == sorted(times)
+
+
 @pytest.mark.parametrize("term", [library.Monomial((3, 0, 0)),
                                   library.SpatialDerivative(0, (1, 0))])
 def test_recovery_refuses_terms_off_the_closed_form(lorenz_ds, term):
