@@ -280,8 +280,9 @@ def _evaluate_run(args, ds, model, encoder, record):
     the dataset (a model of another kind or state size than the preset's,
     a conv encoder of other visible channels, a per-sample embedding of
     another series; a run whose record names another preset, or, for a
-    per-sample embedding, another dataset seed), or a series too short to
-    score, raises CliError."""
+    per-sample embedding, another dataset seed), a series too short to
+    score, or a run `evaluate_run` cannot score (a constant hidden
+    estimate), raises CliError."""
     vis, spec = ds.visible.shape, encoder.spec
     embeds = spec.kind == "phase_embedding"
     checks = [
@@ -301,7 +302,7 @@ def _evaluate_run(args, ds, model, encoder, record):
                            f"{what} {have}, the dataset's {want}")
     try:
         return evaluate.evaluate_run(ds, model, encoder)
-    except train.SeriesTooShort as e:
+    except ValueError as e:     # train.SeriesTooShort among them
         raise CliError(f"cannot evaluate on {args.data}: {e}")
 
 

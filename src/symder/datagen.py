@@ -465,29 +465,41 @@ def simulate(preset, seed=0):
 
 def table_rhs(table, state_dim, spacing=(), axes=()):
     """rhs(*components) -> tuple from a table {component: {basis_key: value}}
-    in physical units; powers are repeated products, so overflow gives inf."""
+    in physical units; powers are repeated products, so overflow gives inf.
+    The table is read once into a list of terms per equation: (coefficient,
+    the components a monomial multiplies in order, None) or (coefficient,
+    component, [(axis, order)]) for a spatial derivative."""
     from . import fd
+
+    rows = []
+    for j, row in table.items():
+        terms = []
+        for key, c in row.items():
+            if key[0] == "mono":
+                terms.append((float(c), [k for k, e in enumerate(key[1])
+                                         for _ in range(e)], None))
+            elif key[0] == "deriv":
+                terms.append((float(c), key[1],
+                              [(a, o) for a, o in enumerate(key[2]) if o]))
+            else:
+                raise ValueError(f"table_rhs cannot evaluate {key!r}")
+        rows.append((j, terms))
 
     def rhs(*comps):
         zero = np.zeros_like(comps[0]) if np.ndim(comps[0]) else 0.0
         out = [zero] * state_dim
-        for j, row in table.items():
+        for j, terms in rows:
             acc = zero
-            for key, c in row.items():
-                if key[0] == "mono":
+            for c, comp, orders in terms:
+                if orders is None:
                     v = 1.0
-                    for k, e in enumerate(key[1]):
-                        for _ in range(e):
-                            v = v * comps[k]
-                elif key[0] == "deriv":
-                    v = comps[key[1]]
-                    for a, o in enumerate(key[2]):
-                        if o:
-                            v = fd.spatial_stencil(v, o, axes[a],
-                                                   spacing[a])
+                    for k in comp:
+                        v = v * comps[k]
                 else:
-                    raise ValueError(f"table_rhs cannot evaluate {key!r}")
-                acc = acc + float(c) * v
+                    v = comps[comp]
+                    for a, o in orders:
+                        v = fd.spatial_stencil(v, o, axes[a], spacing[a])
+                acc = acc + c * v
             out[j] = acc
         return tuple(out)
 

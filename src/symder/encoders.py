@@ -64,27 +64,14 @@ class Encoder:
         self.seed = seed
         self.params = {}
         rng = np.random.default_rng(seed)
-        if spec.kind == "temporal_conv":
+        if spec.kind in ("temporal_conv", "spatiotemporal_conv"):
             k = spec.kernels[0]
+            nd = 1 if spec.kind == "temporal_conv" else 3
             cin = spec.n_visible
             for i, w in enumerate(spec.widths):
                 if i == 0:
-                    fan_in = k * cin
-                    wshape = (k, cin, w)
-                else:
-                    fan_in = cin
-                    wshape = (cin, w)
-                s = 1.0 / np.sqrt(fan_in)
-                self._add(f"w{i}", rng.uniform(-s, s, wshape))
-                self._add(f"b{i}", np.zeros(w))
-                cin = w
-        elif spec.kind == "spatiotemporal_conv":
-            k = spec.kernels[0]
-            cin = spec.n_visible
-            for i, w in enumerate(spec.widths):
-                if i == 0:
-                    fan_in = k ** 3 * cin
-                    wshape = (k, k, k, cin, w)
+                    fan_in = k ** nd * cin
+                    wshape = (k,) * nd + (cin, w)
                 else:
                     fan_in = cin
                     wshape = (cin, w)
@@ -106,11 +93,7 @@ class Encoder:
 
     @property
     def receptive_field(self):
-        if self.spec.kind == "temporal_conv":
-            return self.spec.kernels[0]
-        if self.spec.kind == "spatiotemporal_conv":
-            return self.spec.kernels[0]
-        return 1
+        return 1 if self.spec.kind == "phase_embedding" else self.spec.kernels[0]
 
     @property
     def radius(self):

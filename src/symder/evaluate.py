@@ -243,7 +243,8 @@ def evaluate_run(dataset, model, encoder):
     """Reconstruct the hidden state on the window the loss trained, align it
     with the truth, and compare the learned equations; returns a result
     dict with the alignment, the comparison, and the reconstructed state;
-    for a real state, also the `hidden_baselines` of that window."""
+    for a real state, also the `hidden_baselines` of that window. A real
+    hidden estimate that is constant on the window raises ValueError."""
     from .train import Problem
     prob = Problem(dataset, model, encoder)
     state = prob.reconstruct().data
@@ -262,6 +263,10 @@ def evaluate_run(dataset, model, encoder):
     else:
         nvis = dataset.visible.shape[-1]
         est = state[..., nvis:]
+        if np.ptp(est) == 0.0:
+            raise ValueError(f"the hidden estimate is constant on [{lo}, "
+                             f"{hi}), so no affine map aligns it with the "
+                             "truth")
         truth = dataset.hidden_truth[lo:hi]
         align = affine_align(est.reshape(-1), truth.reshape(-1))
         out["hidden_estimate"] = est

@@ -25,8 +25,8 @@ MODULUS_FLOOR = 1e-8  # |psi| below this makes d|psi|/dt ill-conditioned
 
 class JetVar:
     """Truncated polynomial in the expansion variable; coefficients are
-    Tensors (or scalars, which broadcast). It carries a term's value and,
-    from `propagate`, the trajectory itself."""
+    Tensors. It carries a term's value and, from `propagate`, the
+    trajectory itself."""
 
     __slots__ = ("coeffs",)
 
@@ -41,35 +41,23 @@ class JetVar:
         return JetVar([fn(c) for c in self.coeffs])
 
     def __add__(self, other):
-        if isinstance(other, JetVar):
-            n = min(len(self.coeffs), len(other.coeffs))
-            return JetVar([self.coeffs[i] + other.coeffs[i] for i in range(n)])
-        out = list(self.coeffs)
-        out[0] = out[0] + other
-        return JetVar(out)
-
-    __radd__ = __add__
+        n = min(len(self.coeffs), len(other.coeffs))
+        return JetVar([self.coeffs[i] + other.coeffs[i] for i in range(n)])
 
     def __mul__(self, other):
-        if isinstance(other, JetVar):
-            n = min(len(self.coeffs), len(other.coeffs))
-            out = []
-            for p in range(n):
-                acc = None
-                for j in range(p + 1):
-                    term = self.coeffs[j] * other.coeffs[p - j]
-                    acc = term if acc is None else acc + term
-                out.append(acc)
-            return JetVar(out)
-        return JetVar([c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
+        n = min(len(self.coeffs), len(other.coeffs))
+        out = []
+        for p in range(n):
+            acc = None
+            for j in range(p + 1):
+                term = self.coeffs[j] * other.coeffs[p - j]
+                acc = term if acc is None else acc + term
+            out.append(acc)
+        return JetVar(out)
 
     def __pow__(self, n):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise TypeError("jet power must be a non-negative integer")
-        if n == 0:
-            return JetVar([1.0] + [0.0] * self.order)
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise TypeError("jet power must be a positive integer")
         out = self
         for _ in range(int(n) - 1):
             out = out * self

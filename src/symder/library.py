@@ -258,8 +258,8 @@ class SymbolicModel:
     def evaluate_components(self, comps, p):
         """Taylor coefficient `p` of the right-hand side as one tensor with
         the state's channels, (re, im) for the complex kind, along its
-        trailing axis. comps entries may be Tensors or ndarrays (p = 0) or
-        jet polynomials with coefficients up to p. The active terms are
+        trailing axis. comps entries are jet polynomials with coefficients
+        up to p. The active terms are
         contracted with the masked coefficients in one `T.lincomb`, so
         masked (equation, term) pairs contribute exact zeros."""
         geom = self.geometry()
@@ -328,8 +328,8 @@ class SymbolicModel:
 
 
 def _coefficient(value, p):
-    """Taylor coefficient p of a term's value: a jet's, or for a Tensor or
-    a float, which are constant in time, the value itself at p = 0."""
+    """Taylor coefficient p of a term's value: a jet's, or for the float of
+    the constant term the value itself at p = 0."""
     if isinstance(value, jets.JetVar):
         return value.coeffs[p]
     return value if p == 0 else 0.0

@@ -163,15 +163,14 @@ class Problem:
         vis = self.vis_t[lo:hi]
         return encoders.aggregate(self.agg_kind, vis, hidden)
 
-    def expand(self, lo=None, hi=None):
-        """The state estimate on [lo, hi) and its jet through the model."""
-        state = self.reconstruct(lo, hi)
-        return state, jets.propagate(state, self.model, ORDER)
-
-    def score(self, state, jet, lo=None, hi=None):
-        """Loss and its parts for a state and jet from `expand(lo, hi)`."""
+    def compute_loss(self, lo=None, hi=None):
+        """Loss and its parts on the window [lo, hi) (defaults to all of
+        the interior), from the state estimate there and its jet through
+        the model."""
         lo = self.lo if lo is None else lo
         hi = self.hi if hi is None else hi
+        state = self.reconstruct(lo, hi)
+        jet = jets.propagate(state, self.model, ORDER)
         sym = jets.visible_derivatives(jet, self.projection)
         total = None
         parts = {}
@@ -195,9 +194,6 @@ class Problem:
             parts["reg"] = reg.item()
             total = T.add(total, reg)
         return total, parts
-
-    def compute_loss(self, lo=None, hi=None):
-        return self.score(*self.expand(lo, hi), lo, hi)
 
     def chunks(self, chunk_time):
         """Tile [lo, hi) into windows of chunk_time samples, each with its

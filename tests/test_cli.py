@@ -534,6 +534,27 @@ def test_run_without_its_record_is_scored(misfits, tmp_path):
                      "--run", str(run)]) == 0
 
 
+@pytest.mark.parametrize("cmd", ["eval", "predict"])
+def test_constant_hidden_estimate_exits_1(misfits, tmp_path, capsys, cmd):
+    """A zero embedding has no spread to align with the truth: eval and
+    predict say so in one line, and eval writes no report."""
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("model.json", "config.json"):
+        (run / name).write_bytes((misfits["lorenz_emb"] / name).read_bytes())
+    enc = encoders.load_checkpoint(misfits["lorenz_emb"] / "encoder.ckpt")
+    enc.params["phi"].data[...] = 0.0
+    encoders.save_checkpoint(enc, run / "encoder.ckpt")
+    capsys.readouterr()
+    assert cli.main([cmd, "--data", str(misfits["lorenz"]),
+                     "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot evaluate") and \
+        err.count("\n") == 1, err
+    assert "hidden estimate is constant" in err
+    assert not (run / "report.json").exists()
+
+
 def test_corrupt_run_config_exits_3(misfits, tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()

@@ -365,29 +365,40 @@ def test_term_names():
 
 # -- the lincomb contraction against the per-coefficient tape sum ------------
 
-def reference_components(m, comps):
-    """Per-(equation, term) contraction, one tape node per coefficient."""
+def reference_components(m, comps, order):
+    """Per-(equation, term) contraction, one tape node per coefficient, as
+    one flat list of order + 1 Taylor coefficients per equation (a float
+    0.0 where no term contributes)."""
     geom = m.geometry()
     th = m.masked_theta()
     active = m.mask if m.kind == "complex" else m.mask.any(axis=0)
     values = [t.evaluate(comps, geom) if active[i] else None
               for i, t in enumerate(m.terms)]
+
+    def coeff(v, p):
+        # a jet's coefficient p; the constant term's value is the float 1.0
+        if isinstance(v, float):
+            return v if p == 0 else 0.0
+        return v.coeffs[p]
+
     if m.kind == "complex":
-        out_re, out_im = 0.0, 0.0
-        for i, v in enumerate(values):
-            if v is not None:
-                out_re = v[1] * (-1.0) * th[i] + out_re
-                out_im = v[0] * th[i] + out_im
-        return [out_re, out_im]
-    out = []
-    for j in range(m.theta.shape[0]):
-        acc = None
-        for i, v in enumerate(values):
-            if v is not None and m.mask[j, i]:
-                term = v * th[j, i]
-                acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else 0.0)
-    return out
+        # re = -sum_i theta_i f_im,i, im = sum_i theta_i f_re,i
+        rows = [[(v[1], -1.0 * th[i]) for i, v in enumerate(values)
+                 if v is not None],
+                [(v[0], th[i]) for i, v in enumerate(values)
+                 if v is not None]]
+    else:
+        rows = [[(v, th[j, i]) for i, v in enumerate(values)
+                 if v is not None and m.mask[j, i]]
+                for j in range(m.theta.shape[0])]
+    flat = []
+    for row in rows:
+        for p in range(order + 1):
+            acc = 0.0
+            for v, c in row:
+                acc = coeff(v, p) * c + acc
+            flat.append(acc)
+    return flat
 
 
 def _oracle_model(kind, rng):
@@ -408,16 +419,6 @@ def _oracle_model(kind, rng):
     return m, shape
 
 
-def _coeffs(out, order):
-    """Per-equation outputs (Tensors, jets or floats) as one flat list of
-    order + 1 Taylor coefficients per equation."""
-    flat = []
-    for f in out:
-        cs = list(f.coeffs) if hasattr(f, "coeffs") else [f]
-        flat += cs + [0.0] * (order + 1 - len(cs))
-    return flat
-
-
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("kind", ["ode", "pde", "nlse"])
 def test_lincomb_contraction_matches_reference(kind, order):
@@ -431,17 +432,16 @@ def test_lincomb_contraction_matches_reference(kind, order):
     def contract(comps):
         # one state-shaped tensor per coefficient, split into equations
         cs = [m.evaluate_components(comps, p) for p in range(order + 1)]
-        return [JetVar([c[..., j] for c in cs]) for j in range(n_eq)]
+        return [c[..., j] for j in range(n_eq) for c in cs]
 
     results = []
-    for contract in (contract, lambda comps: reference_components(m, comps)):
+    for contract in (contract,
+                     lambda comps: reference_components(m, comps, order)):
         m.theta_t.zero_grad()
         leaves = [T.Tensor(s, requires_grad=True) for s in seeds]
-        comps = [leaves[0][..., j] for j in range(shape[-1])]
-        if order:
-            comps = [JetVar([c[..., j] for c in leaves])
-                     for j in range(shape[-1])]
-        flat = _coeffs(contract(comps), order)
+        comps = [JetVar([c[..., j] for c in leaves])
+                 for j in range(shape[-1])]
+        flat = contract(comps)
         loss = sum((T.tsum(T.mul(c, w)) for c, w in zip(flat, probes)
                     if isinstance(c, T.Tensor)), T.Tensor(0.0))
         T.backward(loss)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from symder import tensor as T
-from symder import datagen, encoders, library, train
+from symder import datagen, encoders, jets, library, train
 
 
 @pytest.fixture(scope="module")
@@ -354,7 +354,8 @@ def test_hidden_residual_on_a_field():
 
     # by hand: 5 * mean over the field of (F_v - s_t dv/dn)^2, with dv/dn
     # the central difference per sample
-    state, jet = prob.expand()
+    state = prob.reconstruct()
+    jet = jets.propagate(state, model, train.ORDER)
     v = state.data[..., 1]
     dv = (v[2:] - v[:-2]) / 2 * model.s_t
     ref = 5.0 * np.mean((jet.coeffs[1].data[1:-1, ..., 1] - dv) ** 2)
