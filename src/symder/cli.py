@@ -32,29 +32,26 @@ import numpy as np
 
 from . import datagen, encoders, evaluate, library, recover, train
 
-# training schedules per system, overridable by a JSON config. The system
-# kind picks the path: ODE presets train staged (`recover`), where "width"
-# > 0 distills the embedding into a conv encoder of that width; the others
-# train jointly (`train.fit`)
+# the run settings per system: every key its path reads, which a JSON config
+# and the flags may override. The system kind picks the path: ODE presets
+# train staged (`recover`), where "width" > 0 distills the embedding into a
+# conv encoder of that width; the others train jointly (`train.fit`)
 DEFAULT_CONFIGS = {
     "rossler": {"steps": 20500, "lr": 2e-3, "width": 0},
     "lorenz": {"steps": 20500, "lr": 2e-3, "width": 0},
     "diffusion_source": {"steps": 50000, "lr": 1e-4, "width": 64,
-                         "alphas": [1.0, 10.0], "sparsify_every": 1000,
-                         "theta_threshold": 5e-3, "chunk_time": 64},
+                         "alphas": [1.0, 10.0], "beta_phase": 0.0,
+                         "sparsify_every": 1000, "theta_threshold": 5e-3,
+                         "chunk_time": 64, "divergence_limit": 1e6},
     "diffusive_lv": {"steps": 100000, "lr": 1e-3, "width": 64,
-                     "alphas": [1.0, 1.0], "sparsify_every": 1000,
-                     "theta_threshold": 2e-3, "chunk_time": 64},
-    "nlse": {"steps": 100000, "lr": 1e-4, "width": 0,
+                     "alphas": [1.0, 1.0], "beta_phase": 0.0,
+                     "sparsify_every": 1000, "theta_threshold": 2e-3,
+                     "chunk_time": 64, "divergence_limit": 1e6},
+    "nlse": {"steps": 100000, "lr": 1e-4,
              "alphas": [1.0, 1.0], "beta_phase": 1e3,
              "sparsify_every": 10000, "theta_threshold": 1e-3,
-             "divergence_limit": 1e9},
+             "chunk_time": 0, "divergence_limit": 1e9},
 }
-
-# the config keys each path reads
-STAGED_KEYS = {"steps", "lr", "width"}
-JOINT_KEYS = STAGED_KEYS | {"alphas", "sparsify_every", "theta_threshold",
-                            "chunk_time", "beta_phase", "divergence_limit"}
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -101,44 +98,59 @@ _POSITIVE = (_positive, "a positive finite number")
 # the values each config key admits: (test, description)
 CONFIG_RULES = {
     "steps": _COUNT, "width": _COUNT, "lr": _POSITIVE,
-    "alphas": (lambda v: type(v) is list and len(v) >= 2
+    "alphas": (lambda v: type(v) is list and len(v) == train.ORDER
                and all(map(_positive, v)),
-               "a list of two or more positive finite numbers"),
+               f"a list of {train.ORDER} positive finite numbers"),
     "sparsify_every": _COUNT, "chunk_time": _COUNT,
     "theta_threshold": _POSITIVE, "divergence_limit": _POSITIVE,
     "beta_phase": (lambda v: type(v) in (int, float) and 0 <= v < math.inf,
                    "a non-negative finite number"),
 }
+# the joint path's conv encoder needs a width; a staged 0 skips distill
+_JOINT_WIDTH = (lambda v: type(v) is int and v >= 1, "a positive integer")
+# the least value of each integer flag of generate and train
+FLAG_LEAST = {"n_time": 1, "nx": 1, "seed": 0}
 
 
-def check_config(cfg):
-    """Raise CliError naming the first key whose value is out of range."""
-    for key, value in cfg.items():
-        ok, what = CONFIG_RULES[key]
-        if not ok(value):
-            raise CliError(f"config {key} must be {what}, got {value!r}")
-
-
-def load_config(preset, config_path=None):
-    """The preset's schedule under the config file, which may set only the
-    keys its path reads."""
+def load_config(ds, args):
+    """The preset's run settings under the config file's, then under the
+    flags' (--steps, --width, --lr). Raise CliError naming any that is not
+    one of the preset's keys, the first value out of range, or a staged
+    width whose distill normal matrix exceeds physical memory."""
     user = {}
-    if config_path is not None:
-        path = Path(config_path)
+    if args.config is not None:
+        path = Path(args.config)
         if not path.exists():
             raise CliError(f"config not found: {path}", EXIT_MISSING)
         try:
             user = dict(json.loads(path.read_text()))
         except (TypeError, ValueError) as e:
             raise CliError(f"bad config {path}: {e}", EXIT_FAIL)
-        staged = preset.kind == "ode"
-        unknown = set(user) - (STAGED_KEYS if staged else JOINT_KEYS)
-        if unknown:
-            raise CliError(
-                f"{path}: the {'staged' if staged else 'joint'} path of "
-                f"{preset.name} does not read config keys "
-                f"{', '.join(sorted(unknown))}")
-    return {**DEFAULT_CONFIGS[preset.name], **user}
+    for key in ("steps", "width", "lr"):
+        if getattr(args, key) is not None:
+            user[key] = getattr(args, key)
+    preset, staged = ds.preset, ds.preset.kind == "ode"
+    unknown = set(map(str, user)) - set(DEFAULT_CONFIGS[preset.name])
+    if unknown:
+        raise CliError(
+            f"the {'staged' if staged else 'joint'} path of {preset.name} "
+            f"does not read {', '.join(sorted(unknown))}")
+    cfg = {**DEFAULT_CONFIGS[preset.name], **user}
+    rules = CONFIG_RULES if staged else {**CONFIG_RULES,
+                                         "width": _JOINT_WIDTH}
+    for key, value in cfg.items():
+        ok, what = rules[key]
+        if not ok(value):
+            raise CliError(f"config {key} must be {what}, got {value!r}")
+    if staged and cfg["width"]:
+        n = recover.distill_unknowns(ds.visible.shape[-1], cfg["width"])
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 8 * n * n > have:
+            raise CliError(f"config width {cfg['width']} needs a "
+                           f"{8 * n * n / 2**30:,.0f} GiB normal matrix in "
+                           f"distill, over the {have / 2**30:,.0f} GiB of "
+                           "physical memory")
+    return cfg
 
 
 def load_dataset(path):
@@ -182,14 +194,13 @@ def load_run(run_dir):
 # -- subcommands --------------------------------------------------------------
 
 def cmd_generate(args):
-    for flag, value in (("--n-time", args.n_time), ("--nx", args.nx)):
-        if value is not None and value < 1:
-            raise CliError(f"{flag} must be a positive integer, got {value}")
     try:
         preset = datagen.get_preset(args.preset, n_time=args.n_time,
                                     nx=args.nx)
     except KeyError:
         raise CliError(f"unknown preset {args.preset!r}", EXIT_FAIL)
+    if args.nx is not None and not preset.grid:
+        raise CliError(f"--nx sets a grid, and {preset.name} has none")
     ds = datagen.simulate(preset, seed=args.seed)
     try:
         ds.save(args.out, force=args.force)
@@ -203,14 +214,7 @@ def cmd_generate(args):
 
 def cmd_train(args):
     ds = load_dataset(args.data)
-    cfg = load_config(ds.preset, args.config)
-    if args.steps is not None:
-        cfg["steps"] = args.steps
-    if args.width is not None:
-        cfg["width"] = args.width
-    if args.lr is not None:
-        cfg["lr"] = args.lr
-    check_config(cfg)
+    cfg = load_config(ds, args)
     keep_freed_heap()
     try:
         if ds.preset.kind == "ode":
@@ -226,21 +230,12 @@ def _train_joint(args, ds, cfg):
     """PDE and wave systems: the encoder and the coefficients descend
     jointly (`train.fit`)."""
     model = train.default_model(ds.preset, seed=args.seed)
-    enc = train.default_encoder(ds, width=cfg["width"] or None,
-                                seed=args.seed)
+    enc = train.default_encoder(ds, cfg, seed=args.seed)
     # beta_phase weighs the hidden residual in physical time units; the
     # problem scores it in model time units
-    beta = cfg.get("beta_phase", 0.0) / (model.s_t * ds.norm.dt) ** 2
-    prob = train.Problem(ds, model, enc, alphas=tuple(cfg["alphas"]),
-                         beta=beta)
-    tcfg = train.TrainConfig(
-        steps=cfg["steps"], lr=cfg["lr"],
-        sparsify_every=cfg["sparsify_every"],
-        theta_threshold=cfg["theta_threshold"],
-        divergence_limit=cfg.get("divergence_limit",
-                                 train.DIVERGENCE_LIMIT),
-        chunk_time=cfg.get("chunk_time", 0), seed=args.seed)
-    train.fit(prob, tcfg, out_dir=args.out, log=print)
+    beta = cfg["beta_phase"] / (model.s_t * ds.norm.dt) ** 2
+    prob = train.Problem(ds, model, enc, alphas=cfg["alphas"], beta=beta)
+    train.fit(prob, {**cfg, "seed": args.seed}, out_dir=args.out, log=print)
     print(f"wrote {args.out}: {model.active_terms()} active terms")
     return EXIT_OK
 
@@ -256,7 +251,7 @@ def _train_staged(args, ds, cfg):
     that width by least squares, in `recover.DISTILL_SOLVES` damped
     Gauss-Newton solves, which write no history rows; that encoder is then
     the one saved."""
-    rcfg = recover.RecoveryConfig(cfg["steps"], lr=cfg["lr"], seed=args.seed)
+    rcfg = recover.RecoveryConfig(cfg["steps"], cfg["lr"], seed=args.seed)
     rec = recover.EmbeddingRecovery(
         ds, train.default_model(ds.preset, seed=args.seed), rcfg)
     width = cfg["width"] or None
@@ -309,13 +304,8 @@ def _evaluate_run(args, ds, model, encoder, record):
 def cmd_eval(args):
     ds = load_dataset(args.data)
     model, encoder, record = load_run(args.run)
-    res = _evaluate_run(args, ds, model, encoder, record)
-    extra = {}
-    if "phase_error" in res:
-        extra = {"phase_error": res["phase_error"],
-                 "phase_gradient_error": res["phase_gradient_error"]}
-    doc = evaluate.report(model, ds, res["align"], res["comparison"],
-                          extra=extra, baselines=res.get("baselines"))
+    doc = evaluate.report(model, ds,
+                          _evaluate_run(args, ds, model, encoder, record))
     out = Path(args.out) if args.out else Path(args.run) / "report.json"
     evaluate.write_report(doc, out)
     print(f"wrote {out}")
@@ -335,12 +325,9 @@ def cmd_predict(args):
     if start < 0 or start >= res["hidden_estimate"].shape[0]:
         raise CliError(f"--start must be in [{res['lo']}, {res['hi']})",
                        EXIT_FAIL)
-    ds_fwd = datagen.Dataset(
-        preset=ds.preset, seed=ds.seed,
-        visible_raw=ds.visible_raw[args.start:],
-        hidden_truth=ds.hidden_truth[args.start:], norm=ds.norm)
     horizon = evaluate.prediction_horizon(
-        model, ds_fwd, res["align"], res["hidden_estimate"][start])
+        ds, res["comparison"]["found_physical"], res["align"],
+        res["hidden_estimate"][start], args.start)
     unit = "Lyapunov times" if ds.preset.lyapunov_time else "time units"
     print(f"prediction horizon: {horizon:.3f} {unit}")
     return EXIT_OK
@@ -420,6 +407,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for key, least in FLAG_LEAST.items():
+            value = getattr(args, key, None)
+            if value is not None and value < least:
+                raise CliError(f"--{key.replace('_', '-')} must be a "
+                               f"{'positive' if least else 'non-negative'} "
+                               f"integer, got {value}")
         return args.fn(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,10 +12,11 @@ Three encoder kinds:
 
 Hidden layers use tanh; the final layer is linear. Each layer is one tape
 node: `tensor.conv1d`, `tensor.conv3d` or `tensor.linear` with the bias and
-the activation fused in. Aggregation rebuilds the full state: concatenation
-for subset projections, |psi| e^{i phi} (as paired real channels) for the
-wave system. The penalty that ties the reconstructed hidden state to the
-model lives in `train.Problem`, for every system alike.
+the activation fused in. Aggregation rebuilds the full state from the
+preset's observed channels: concatenation for a list of components,
+|psi| e^{i phi} (as paired real channels) for the wave's modulus. The
+penalty that ties the reconstructed hidden state to the model lives in
+`train.Problem`, for every system alike.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ class EncoderSpec:
     shape: tuple = ()           # phase_embedding: full (t, x) grid shape
 
 
-def ode_encoder_spec(n_visible=2, width=128):
+def ode_encoder_spec(n_visible, width):
     return EncoderSpec(kind="temporal_conv", n_visible=n_visible,
                        kernels=(9, 1, 1), widths=(width, width, 1))
 
 
-def pde_encoder_spec(n_visible=1, width=64):
+def pde_encoder_spec(n_visible, width):
     return EncoderSpec(kind="spatiotemporal_conv", n_visible=n_visible,
                        kernels=(5, 1, 1), widths=(width, width, 1))
 
@@ -124,11 +125,12 @@ class Encoder:
         return h
 
 
-def aggregate(kind, visible, hidden):
+def aggregate(observed, visible, hidden):
     """Rebuild the full state from time-aligned visible and hidden parts.
 
-    kind "concat": plain concatenation along the component axis.
-    kind "modulus_phase": visible = |psi| (trailing axis 1), hidden = phase;
+    observed (the preset's `visible`) a list of components: plain
+    concatenation along the component axis.
+    observed "modulus": visible = |psi| (trailing axis 1), hidden = phase;
     returns (re, im) channels of |psi| e^{i phi}.
     """
     visible = T.as_tensor(visible)
@@ -138,16 +140,14 @@ def aggregate(kind, visible, hidden):
     if visible.shape[:-1] != hidden.shape[:-1]:
         raise ValueError(
             f"aggregate: misaligned shapes {visible.shape} vs {hidden.shape}")
-    if kind == "concat":
+    if observed != "modulus":
         return T.concat([visible, hidden], axis=-1)
-    if kind == "modulus_phase":
-        mod = visible[..., 0]
-        phi = hidden[..., 0]
-        re = T.mul(mod, T.cos(phi))
-        im = T.mul(mod, T.sin(phi))
-        return T.concat([T.reshape(re, re.shape + (1,)),
-                         T.reshape(im, im.shape + (1,))], axis=-1)
-    raise ValueError(f"unknown aggregation kind {kind!r}")
+    mod = visible[..., 0]
+    phi = hidden[..., 0]
+    re = T.mul(mod, T.cos(phi))
+    im = T.mul(mod, T.sin(phi))
+    return T.concat([T.reshape(re, re.shape + (1,)),
+                     T.reshape(im, im.shape + (1,))], axis=-1)
 
 
 # ---------------------------------------------------------------------------

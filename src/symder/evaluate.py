@@ -96,24 +96,19 @@ def pattern_of(table):
             for k, c in row.items() if abs(c) >= PATTERN_THRESHOLD}
 
 
-def learned_physical_table(model, dataset, align):
-    """Learned equations in the original data units and the truth's hidden
-    variable."""
-    return library.physical_coefficients(
-        model, _with_hidden(dataset, align.b, align.a))
-
-
 def compare_equations(model, dataset, align):
     """Sparsity-pattern verdict plus per-coefficient relative errors.
 
-    The learned table is moved into the variables of
+    The learned table, in the original data units and the truth's hidden
+    variable (`found_physical`), is moved into the variables of
     `truth_normalized_table`, entries below PATTERN_THRESHOLD are
     discarded, and the surviving pattern is compared against the generating
     equations;
     coefficients are then compared in physical units over the union of the
     two patterns.
     """
-    found_phys = learned_physical_table(model, dataset, align)
+    found_phys = library.physical_coefficients(
+        model, _with_hidden(dataset, align.b, align.a))
     truth_phys = datagen.true_coefficient_table(dataset.preset)
     found_n = library.change_variables(found_phys,
                                        *_to_truth_units(model, dataset))
@@ -174,28 +169,28 @@ def phase_errors(phase_est, phase_truth, dx):
 # forecasting
 # ---------------------------------------------------------------------------
 
-def prediction_horizon(model, dataset, align, hidden_estimate):
-    """Forecast with the learned equations from a reconstructed first state
-    and report how long the visible trajectory stays within
-    HORIZON_THRESHOLD of the truth (RMS amplitude units). Returns the
-    horizon in Lyapunov times when the preset defines one, otherwise in
-    plain time units."""
-    if dataset.preset.kind != "ode":
+def prediction_horizon(dataset, table, align, hidden_estimate, start):
+    """Forecast with the learned physical `table` from the visible truth at
+    sample `start` and `align` applied to the hidden estimate there, and
+    report how long the visible trajectory stays within HORIZON_THRESHOLD
+    of the truth (RMS amplitude units). Returns the horizon in Lyapunov
+    times when the preset defines one, otherwise in plain time units."""
+    preset = dataset.preset
+    if preset.kind != "ode":
         raise ValueError("prediction horizon is defined for the ODE systems")
-    table = learned_physical_table(model, dataset, align)
-    rhs = datagen.table_rhs(table, model.state_dim)
-    vis_idx = dataset.preset.visible
-    truth_vis = dataset.visible_raw
+    rhs = datagen.table_rhs(table, preset.state_dim)
+    vis_idx = preset.visible
+    truth_vis = dataset.visible_raw[start:]
     n_steps = truth_vis.shape[0] - 1
-    x = np.empty(model.state_dim)
+    x = np.empty(preset.state_dim)
     x[vis_idx] = truth_vis[0]
-    hidden_idx = [j for j in range(model.state_dim) if j not in vis_idx]
+    hidden_idx = [j for j in range(preset.state_dim) if j not in vis_idx]
     x[hidden_idx] = align.a * np.atleast_1d(hidden_estimate) + align.b
     x = tuple(x.tolist())
     step = datagen.rk4_stepper(x)
     scale = np.sqrt(np.mean((truth_vis - truth_vis.mean(axis=0)) ** 2))
     horizon_steps = 0
-    substeps = dataset.preset.substeps
+    substeps = preset.substeps
     sub_dt = dataset.norm.dt / substeps
     for k in range(1, n_steps + 1):
         for _ in range(substeps):
@@ -207,7 +202,7 @@ def prediction_horizon(model, dataset, align, hidden_estimate):
             break
         horizon_steps = k
     horizon = horizon_steps * dataset.norm.dt
-    tau = dataset.preset.lyapunov_time
+    tau = preset.lyapunov_time
     return horizon / tau if tau else horizon
 
 
@@ -261,8 +256,7 @@ def evaluate_run(dataset, model, encoder):
         out["phase_gradient_error"] = ge
         out["hidden_estimate"] = phase_est
     else:
-        nvis = dataset.visible.shape[-1]
-        est = state[..., nvis:]
+        est = state[..., len(prob.observed):]
         if np.ptp(est) == 0.0:
             raise ValueError(f"the hidden estimate is constant on [{lo}, "
                              f"{hi}), so no affine map aligns it with the "
@@ -284,9 +278,10 @@ def _key_name(key):
     return library.term_from_key(key).name
 
 
-def report(model, dataset, align, comparison, extra=None, baselines=None):
-    """JSON-serializable summary of one recovery run; `baselines`, from
-    `hidden_baselines`, join the hidden errors."""
+def report(model, dataset, res):
+    """JSON-serializable summary of one recovery run from its `evaluate_run`
+    result `res`."""
+    align, comparison = res["align"], res["comparison"]
     doc = {
         "preset": dataset.preset.name,
         "seed": dataset.seed,
@@ -294,7 +289,7 @@ def report(model, dataset, align, comparison, extra=None, baselines=None):
         "hidden": {
             "a": align.a.tolist(), "b": align.b.tolist(),
             "rel_error": align.rel_error.tolist(),
-            **(baselines or {}),
+            **res.get("baselines", {}),
         },
         "pattern_match": comparison["pattern_match"],
         "missing": [[eq, _key_name(k)]
@@ -310,8 +305,8 @@ def report(model, dataset, align, comparison, extra=None, baselines=None):
             if abs(c) > 0.0}
     for (eq, k), e in comparison["coefficient_errors"].items():
         doc["coefficient_errors"][f"{eq}:{_key_name(k)}"] = e
-    if extra:
-        doc.update(extra)
+    doc.update({k: res[k] for k in ("phase_error", "phase_gradient_error")
+                if k in res})
     return doc
 
 

@@ -107,22 +107,13 @@ def propagate(state, model, order):
     return JetVar(coeffs)
 
 
-class Projection:
-    """Registered visible-state projections: a coordinate subset, or the
-    modulus of a complex state stored as (re, im) channels."""
-
-    def __init__(self, kind, indices=None):
-        if kind not in ("subset", "modulus"):
-            raise ValueError(f"unknown projection kind {kind!r}")
-        self.kind = kind
-        self.indices = list(indices) if indices is not None else None
-
-
-def visible_derivatives(jet: JetVar, g: Projection):
-    """d^p g(x)/dt^p for p = 1..jet.order, each shaped (..., n_visible)."""
+def visible_derivatives(jet: JetVar, observed):
+    """d^p g(x)/dt^p for p = 1..jet.order, each shaped (..., n_visible), of
+    the `observed` channels g (a preset's `visible`): a list of components,
+    or the "modulus" of a complex state stored as (re, im)."""
     order = jet.order
-    if g.kind == "subset":
-        return [T.mul(jet.coeffs[p][..., g.indices], float(factorial(p)))
+    if observed != "modulus":
+        return [T.mul(jet.coeffs[p][..., observed], float(factorial(p)))
                 for p in range(1, order + 1)]
 
     # modulus: compose |psi| = sqrt(re^2 + im^2) through the jet

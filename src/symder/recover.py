@@ -99,7 +99,7 @@ class RecoveryConfig:
     schedule the budget picks; polish takes the integer remainder.
     Elimination trials take data-dependent steps on top of the budget."""
     steps: int
-    lr: float = 2e-3           # warmup runs at lr / 2
+    lr: float                  # warmup runs at lr / 2
     seed: int = 0
 
     @property
@@ -485,6 +485,13 @@ def conv_normal_equations(params, patches, target, jtj, jtr,
     return float(res @ res)
 
 
+def distill_unknowns(n_visible, width):
+    """The parameter count of `distill`'s encoder: its normal matrix's side."""
+    spec = encoders.ode_encoder_spec(n_visible, width)
+    fan_in = (spec.kernels[0] * n_visible,) + spec.widths[:-1]
+    return sum((f + 1) * w for f, w in zip(fan_in, spec.widths))
+
+
 def distill(recovery: EmbeddingRecovery, width):
     """Fit a temporal-conv encoder of the given width to the recovered
     hidden series by least squares, from the encoder's seeded start, in
@@ -503,7 +510,7 @@ def distill(recovery: EmbeddingRecovery, width):
     writes no history rows.
     """
     t0 = time.perf_counter()
-    spec = encoders.ode_encoder_spec(n_visible=recovery.n_vis, width=width)
+    spec = encoders.ode_encoder_spec(recovery.n_vis, width)
     enc = encoders.Encoder(spec, seed=recovery.cfg.seed)
     r = enc.radius
     patches = conv_patches(recovery.ds.visible, enc.receptive_field)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,17 +29,6 @@ class TrainingDiverged(RuntimeError):
 
 class SeriesTooShort(ValueError):
     pass
-
-
-@dataclass
-class TrainConfig:
-    steps: int = 1000
-    lr: float = 1e-3
-    sparsify_every: int = 0         # 0 disables thresholding
-    theta_threshold: float = 1e-3
-    divergence_limit: float = DIVERGENCE_LIMIT
-    chunk_time: int = 0             # 0 = single full-batch pass per step
-    seed: int = 0
 
 
 class GradientOptimizer:
@@ -99,17 +87,19 @@ class Problem:
     plus, when `beta` > 0, the hidden residual `reg`: beta times the sum over
     hidden channels of the mean squared difference between the model's F on
     the reconstructed state and the first-derivative stencil of that state,
-    both in model time units. The hidden channels are those after the
-    visible ones for a concatenated state, and both (re, im) for the wave."""
+    both in model time units. The hidden channels follow the observed ones
+    (the preset's `visible`) for a list of them, and are both (re, im) for
+    the wave's "modulus"."""
 
     def __init__(self, dataset, model, encoder, alphas=(1.0, 1.0),
                  beta=0.0):
-        if len(alphas) < ORDER:
+        if len(alphas) != ORDER:
             raise ValueError(f"need {ORDER} loss weights, got {len(alphas)}")
         self.dataset = dataset
         self.model = model
         self.encoder = encoder
-        self.alphas = tuple(alphas)[:ORDER]
+        self.observed = dataset.preset.visible
+        self.alphas = tuple(alphas)
         self.beta = beta
 
         vis = dataset.visible
@@ -139,15 +129,6 @@ class Problem:
             self.deriv_scale[p] = 1.0 / ((model.s_t * dt) ** p * sigma)
 
         self.vis_t = T.Tensor(vis)
-        if model.kind == "complex":
-            self.agg_kind = "modulus_phase"
-            self.projection = jets.Projection("modulus")
-            self.first_hidden = 0     # the phase moves both re and im
-        else:
-            self.agg_kind = "concat"
-            self.projection = jets.Projection(
-                "subset", list(range(vis.shape[-1])))
-            self.first_hidden = vis.shape[-1]
 
     def reconstruct(self, lo=None, hi=None):
         """Full state estimate on the valid interior window [lo, hi)
@@ -161,7 +142,7 @@ class Problem:
         else:
             hidden = self.encoder(self.vis_t[lo - r:hi + r])
         vis = self.vis_t[lo:hi]
-        return encoders.aggregate(self.agg_kind, vis, hidden)
+        return encoders.aggregate(self.observed, vis, hidden)
 
     def compute_loss(self, lo=None, hi=None):
         """Loss and its parts on the window [lo, hi) (defaults to all of
@@ -171,7 +152,7 @@ class Problem:
         hi = self.hi if hi is None else hi
         state = self.reconstruct(lo, hi)
         jet = jets.propagate(state, self.model, ORDER)
-        sym = jets.visible_derivatives(jet, self.projection)
+        sym = jets.visible_derivatives(jet, self.observed)
         total = None
         parts = {}
         for p in range(1, ORDER + 1):
@@ -184,7 +165,7 @@ class Problem:
         parts["reg"] = 0.0
         if self.beta:
             r = len(self.d_t) // 2
-            h = self.first_hidden
+            h = 0 if self.observed == "modulus" else len(self.observed)
             hidden = state[..., h:] if h else state
             F = jet.coeffs[1][r:-r, ..., h:]
             reg = T.tmean(T.square(T.sub(
@@ -243,12 +224,13 @@ def default_model(preset, seed=0):
     return model
 
 
-def default_encoder(dataset, width=None, seed=0):
-    """The joint path's encoder: conv3d for a PDE, free phases for a wave."""
+def default_encoder(dataset, settings, seed=0):
+    """The joint path's encoder: conv3d of the run settings' `width` for a
+    PDE, free phases for a wave."""
     preset = dataset.preset
-    n_vis = dataset.visible.shape[-1]
     if preset.kind == "pde":
-        spec = encoders.pde_encoder_spec(n_visible=n_vis, width=width or 64)
+        spec = encoders.pde_encoder_spec(dataset.visible.shape[-1],
+                                         settings["width"])
     elif preset.kind == "nlse":
         spec = encoders.phase_embedding_spec(dataset.visible.shape[:-1])
     else:
@@ -312,13 +294,16 @@ def cosine_lr(lr0, steps):
     return lr
 
 
-def fit(problem, config, out_dir=None, log=None):
-    """Run the training loop; returns the per-step history (list of dicts).
-    Writes history.csv, model.json and encoder.ckpt under out_dir if given."""
+def fit(problem, settings, out_dir=None, log=None):
+    """Run the training loop under a joint-path preset's run `settings`
+    (`cli.DEFAULT_CONFIGS`); returns the per-step history (list of dicts).
+    Writes history.csv, model.json, encoder.ckpt and config.json, which
+    records `settings` whole, under out_dir if given."""
     model, encoder = problem.model, problem.encoder
     params = [model.theta_t] + [p for _, p in encoder.parameters()]
-    opt = GradientOptimizer(params, lr=config.lr)
-    chunks = problem.chunks(config.chunk_time)
+    opt = GradientOptimizer(params, lr=settings["lr"])
+    chunks = problem.chunks(settings["chunk_time"])
+    steps, every = settings["steps"], settings["sparsify_every"]
 
     def losses():
         # gradient accumulation over time windows, each tape freed by its
@@ -336,20 +321,18 @@ def fit(problem, config, out_dir=None, log=None):
             yield val, parts
 
     def after(step, val):
-        if (config.sparsify_every
-                and (step + 1) % config.sparsify_every == 0):
-            model.sparsify(config.theta_threshold)
-        if log is not None and (step % max(1, config.steps // 20) == 0
-                                or step == config.steps - 1):
+        if every and (step + 1) % every == 0:
+            model.sparsify(settings["theta_threshold"])
+        if log is not None and (step % max(1, steps // 20) == 0
+                                or step == steps - 1):
             log(f"step {step:6d}  loss {val:.6g}  "
                 f"active {model.active_terms()}")
 
-    history = descend(opt, losses(), config.steps, lambda step: config.lr,
+    history = descend(opt, losses(), steps, lambda step: settings["lr"],
                       model=model, after=after,
-                      limit=config.divergence_limit)
+                      limit=settings["divergence_limit"])
     if out_dir is not None:
-        save_run(out_dir, problem.dataset, model, encoder, history,
-                 asdict(config))
+        save_run(out_dir, problem.dataset, model, encoder, history, settings)
     return history
 
 

@@ -1,0 +1,119 @@
+"""The figures tier-1 CI writes to its job summary, one line each:
+
+- the loss tape node counts of a staged Lorenz and a diffusion_source
+  problem, so that a re-expansion of the tape shows in every run (83 and
+  92; `test_loss_tape_sizes` holds them);
+- on the staged fixture, the largest difference of the closed-form gradient
+  (`EmbeddingRecovery.loss_and_grad`) to the tape's, over the largest tape
+  entry of each parameter, and the median time of one call of each;
+- the median wall time of three in-process simulations of a Lorenz
+  dataset, burn-in included, and the RK4 substeps per second it implies;
+- a short staged fit and its distilled width-8 encoder: the distill event,
+  with its final mean squared error, and the encoder's hidden error over
+  the embedding's on the encoder's window.
+
+The times are for information: they gate nothing.
+
+    PYTHONPATH=src python tests/ci_summary.py >> "$GITHUB_STEP_SUMMARY"
+"""
+
+import statistics
+import time
+
+import numpy as np
+
+from symder import cli, datagen, evaluate, recover, train
+from symder import tensor as T
+
+
+def tape_nodes(loss):
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(p for p, _ in node._parents)
+    return len(seen)
+
+
+def median_ms(f, calls):
+    times = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        f()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+def staged(ds, steps):
+    return recover.EmbeddingRecovery(
+        ds, train.default_model(ds.preset),
+        recover.RecoveryConfig(steps, cli.DEFAULT_CONFIGS["lorenz"]["lr"]))
+
+
+def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000):
+    """Yield the summary lines: `calls` calls per loss-and-gradient timing,
+    a simulation of `sim_time` samples, and a staged fit of `fit_steps`
+    steps on `fit_time` samples before the distill."""
+    ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
+    rec = staged(ds, 10)
+    yield f"staged Lorenz loss tape nodes: {tape_nodes(rec.loss_fn()[0])}"
+
+    def grads(loss_and_grad):
+        params = (rec.model.theta_t, rec.phi)
+        for p in params:
+            p.zero_grad()
+        loss_and_grad()
+        return [p.grad.copy() for p in params]
+
+    tape = grads(lambda: T.backward(rec.loss_fn()[0]))
+    closed = grads(rec.loss_and_grad)
+    diff = max(np.abs(c - t).max() / np.abs(t).max()
+               for c, t in zip(closed, tape))
+    yield ("staged Lorenz closed-form gradient, largest relative difference "
+           f"to the tape: {diff:.3g}")
+    closed_ms = median_ms(rec.loss_and_grad, calls)
+    tape_ms = median_ms(lambda: T.backward(rec.loss_fn()[0]), calls)
+    yield (f"staged Lorenz loss and gradient, median ms per call of {calls}: "
+           f"loss_and_grad {closed_ms:.3f}, tape (loss_fn + backward) "
+           f"{tape_ms:.3f}")
+
+    ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=24,
+                                             nx=8), seed=0)
+    settings = cli.DEFAULT_CONFIGS["diffusion_source"]
+    prob = train.Problem(ds, train.default_model(ds.preset),
+                         train.default_encoder(ds, settings),
+                         alphas=settings["alphas"])
+    yield ("diffusion_source loss tape nodes: "
+           f"{tape_nodes(prob.compute_loss()[0])}")
+
+    preset = datagen.get_preset("lorenz", n_time=sim_time)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        datagen.simulate(preset, seed=0)
+        times.append(time.perf_counter() - t0)
+    t = statistics.median(times)
+    n_burn = int(round(preset.burn_in / preset.dt))
+    substeps = (n_burn - 1 + preset.n_time - 1) * preset.substeps
+    yield (f"Lorenz simulate, {sim_time} samples: median of 3 {t:.3f} s, "
+           f"{substeps / t:.4g} RK4 substeps/s ({substeps} substeps)")
+
+    ds = datagen.simulate(datagen.get_preset("lorenz", n_time=fit_time),
+                          seed=0)
+    rec = staged(ds, fit_steps)
+    rec.fit()
+    enc = recover.distill(rec, 8)
+    r = enc.radius
+    truth = ds.hidden_truth[r:-r, 0]
+    err = [evaluate.affine_align(est, truth).rel_error[0]
+           for est in (enc(T.Tensor(ds.visible)).data[:, 0],
+                       rec.phi.data[r:-r, 0])]
+    yield rec.events[-1]
+    yield (f"distilled / embedding hidden error: {err[0]:.4g} / "
+           f"{err[1]:.4g} = {err[0] / err[1]:.4f}")
+
+
+if __name__ == "__main__":
+    for line in summary():
+        print(line, flush=True)

@@ -213,6 +213,18 @@ def test_every_preset_schedule_trains(tmp_path, preset):
         assert (run / name).exists(), name
 
 
+def test_joint_config_records_every_setting(pde_data, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta_phase": 2.0}))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(pde_data), "--out", str(out),
+                     "--config", str(cfg), "--steps", "2", "--seed", "3"]) == 0
+    assert json.loads((out / "config.json").read_text()) == {
+        "preset": "diffusion_source", "data_seed": 0,
+        **cli.DEFAULT_CONFIGS["diffusion_source"], "beta_phase": 2.0,
+        "steps": 2, "seed": 3}
+
+
 def test_config_override(workspace, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"steps": 3, "width": 8}))
@@ -235,6 +247,18 @@ def test_config_not_an_object(workspace, tmp_path, capsys):
     assert cli.main(["train", "--data", str(workspace / "data"),
                      "--out", str(tmp_path / "r"), "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: bad config")
+
+
+def test_config_of_pairs_with_a_number_key(workspace, tmp_path, capsys):
+    # a list of pairs reads as a mapping; a key that is not a string is
+    # named like any other unknown key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[[1, 2]]")
+    assert cli.main(["train", "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "r"), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "does not read 1" in err
 
 
 def test_config_width_distills(workspace, tmp_path):
@@ -430,17 +454,25 @@ def short_data(tmp_path_factory):
     ("generate", ["--n-time", "0"], "--n-time"),
     ("generate", ["--nx", "-4"], "--nx"),
     ("short", [], "too short"),
+    ("pde", {"alphas": [1.0, 1.0, 1.0], "steps": 2}, "alphas"),
+    ("pde", ["--steps", "2", "--width", "0"], "width"),
+    ("nlse", ["--steps", "2", "--width", "8"], "width"),
+    ("ode", ["--seed", "-1"], "--seed"),
+    # a distill normal matrix of about 119 TiB
+    ("ode", ["--steps", "20", "--width", "2000"], "width 2000 needs"),
+    ("generate", ["--preset", "lorenz", "--seed", "-1"], "--seed"),
+    ("generate", ["--preset", "lorenz", "--nx", "7"], "--nx"),
 ])
-def test_bad_value_exits_1(workspace, pde_data, short_data, tmp_path, capsys,
-                           dataset, argv, key):
+def test_bad_value_exits_1(workspace, pde_data, nlse_data, short_data,
+                           tmp_path, capsys, dataset, argv, key):
     """A value no run can use ends in one error line that names it, before
-    anything is built or written."""
+    anything is built or written. A later --preset overrides the first."""
     out = tmp_path / "out"
     if dataset == "generate":
         cmd = ["generate", "--preset", "diffusion_source", "--out", str(out)]
     else:
         data = {"ode": workspace / "data", "pde": pde_data,
-                "short": short_data}[dataset]
+                "nlse": nlse_data / "40", "short": short_data}[dataset]
         cmd = ["train", "--data", str(data), "--out", str(out)]
     if isinstance(argv, dict):
         cfg = tmp_path / "cfg.json"

@@ -15,7 +15,7 @@ def test_temporal_shapes():
 
 
 def test_temporal_window_too_short():
-    enc = E.Encoder(E.ode_encoder_spec(width=8), seed=0)
+    enc = E.Encoder(E.ode_encoder_spec(n_visible=2, width=8), seed=0)
     with pytest.raises(ValueError):
         enc(T.Tensor(np.zeros((8, 2))))
 
@@ -44,16 +44,16 @@ def test_temporal_locality():
 
 
 def test_zero_final_layer_outputs_zero():
-    enc = E.Encoder(E.ode_encoder_spec(width=8), seed=0)
+    enc = E.Encoder(E.ode_encoder_spec(n_visible=2, width=8), seed=0)
     enc.params["w2"].data[:] = 0.0
     h = enc(T.Tensor(np.random.default_rng(0).normal(size=(20, 2))))
     np.testing.assert_array_equal(h.data, 0.0)
 
 
 def test_init_seeded_and_zero_bias():
-    a = E.Encoder(E.ode_encoder_spec(width=8), seed=7)
-    b = E.Encoder(E.ode_encoder_spec(width=8), seed=7)
-    c = E.Encoder(E.ode_encoder_spec(width=8), seed=8)
+    a = E.Encoder(E.ode_encoder_spec(n_visible=2, width=8), seed=7)
+    b = E.Encoder(E.ode_encoder_spec(n_visible=2, width=8), seed=7)
+    c = E.Encoder(E.ode_encoder_spec(n_visible=2, width=8), seed=8)
     for name in a.params:
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
         if name.startswith("b"):
@@ -148,7 +148,7 @@ def test_phase_embedding():
 def test_aggregate_concat_recovers_visible():
     vis = np.random.default_rng(0).normal(size=(10, 2))
     hid = np.random.default_rng(1).normal(size=(10, 1))
-    full = E.aggregate("concat", T.Tensor(vis), T.Tensor(hid)).data
+    full = E.aggregate([0, 1], T.Tensor(vis), T.Tensor(hid)).data
     np.testing.assert_array_equal(full[:, :2], vis)
     np.testing.assert_array_equal(full[:, 2:], hid)
 
@@ -157,7 +157,7 @@ def test_aggregate_modulus_phase():
     rng = np.random.default_rng(0)
     mod = np.abs(rng.normal(size=(6, 8))) + 0.5
     phi = rng.normal(size=(6, 8))
-    psi = E.aggregate("modulus_phase", T.Tensor(mod[..., None]),
+    psi = E.aggregate("modulus", T.Tensor(mod[..., None]),
                       T.Tensor(phi)).data
     np.testing.assert_allclose(np.hypot(psi[..., 0], psi[..., 1]), mod,
                                atol=1e-14)
@@ -168,7 +168,7 @@ def test_aggregate_modulus_phase():
 
 def test_aggregate_misaligned_raises():
     with pytest.raises(ValueError):
-        E.aggregate("concat", T.Tensor(np.zeros((10, 2))),
+        E.aggregate([0, 1], T.Tensor(np.zeros((10, 2))),
                     T.Tensor(np.zeros((9, 1))))
 
 
@@ -177,9 +177,9 @@ def test_modulus_phase_gauge_invariance():
     rng = np.random.default_rng(4)
     mod = np.abs(rng.normal(size=(5, 8))) + 0.5
     phi = rng.normal(size=(5, 8))
-    a = E.aggregate("modulus_phase", T.Tensor(mod[..., None]),
+    a = E.aggregate("modulus", T.Tensor(mod[..., None]),
                     T.Tensor(phi)).data
-    b = E.aggregate("modulus_phase", T.Tensor(mod[..., None]),
+    b = E.aggregate("modulus", T.Tensor(mod[..., None]),
                     T.Tensor(phi + 2 * np.pi)).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 

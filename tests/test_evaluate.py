@@ -105,10 +105,15 @@ def test_phase_errors_detects_mismatch():
     assert pe > 0.01 and ge > 0.01
 
 
+def _horizon(model, ds, align, hidden_estimate):
+    # from sample 0, with the table `evaluate_run` builds
+    table = evaluate.compare_equations(model, ds, align)["found_physical"]
+    return evaluate.prediction_horizon(ds, table, align, hidden_estimate, 0)
+
+
 def test_prediction_horizon_oracle(lorenz_ds, lorenz_oracle):
     model, enc, align = lorenz_oracle
-    horizon = evaluate.prediction_horizon(model, lorenz_ds, align,
-                                          enc.hidden[0])
+    horizon = _horizon(model, lorenz_ds, align, enc.hidden[0])
     assert horizon > 1.0   # Lyapunov times
 
 
@@ -116,7 +121,7 @@ def test_prediction_horizon_bad_model(lorenz_ds, lorenz_oracle):
     model, enc, align = lorenz_oracle
     m2 = library.SymbolicModel.from_json(model.to_json())
     m2.theta *= -3.0
-    horizon = evaluate.prediction_horizon(m2, lorenz_ds, align, enc.hidden[0])
+    horizon = _horizon(m2, lorenz_ds, align, enc.hidden[0])
     assert horizon < 0.5
 
 
@@ -130,20 +135,20 @@ def test_blow_up_ends_cleanly(lorenz_ds, lorenz_oracle):
     m2 = library.SymbolicModel.from_json(model.to_json())
     uu = [i for i, t in enumerate(m2.terms) if t.name == "u^2"][0]
     m2.theta[0, uu] = 1e6
-    horizon = evaluate.prediction_horizon(m2, lorenz_ds, align, enc.hidden[0])
+    horizon = _horizon(m2, lorenz_ds, align, enc.hidden[0])
     assert horizon == 0.0
 
 
 def test_report_json(lorenz_ds, lorenz_oracle, tmp_path):
-    model, enc, align = lorenz_oracle
-    cmp = evaluate.compare_equations(model, lorenz_ds, align)
-    doc = evaluate.report(model, lorenz_ds, align, cmp,
-                          extra={"horizon": 2.0})
+    model, enc, _ = lorenz_oracle
+    res = evaluate.evaluate_run(lorenz_ds, model, enc)
+    # the phase errors of a wave's result close the report
+    doc = evaluate.report(model, lorenz_ds, {**res, "phase_error": 2.0})
     evaluate.write_report(doc, tmp_path / "report.json")
     loaded = json.loads((tmp_path / "report.json").read_text())
     assert loaded["pattern_match"] is True
     assert loaded["preset"] == "lorenz"
-    assert loaded["horizon"] == 2.0
+    assert list(loaded)[-1] == "phase_error" and loaded["phase_error"] == 2.0
     assert "equations" in loaded and "2" in loaded["equations"]
 
 
@@ -153,8 +158,7 @@ def test_report_hidden_baselines(lorenz_ds, lorenz_oracle):
     # of the two (w is nearly uncorrelated with u and v)
     model, enc, _ = lorenz_oracle
     res = evaluate.evaluate_run(lorenz_ds, model, enc)
-    doc = evaluate.report(model, lorenz_ds, res["align"], res["comparison"],
-                          baselines=res["baselines"])
+    doc = evaluate.report(model, lorenz_ds, res)
     hidden = json.loads(json.dumps(doc))["hidden"]
     assert set(hidden) == {"a", "b", "rel_error", "constant_rel_error",
                            "visible_affine_rel_error"}
@@ -185,7 +189,7 @@ def test_staged_run_scored_on_its_training_window():
     from symder import recover
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
-                                    recover.RecoveryConfig(20))
+                                    recover.RecoveryConfig(20, 2e-3))
     rec.fit()
     enc = rec.emb
     n = ds.visible.shape[0]

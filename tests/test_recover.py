@@ -14,7 +14,7 @@ def lorenz_ds():
 
 def _recovery(ds, steps):
     model = train.default_model(ds.preset, seed=0)
-    cfg = recover.RecoveryConfig(steps, seed=0)
+    cfg = recover.RecoveryConfig(steps, 2e-3, seed=0)
     return recover.EmbeddingRecovery(ds, model, cfg)
 
 
@@ -26,19 +26,19 @@ def _recovery(ds, steps):
     (20500, (6000, 3, 1500, 2000, 8000), True)])
 def test_budget_split_in_numbers(steps, split, eliminate):
     # warmup / gauge rounds x round / baseline / polish
-    cfg = recover.RecoveryConfig(steps)
+    cfg = recover.RecoveryConfig(steps, 2e-3)
     assert tuple(cfg.schedule) == split
     assert cfg.eliminate is eliminate
 
 
 @pytest.mark.parametrize("steps", [0, 1, 3, 20, 9999, 19999, 20000, 50001])
 def test_budget_split_is_exact(steps):
-    s = recover.RecoveryConfig(steps).schedule
+    s = recover.RecoveryConfig(steps, 2e-3).schedule
     assert (s.warmup_steps + s.gauge_rounds * s.round_steps
             + s.baseline_steps + s.polish_steps) == steps
     assert min(s.warmup_steps, s.round_steps, s.baseline_steps,
                s.polish_steps) >= 0
-    assert recover.RecoveryConfig(steps).eliminate == \
+    assert recover.RecoveryConfig(steps, 2e-3).eliminate == \
         (steps >= recover.FULL_BUDGET)
 
 
@@ -266,7 +266,7 @@ def test_gauge_keeps_fit_on_mask_without_shift_targets():
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=200), seed=0)
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset,
                                                             seed=0),
-                                    recover.RecoveryConfig(10))
+                                    recover.RecoveryConfig(10, 2e-3))
     rec.phi.data[...] = np.random.default_rng(1).normal(1.0, 2.0,
                                                         rec.phi.shape)
     for name in ("u", "v"):
@@ -294,7 +294,7 @@ def _recovery_on_terms(ds, terms):
                                   theta=np.zeros((3, len(terms))),
                                   mask=np.ones((3, len(terms))),
                                   s_t=library.ode_library().s_t, state_dim=3)
-    return recover.EmbeddingRecovery(ds, model, recover.RecoveryConfig(10))
+    return recover.EmbeddingRecovery(ds, model, recover.RecoveryConfig(10, 2e-3))
 
 
 @pytest.mark.parametrize("case", ["full", "partial", "gauged", "linear",
@@ -365,7 +365,7 @@ def test_fit_history_matches_tape_descent(lorenz_ds):
 def test_fit_history_matches_tape_descent_across_a_pin(lorenz_ds):
     # at a budget of 1000 the polish runs 300 steps and re-standardizes w at
     # its step PIN_EVERY = 200, inside the descent
-    assert recover.RecoveryConfig(1000).schedule.polish_steps \
+    assert recover.RecoveryConfig(1000, 2e-3).schedule.polish_steps \
         > recover.PIN_EVERY
     _assert_fit_matches_tape_descent(lorenz_ds, 1000)
 
@@ -412,4 +412,4 @@ def test_recovery_refuses_terms_off_the_closed_form(lorenz_ds, term):
                                   s_t=model.s_t, state_dim=3)
     with pytest.raises(ValueError, match=re.escape(term.name)):
         recover.EmbeddingRecovery(lorenz_ds, model,
-                                  recover.RecoveryConfig(10))
+                                  recover.RecoveryConfig(10, 2e-3))

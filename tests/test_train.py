@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,16 @@ from symder import datagen, encoders, jets, library, train
 @pytest.fixture(scope="module")
 def lorenz_ds():
     return datagen.simulate(datagen.get_preset("lorenz", n_time=400), seed=0)
+
+
+# the run settings `train.fit` reads, thresholding and chunks off
+SETTINGS = {"steps": 10, "lr": 1e-3, "sparsify_every": 0,
+            "theta_threshold": 1e-3, "divergence_limit": 1e6,
+            "chunk_time": 0}
+
+
+def settings(**changes):
+    return {**SETTINGS, **changes}
 
 
 def small_problem(ds, alphas=(1.0, 1.0), seed=0):
@@ -138,7 +150,7 @@ def test_gradients_flow(lorenz_ds):
 # -- fit ----------------------------------------------------------------------
 
 def test_fit_history_and_determinism(lorenz_ds):
-    cfg = train.TrainConfig(steps=10, lr=1e-3, seed=0)
+    cfg = settings(steps=10)
     h1 = train.fit(small_problem(lorenz_ds), cfg)
     h2 = train.fit(small_problem(lorenz_ds), cfg)
     assert len(h1) == 10
@@ -151,7 +163,7 @@ def test_fit_history_and_determinism(lorenz_ds):
 def test_fit_zero_steps(lorenz_ds):
     prob = small_problem(lorenz_ds)
     before = prob.model.theta_t.data.copy()
-    history = train.fit(prob, train.TrainConfig(steps=0))
+    history = train.fit(prob, settings(steps=0))
     assert history == []
     np.testing.assert_array_equal(prob.model.theta_t.data, before)
 
@@ -160,13 +172,12 @@ def test_fit_divergence_guard(lorenz_ds):
     prob = small_problem(lorenz_ds)
     prob.model.theta[...] = 1e6
     with pytest.raises(train.TrainingDiverged):
-        train.fit(prob, train.TrainConfig(steps=5))
+        train.fit(prob, settings(steps=5))
 
 
 def test_sparsify_keeps_masked_zero(lorenz_ds):
     prob = small_problem(lorenz_ds)
-    cfg = train.TrainConfig(steps=12, lr=1e-3, sparsify_every=4,
-                            theta_threshold=0.05)
+    cfg = settings(steps=12, sparsify_every=4, theta_threshold=0.05)
     train.fit(prob, cfg)
     m = prob.model
     assert m.active_terms() < m.mask.size
@@ -177,8 +188,8 @@ def test_sparsify_keeps_masked_zero(lorenz_ds):
 
 def test_fit_step_with_sparsify_keeps_theta_in_its_tape_leaf(lorenz_ds):
     prob = small_problem(lorenz_ds)
-    train.fit(prob, train.TrainConfig(steps=1, sparsify_every=1,
-                                      theta_threshold=0.05))
+    train.fit(prob, settings(steps=1, sparsify_every=1,
+                             theta_threshold=0.05))
     m = prob.model
     assert np.shares_memory(m.theta, m.theta_t.data)
     assert not m.mask.all()
@@ -187,10 +198,11 @@ def test_fit_step_with_sparsify_keeps_theta_in_its_tape_leaf(lorenz_ds):
 
 def test_save_run_roundtrip(lorenz_ds, tmp_path):
     prob = small_problem(lorenz_ds)
-    cfg = train.TrainConfig(steps=5, lr=1e-3)
+    cfg = settings(steps=5)
     history = train.fit(prob, cfg, out_dir=tmp_path)
     assert (tmp_path / "history.csv").exists()
-    assert (tmp_path / "config.json").exists()
+    assert json.loads((tmp_path / "config.json").read_text()) == {
+        "preset": "lorenz", "data_seed": 0, **cfg}
     loaded = train.load_history(tmp_path / "history.csv")
     assert loaded == history
     model = library.SymbolicModel.from_json((tmp_path / "model.json").read_text())
@@ -225,8 +237,8 @@ def test_chunked_gradients_match_full_batch(lorenz_ds):
 
 
 def test_fit_chunked_equals_full(lorenz_ds):
-    cfg_full = train.TrainConfig(steps=5, lr=1e-3)
-    cfg_chunk = train.TrainConfig(steps=5, lr=1e-3, chunk_time=100)
+    cfg_full = settings(steps=5)
+    cfg_chunk = settings(steps=5, chunk_time=100)
     h_full = train.fit(small_problem(lorenz_ds), cfg_full)
     h_chunk = train.fit(small_problem(lorenz_ds), cfg_chunk)
     for rf, rc in zip(h_full, h_chunk):
@@ -343,8 +355,8 @@ def test_hidden_residual_on_a_field():
     grads, regs = [], []
     for beta in (0.0, 5.0):
         model = train.default_model(ds.preset)
-        prob = train.Problem(ds, model, train.default_encoder(ds, width=4),
-                             beta=beta)
+        enc = train.default_encoder(ds, {"width": 4})
+        prob = train.Problem(ds, model, enc, beta=beta)
         total, parts = prob.compute_loss()
         T.backward(total)
         regs.append(parts["reg"])
@@ -439,7 +451,7 @@ def test_loss_tape_sizes():
     from symder import cli, recover
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
-                                    recover.RecoveryConfig(10))
+                                    recover.RecoveryConfig(10, 2e-3))
     loss = rec.loss_fn()[0]
     assert _tape_nodes(loss) == 83
     T.backward(loss)
@@ -448,7 +460,8 @@ def test_loss_tape_sizes():
     ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=24,
                                              nx=8), seed=0)
     prob = train.Problem(ds, train.default_model(ds.preset),
-                         train.default_encoder(ds),
+                         train.default_encoder(
+                             ds, cli.DEFAULT_CONFIGS["diffusion_source"]),
                          alphas=cli.DEFAULT_CONFIGS["diffusion_source"][
                              "alphas"])
     loss = prob.compute_loss()[0]
@@ -461,7 +474,7 @@ def test_staged_loss_builds_one_lincomb_per_jet_order():
     from symder import recover
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
-                                    recover.RecoveryConfig(10))
+                                    recover.RecoveryConfig(10, 2e-3))
     seen, stack, ops = set(), [rec.loss_fn()[0]], []
     while stack:
         node = stack.pop()
@@ -480,7 +493,7 @@ def test_nlse_step0_loss_parts_pinned():
     cfg = cli.DEFAULT_CONFIGS["nlse"]
     model = train.default_model(ds.preset)
     beta = cfg["beta_phase"] / (model.s_t * ds.norm.dt) ** 2
-    prob = train.Problem(ds, model, train.default_encoder(ds),
+    prob = train.Problem(ds, model, train.default_encoder(ds, cfg),
                          alphas=cfg["alphas"], beta=beta)
     parts = prob.compute_loss()[1]
     assert parts == pytest.approx({"loss_p1": 1.0001211309096325,
