@@ -116,7 +116,8 @@ def load_config(ds, args):
     """The preset's run settings under the config file's, then under the
     flags' (--steps, --width, --lr). Raise CliError naming any that is not
     one of the preset's keys, the first value out of range, or a staged
-    width whose distill normal matrix exceeds physical memory."""
+    width whose distill normal matrix, taken twice, exceeds physical
+    memory."""
     user = {}
     if args.config is not None:
         path = Path(args.config)
@@ -143,13 +144,15 @@ def load_config(ds, args):
         if not ok(value):
             raise CliError(f"config {key} must be {what}, got {value!r}")
     if staged and cfg["width"]:
+        # distill's normal matrix, and the copy np.linalg.solve works on
         n = recover.distill_unknowns(ds.visible.shape[-1], cfg["width"])
+        need = 2 * 8 * n * n
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if 8 * n * n > have:
-            raise CliError(f"config width {cfg['width']} needs a "
-                           f"{8 * n * n / 2**30:,.0f} GiB normal matrix in "
-                           f"distill, over the {have / 2**30:,.0f} GiB of "
-                           "physical memory")
+        if need > have:
+            raise CliError(f"config width {cfg['width']} needs "
+                           f"{need / 2**30:,.1f} GiB in distill, twice its "
+                           f"{n}x{n} normal matrix, over the "
+                           f"{have / 2**30:,.1f} GiB of physical memory")
     return cfg
 
 

@@ -10,9 +10,10 @@ Three encoder kinds:
   phase_embedding      one learnable phase per spacetime sample for the wave
                        system; no mapping is learned, only the values.
 
-Hidden layers use tanh; the final layer is linear. Each layer is one tape
-node: `tensor.conv1d`, `tensor.conv3d` or `tensor.linear` with the bias and
-the activation fused in. Aggregation rebuilds the full state from the
+Hidden layers use tanh; the final layer is linear. The whole stack is one
+tape node, `tensor.conv1d` or `tensor.conv3d` with the per-point layers
+passed as `then`, which runs over slabs of output points and rebuilds each
+slab's patches in its VJP. Aggregation rebuilds the full state from the
 preset's observed channels: concatenation for a list of components,
 |psi| e^{i phi} (as paired real channels) for the wave's modulus. The
 penalty that ties the reconstructed hidden state to the model lives in
@@ -111,18 +112,12 @@ class Encoder:
             raise ValueError(
                 f"window length {visible.shape[0]} shorter than receptive "
                 f"field {self.receptive_field}")
-        h = visible
         n_layers = len(spec.widths)
-        for i in range(n_layers):
-            w, b = self.params[f"w{i}"], self.params[f"b{i}"]
-            hidden = i < n_layers - 1
-            if i > 0:
-                h = T.linear(h, w, b=b, tanh=hidden)
-            elif spec.kind == "temporal_conv":
-                h = T.conv1d(h, w, b=b, tanh=hidden)
-            else:
-                h = T.conv3d(h, w, b=b, tanh=hidden)
-        return h
+        (w, b, tanh), *then = [
+            (self.params[f"w{i}"], self.params[f"b{i}"], i < n_layers - 1)
+            for i in range(n_layers)]
+        conv = T.conv1d if spec.kind == "temporal_conv" else T.conv3d
+        return conv(visible, w, b=b, tanh=tanh, then=then)
 
 
 def aggregate(observed, visible, hidden):

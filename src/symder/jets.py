@@ -24,36 +24,47 @@ MODULUS_FLOOR = 1e-8  # |psi| below this makes d|psi|/dt ill-conditioned
 
 
 class JetVar:
-    """Truncated polynomial in the expansion variable; coefficients are
-    Tensors. It carries a term's value and, from `propagate`, the
-    trajectory itself."""
+    """Truncated polynomial of degree `order` in the expansion variable;
+    coefficients are Tensors. It carries a term's value and, from
+    `propagate`, the trajectory itself.
 
-    __slots__ = ("coeffs",)
+    A jet that an operation makes is lazy: `coef(p)` builds its coefficient
+    p from the operands' on first use and keeps it. So a term built on the
+    jets of orders 0..p gives its coefficient p without rebuilding the
+    lower ones; `coeffs` builds them all."""
 
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
+    __slots__ = ("order", "_coef", "_make")
+
+    def __init__(self, coeffs=(), order=None, make=None):
+        self._coef = dict(enumerate(coeffs))
+        self.order = len(self._coef) - 1 if make is None else order
+        self._make = make
 
     @property
-    def order(self):
-        return len(self.coeffs) - 1
+    def coeffs(self):
+        return [self.coef(p) for p in range(self.order + 1)]
+
+    def coef(self, p):
+        if p not in self._coef:
+            self._coef[p] = self._make(p)
+        return self._coef[p]
 
     def apply_linear(self, fn):
-        return JetVar([fn(c) for c in self.coeffs])
+        return JetVar(order=self.order, make=lambda p: fn(self.coef(p)))
 
     def __add__(self, other):
-        n = min(len(self.coeffs), len(other.coeffs))
-        return JetVar([self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        return JetVar(order=min(self.order, other.order),
+                      make=lambda p: self.coef(p) + other.coef(p))
 
     def __mul__(self, other):
-        n = min(len(self.coeffs), len(other.coeffs))
-        out = []
-        for p in range(n):
+        def make(p):
             acc = None
             for j in range(p + 1):
-                term = self.coeffs[j] * other.coeffs[p - j]
+                term = self.coef(j) * other.coef(p - j)
                 acc = term if acc is None else acc + term
-            out.append(acc)
-        return JetVar(out)
+            return acc
+
+        return JetVar(order=min(self.order, other.order), make=make)
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 1:
@@ -66,11 +77,11 @@ class JetVar:
 
 def jet_sqrt(s: JetVar) -> JetVar:
     """Square root of a jet with strictly positive leading coefficient."""
-    r0 = T.sqrt(T.as_tensor(s.coeffs[0]))
+    r0 = T.sqrt(T.as_tensor(s.coef(0)))
     out = [r0]
     inv2r0 = T.div(0.5, r0)
-    for p in range(1, len(s.coeffs)):
-        acc = T.as_tensor(s.coeffs[p])
+    for p in range(1, s.order + 1):
+        acc = T.as_tensor(s.coef(p))
         for j in range(1, p):
             acc = acc - out[j] * out[p - j]
         out.append(acc * inv2r0)

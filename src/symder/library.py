@@ -259,7 +259,8 @@ class SymbolicModel:
         """Taylor coefficient `p` of the right-hand side as one tensor with
         the state's channels, (re, im) for the complex kind, along its
         trailing axis. comps entries are jet polynomials with coefficients
-        up to p. The active terms are
+        up to p. The terms are lazy jets on them: a product or stencil of
+        comps builds its coefficient p alone, from comps'. The active terms are
         contracted with the masked coefficients in one `T.lincomb`, so
         masked (equation, term) pairs contribute exact zeros."""
         geom = self.geometry()
@@ -331,7 +332,7 @@ def _coefficient(value, p):
     """Taylor coefficient p of a term's value: a jet's, or for the float of
     the constant term the value itself at p = 0."""
     if isinstance(value, jets.JetVar):
-        return value.coeffs[p]
+        return value.coef(p)
     return value if p == 0 else 0.0
 
 

@@ -21,7 +21,7 @@ __all__ = [
     "add", "sub", "mul", "div", "square",
     "sqrt", "sin", "cos",
     "tsum", "tmean", "getitem", "reshape", "concat", "stencil",
-    "linear", "lincomb", "conv1d", "conv3d",
+    "lincomb", "conv1d", "conv3d",
     "OP_REGISTRY",
 ]
 
@@ -337,63 +337,8 @@ def stencil(a, w, axis, periodic):
 
 
 # ---------------------------------------------------------------------------
-# dense layers: linear map and convolutions (channels-last layout)
+# contraction of fields with a coefficient matrix
 # ---------------------------------------------------------------------------
-
-def _dense(op, x, w, b, tanh, cols, batch, fold):
-    """One node for y = act(cols.T @ W + b), act = tanh or the identity.
-
-    `cols` is the (K, N) column matrix of x: its channels for `linear`, its
-    patch matrix for a conv. W is w as (K, cout), b is None or (cout,), and
-    y is reshaped to batch + (cout,). The product is taken as
-    (W.T @ cols).T, so y is the transpose of a C-ordered (cout, N) array,
-    which the next layer's `cols` reads without a copy. The bias and tanh
-    are applied in place. The VJP forms g * (1 - y^2) once and feeds the x,
-    w and b gradients from it; `fold` maps the (K, N) column gradient back
-    to x's shape, and runs only when x requires a gradient (a conv's input
-    requires none and passes None)."""
-    b = None if b is None else as_tensor(b)
-    wmat = w.data.reshape(-1, w.shape[-1])
-    cout = wmat.shape[1]
-    yt = wmat.T @ cols
-    if b is not None:
-        yt += b.data[:, None]
-    if tanh:
-        np.tanh(yt, out=yt)
-
-    # dz(g) is made by the first of the parents' VJPs and shared by the
-    # rest; the one sweep calls them all with the same g, then drops them
-    memo = []
-
-    def dz(g):
-        if not memo:
-            gt = g.reshape(-1, cout).T
-            if tanh:
-                d = yt * yt
-                np.subtract(1.0, d, out=d)
-                d *= gt
-                gt = d
-            memo.append(gt)
-        return memo[0]
-
-    parents = [(x, lambda g: fold(wmat @ dz(g))),
-               (w, lambda g: (cols @ dz(g).T).reshape(w.shape))]
-    if b is not None:
-        parents.append((b, lambda g: dz(g).sum(axis=1)))
-    return Tensor(yt.T.reshape(batch + (cout,)), _parents=tuple(parents),
-                  _op=op)
-
-
-def linear(x, w, *, b=None, tanh=False):
-    """Per-sample channel map act(x[..., Cin] @ w[Cin, Cout] + b), act =
-    tanh when `tanh`, else the identity."""
-    x, w = as_tensor(x), as_tensor(w)
-    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ValueError(f"linear: {x.shape} incompatible with {w.shape}")
-    cin = w.shape[0]
-    return _dense("linear", x, w, b, tanh, x.data.reshape(-1, cin).T,
-                  x.shape[:-1], lambda gc: gc.T.reshape(x.shape))
-
 
 def lincomb(values, coef):
     """Contract n fields with a coefficient matrix in one node:
@@ -418,35 +363,125 @@ def lincomb(values, coef):
     return Tensor(out, _parents=parents + ((coef, vjp_coef),), _op="lincomb")
 
 
-def _conv(op, x, w, b, tanh, periodic):
-    """Correlate x[*S, Cin] with w[*K, Cin, Cout] as one `_dense` node.
+# ---------------------------------------------------------------------------
+# conv stacks: a convolution and the per-point layers after it in one node
+# (channels-last layout)
+# ---------------------------------------------------------------------------
+
+# output points per slab of a conv stack's forward and VJP: 8 frames of a
+# 32x32 field, or a whole Lorenz series. A power of two, so that every slab
+# starts on a block of the BLAS kernels' output rows and the products round
+# as one product over all the points would
+SLAB_POINTS = 8192
+
+
+def _conv_stack(op, x, layers, periodic):
+    """One node for a correlation of x[*S, Cin] with w[*K, Cin, C1] and the
+    per-point layers after it. `layers` holds (w, b, tanh) per layer, the
+    conv's first: h = act(h W + b), act = tanh when `tanh`, else the
+    identity, b None for no bias; a per-point w is (C_in, C_out).
     periodic[a] picks centered periodic padding for spatial axis a (extent
     kept); otherwise it is valid (extent shrinks by K[a] - 1). The input is
-    data: one that requires a gradient raises ValueError.
+    data and no parent of the node: one that requires a gradient raises
+    ValueError.
 
-    The patch matrix has one row per (kernel offset, input channel), in the
-    order of w's rows, and one column per output point. Each offset's rows
-    are one block copy out of the padded, channels-first input."""
+    The node runs over slabs of SLAB_POINTS output points, in C order. Per
+    slab it builds the patch matrix of the output frames (the first axis)
+    the slab touches, with one row per (kernel offset, input channel) in
+    the order of w's rows and one column per output point; each offset's
+    rows are one block copy out of the padded, channels-first input. Each
+    layer's product is taken as W.T @ h, a C-ordered (C_out, points) array,
+    with the bias and tanh applied in place while the slab is in cache.
+    Across slabs the node keeps the layers' outputs only. The VJP walks the
+    same slabs: it forms g * (1 - y^2) at each tanh layer, rebuilds the
+    slab's patches, and sums the weight and bias gradients slab by slab."""
     if x.requires_grad:
         raise ValueError(f"{op}: the input takes no gradient")
-    ks, cin = w.shape[:-2], w.shape[-2]
+    ws = [as_tensor(w) for w, _, _ in layers]
+    bs = [None if b is None else as_tensor(b) for _, b, _ in layers]
+    acts = [tanh for _, _, tanh in layers]
+    for w, nxt in zip(ws, ws[1:]):
+        if nxt.ndim != 2 or nxt.shape[0] != w.shape[-1]:
+            raise ValueError(f"{op}: layer {nxt.shape} does not follow "
+                             f"{w.shape}")
+    wmats = [w.data.reshape(-1, w.shape[-1]) for w in ws]
+    ks, cin = ws[0].shape[:-2], ws[0].shape[-2]
     pads = [(k // 2, k - 1 - k // 2) if per else (0, 0)
             for k, per in zip(ks, periodic)]
     xp = np.pad(np.moveaxis(x.data, -1, 0), [(0, 0)] + pads, mode="wrap")
     oshape = tuple(n - k + 1 for n, k in zip(xp.shape[1:], ks))
     offsets = list(np.ndindex(*ks))
-    patches = np.empty((len(offsets), cin) + oshape)
-    for i, off in enumerate(offsets):
-        patches[i] = xp[(slice(None),) + tuple(
-            slice(o, o + n) for o, n in zip(off, oshape))]
-    return _dense(op, x, w, b, tanh, patches.reshape(len(offsets) * cin, -1),
-                  oshape, None)
+    frame = int(np.prod(oshape[1:]))
+    npts = oshape[0] * frame
+    slabs = [slice(p, min(p + SLAB_POINTS, npts))
+             for p in range(0, npts, SLAB_POINTS)]
+
+    def patches(pts):
+        t0, t1 = pts.start // frame, -(-pts.stop // frame)
+        cols = np.empty((len(offsets), cin, t1 - t0) + oshape[1:])
+        for i, (ot, *off) in enumerate(offsets):
+            cols[i] = xp[(slice(None), slice(t0 + ot, t1 + ot)) + tuple(
+                slice(o, o + n) for o, n in zip(off, oshape[1:]))]
+        return cols.reshape(len(offsets) * cin, -1)[
+            :, pts.start - t0 * frame:pts.stop - t0 * frame]
+
+    outs = [np.empty((wm.shape[1], npts)) for wm in wmats]
+    for pts in slabs:
+        h = patches(pts)
+        for wm, b, tanh, out in zip(wmats, bs, acts, outs):
+            h = wm.T @ h
+            if b is not None:
+                h += b.data[:, None]
+            if tanh:
+                np.tanh(h, out=h)
+            out[:, pts] = h
+
+    def sweep(g):
+        """Every parent's gradient, in the order of the parents."""
+        gw, gb = [None] * len(ws), [None] * len(ws)
+        g = g.reshape(-1, len(outs[-1])).T
+        for pts in slabs:
+            gt = g[:, pts]
+            for i in reversed(range(len(ws))):
+                if acts[i]:
+                    y = outs[i][:, pts]
+                    d = y * y
+                    np.subtract(1.0, d, out=d)
+                    d *= gt
+                    gt = d
+                h = outs[i - 1][:, pts] if i else patches(pts)
+                part = h @ gt.T
+                gw[i] = part if gw[i] is None else gw[i] + part
+                if bs[i] is not None:
+                    part = gt.sum(axis=1)
+                    gb[i] = part if gb[i] is None else gb[i] + part
+                if i:
+                    gt = wmats[i] @ gt
+        return [v for i, w in enumerate(ws)
+                for v in (gw[i].reshape(w.shape), gb[i]) if v is not None]
+
+    # the first VJP to run makes every gradient; the one sweep calls them
+    # all with the same g, then drops them
+    memo = []
+
+    def make_vjp(k):
+        def vjp(g):
+            if not memo:
+                memo.extend(sweep(g))
+            return memo[k]
+        return vjp
+
+    params = [p for w, b in zip(ws, bs) for p in (w, b) if p is not None]
+    return Tensor(outs[-1].T.reshape(oshape + (len(outs[-1]),)),
+                  _parents=tuple((p, make_vjp(k))
+                                 for k, p in enumerate(params)), _op=op)
 
 
-def conv1d(x, w, *, b=None, tanh=False):
+def conv1d(x, w, *, b=None, tanh=False, then=()):
     """act(valid correlation of x[T, Cin] with w[K, Cin, Cout] + b), act =
     tanh when `tanh`, else the identity: output length T-K+1,
-    out[t] = sum_k w[k]·x[t+k].
+    out[t] = sum_k w[k]·x[t+k]. Each (w, b, tanh) of `then` maps every
+    output sample on, act(h @ w + b), in the same node.
     """
     x, w = as_tensor(x), as_tensor(w)
     K, cin, cout = w.shape
@@ -455,12 +490,13 @@ def conv1d(x, w, *, b=None, tanh=False):
         raise ValueError(f"conv1d: input channels {x.shape[1]} != kernel {cin}")
     if K > T:
         raise ValueError(f"conv1d: kernel {K} longer than input {T}")
-    return _conv("conv1d", x, w, b, tanh, (False,))
+    return _conv_stack("conv1d", x, [(w, b, tanh), *then], (False,))
 
 
-def conv3d(x, w, *, b=None, tanh=False):
+def conv3d(x, w, *, b=None, tanh=False, then=()):
     """act(correlation of x[T, X, Y, Cin] with w[Kt, Kx, Ky, Cin, Cout] +
-    b), act = tanh when `tanh`, else the identity.
+    b), act = tanh when `tanh`, else the identity. Each (w, b, tanh) of
+    `then` maps every output point on, act(h @ w + b), in the same node.
 
     The time axis is valid (output shrinks by Kt-1); the spatial axes use
     centered periodic padding (extent preserved).
@@ -472,7 +508,8 @@ def conv3d(x, w, *, b=None, tanh=False):
     if kt > x.shape[0]:
         raise ValueError(f"conv3d: time kernel {kt} longer than input "
                          f"{x.shape[0]}")
-    return _conv("conv3d", x, w, b, tanh, (False, True, True))
+    return _conv_stack("conv3d", x, [(w, b, tanh), *then],
+                       (False, True, True))
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +600,6 @@ def _reg_all():
             lambda a, periodic=periodic: stencil(
                 a, [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12], 1, periodic),
             ((3, 7, 2),), {}))
-    _register("linear", (linear, ((5, 3), (3, 2)), {}))
-    _register("linear_bias_tanh", (lambda x, w, b: linear(x, w, b=b, tanh=True),
-                                   ((2, 5, 3), (3, 4), (4,)), {}))
     _register("lincomb", (lambda a, b, c, w: lincomb([a, b, c], w),
                           ((4, 5), (4, 5), (5,), (2, 3)), {}))
     # a conv's input is data and takes no gradient, so it is the constant
@@ -584,6 +618,16 @@ def _reg_all():
     _register("conv3d_bias_tanh", (
         lambda w, b, x: conv3d(x, w, b=b, tanh=True),
         ((2, 3, 3, 2, 3), (3,)), {"x": data((5, 4, 3, 2))}))
+    # the encoders' stacks: conv, tanh layer, linear head
+    _register("conv1d_stack", (
+        lambda w0, b0, w1, b1, w2, b2, x: conv1d(
+            x, w0, b=b0, tanh=True, then=((w1, b1, True), (w2, b2, False))),
+        ((3, 2, 3), (3,), (3, 4), (4,), (4, 1), (1,)), {"x": data((9, 2))}))
+    _register("conv3d_stack", (
+        lambda w0, b0, w1, b1, w2, b2, x: conv3d(
+            x, w0, b=b0, tanh=True, then=((w1, b1, True), (w2, b2, False))),
+        ((2, 3, 3, 2, 3), (3,), (3, 4), (4,), (4, 1), (1,)),
+        {"x": data((5, 4, 3, 2))}))
 
 
 _reg_all()

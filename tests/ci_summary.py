@@ -2,7 +2,9 @@
 
 - the loss tape node counts of a staged Lorenz and a diffusion_source
   problem, so that a re-expansion of the tape shows in every run (83 and
-  92; `test_loss_tape_sizes` holds them);
+  89; `test_loss_tape_sizes` holds them);
+- the tracemalloc peak of one diffusion_source chunk's `compute_loss` and
+  `backward`, on the benchmark's 128x32x32 field and 64-sample chunks;
 - on the staged fixture, the largest difference of the closed-form gradient
   (`EmbeddingRecovery.loss_and_grad`) to the tape's, over the largest tape
   entry of each parameter, and the median time of one call of each;
@@ -19,6 +21,7 @@ The times are for information: they gate nothing.
 
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -51,10 +54,30 @@ def staged(ds, steps):
         recover.RecoveryConfig(steps, cli.DEFAULT_CONFIGS["lorenz"]["lr"]))
 
 
-def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000):
+def chunk_peak_mb(n_time, nx):
+    """The tracemalloc peak, in MB, of the first chunk's loss and gradient
+    on an n_time x nx x nx diffusion_source field."""
+    ds = datagen.simulate(datagen.get_preset("diffusion_source",
+                                             n_time=n_time, nx=nx), seed=0)
+    settings = cli.DEFAULT_CONFIGS["diffusion_source"]
+    prob = train.Problem(ds, train.default_model(ds.preset),
+                         train.default_encoder(ds, settings),
+                         alphas=settings["alphas"])
+    lo, hi, _ = prob.chunks(settings["chunk_time"])[0]
+    tracemalloc.start()
+    try:
+        T.backward(prob.compute_loss(lo, hi)[0])
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
+            pde_time=128, pde_nx=32):
     """Yield the summary lines: `calls` calls per loss-and-gradient timing,
-    a simulation of `sim_time` samples, and a staged fit of `fit_steps`
-    steps on `fit_time` samples before the distill."""
+    a diffusion_source chunk on a `pde_time` x `pde_nx` x `pde_nx` field, a
+    simulation of `sim_time` samples, and a staged fit of `fit_steps` steps
+    on `fit_time` samples before the distill."""
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = staged(ds, 10)
     yield f"staged Lorenz loss tape nodes: {tape_nodes(rec.loss_fn()[0])}"
@@ -86,6 +109,9 @@ def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000):
                          alphas=settings["alphas"])
     yield ("diffusion_source loss tape nodes: "
            f"{tape_nodes(prob.compute_loss()[0])}")
+    yield (f"diffusion_source chunk compute_loss + backward, {pde_time}x"
+           f"{pde_nx}x{pde_nx}, tracemalloc peak MB: "
+           f"{chunk_peak_mb(pde_time, pde_nx):.1f}")
 
     preset = datagen.get_preset("lorenz", n_time=sim_time)
     times = []

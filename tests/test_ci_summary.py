@@ -5,16 +5,18 @@ def test_summary_lines_at_small_size():
     # the labels CI's job summary shows and the tape node counts; the times
     # and the fit's figures vary and are not checked
     lines = list(ci_summary.summary(sim_time=120, calls=3, fit_time=120,
-                                    fit_steps=20))
+                                    fit_steps=20, pde_time=24, pde_nx=8))
     labels = ["staged Lorenz loss tape nodes: ",
               "staged Lorenz closed-form gradient, largest relative "
               "difference to the tape: ",
               "staged Lorenz loss and gradient, median ms per call of 3: ",
               "diffusion_source loss tape nodes: ",
+              "diffusion_source chunk compute_loss + backward, 24x8x8, "
+              "tracemalloc peak MB: ",
               "Lorenz simulate, 120 samples: median of 3 ",
               "distill: loss ",
               "distilled / embedding hidden error: "]
     assert len(lines) == len(labels)
     for line, label in zip(lines, labels):
         assert line.startswith(label), (line, label)
-    assert lines[0].endswith(": 83") and lines[3].endswith(": 92")
+    assert lines[0].endswith(": 83") and lines[3].endswith(": 89")

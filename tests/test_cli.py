@@ -486,6 +486,26 @@ def test_bad_value_exits_1(workspace, pde_data, nlse_data, short_data,
     assert not out.exists()
 
 
+def test_width_whose_solve_copy_cannot_fit_exits_1(workspace, tmp_path,
+                                                    capsys, monkeypatch):
+    # physical memory holds distill's normal matrix once (8 n^2 bytes) but
+    # not twice, as np.linalg.solve copies it
+    from symder import recover
+    n = recover.distill_unknowns(2, 48)
+    sysconf = cli.os.sysconf
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 12 * n * n // 4096}
+    monkeypatch.setattr(cli.os, "sysconf",
+                        lambda name: memory.get(name) or sysconf(name))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(workspace / "data"), "--out",
+                     str(out), "--steps", "20", "--width", "48"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config width 48 needs ") and \
+        err.count("\n") == 1, err
+    assert f"{n}x{n}" in err and not out.exists()
+
+
 @pytest.fixture(scope="module")
 def misfits(workspace, pde_data, short_data, tmp_path_factory):
     """Datasets and runs that do not fit each other, by name."""

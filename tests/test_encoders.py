@@ -81,15 +81,31 @@ def _tanh(a):
                     _op="tanh")
 
 
+def _per_point(h, w):
+    """h[..., Cin] @ w[Cin, Cout] as a node of its own, for the op-chain
+    reference. The product is taken as w.T @ h.T, as the stack takes it: a
+    `lincomb` takes h @ w, which rounds differently for one output
+    channel."""
+    cols = h.data.reshape(-1, w.shape[0]).T
+    out = (w.data.T @ cols).T.reshape(h.shape[:-1] + (w.shape[1],))
+
+    def rows(g):
+        return g.reshape(-1, w.shape[1]).T
+
+    return T.Tensor(out, _parents=(
+        (h, lambda g: (w.data @ rows(g)).T.reshape(h.shape)),
+        (w, lambda g: cols @ rows(g).T)), _op="per_point")
+
+
 def _layer_chain(enc, visible):
     """The encoder forward as one op per step: conv, then add bias and tanh
-    for each hidden layer, then linear, add, tanh ... add."""
+    for each hidden layer, then per_point, add, tanh ... add."""
     h = visible
     n_layers = len(enc.spec.widths)
     for i in range(n_layers):
         w, b = enc.params[f"w{i}"], enc.params[f"b{i}"]
         if i > 0:
-            h = T.linear(h, w)
+            h = _per_point(h, w)
         elif enc.spec.kind == "temporal_conv":
             h = T.conv1d(h, w)
         else:
@@ -100,12 +116,7 @@ def _layer_chain(enc, visible):
     return h
 
 
-@pytest.mark.parametrize("spec, shape", [
-    (E.ode_encoder_spec(n_visible=2, width=7), (23, 2)),
-    (E.pde_encoder_spec(n_visible=2, width=5), (7, 6, 5, 2)),
-])
-def test_fused_layers_match_op_chain(spec, shape):
-    # each layer is one fused node; the per-op chain is the reference
+def _match_chain(spec, shape):
     enc = E.Encoder(spec, seed=2)
     rng = np.random.default_rng(5)
     for p in enc.params.values():
@@ -127,14 +138,42 @@ def test_fused_layers_match_op_chain(spec, shape):
                                    atol=1e-12)
 
 
+@pytest.mark.parametrize("spec, shape", [
+    (E.ode_encoder_spec(n_visible=2, width=7), (88, 2)),
+    (E.pde_encoder_spec(n_visible=2, width=5), (7, 6, 5, 2)),
+])
+def test_fused_layers_match_op_chain(monkeypatch, spec, shape):
+    # the stack is one node; the per-op chain is the reference. Its 80 or
+    # 90 output points run in one slab, then in slabs of 32, 32 and 16 or
+    # 26, the second cutting frames of 30 points. 32 is a power of two, as
+    # SLAB_POINTS is, for the products to round as over all the points
+    for slab in (T.SLAB_POINTS, 32):
+        monkeypatch.setattr(T, "SLAB_POINTS", slab)
+        _match_chain(spec, shape)
+
+
 def test_encoder_layers_are_single_nodes():
+    # the whole stack is one node, and its parents are the parameters
     enc = E.Encoder(E.pde_encoder_spec(n_visible=1, width=4), seed=0)
     out = enc(T.Tensor(np.zeros((5, 4, 4, 1))))
-    ops = []
-    while out._parents:
-        ops.append(out._op)
-        out = out._parents[0][0]
-    assert ops == ["linear", "linear", "conv3d"]
+    assert out._op == "conv3d"
+    assert [p for p, _ in out._parents] == [p for _, p in enc.parameters()]
+
+
+def test_stack_peaks_below_its_patch_matrix():
+    # 24 frames at 32x32 in slabs of 8: the whole patch matrix (125 rows
+    # of 24576 points) would take 23.4 MiB, one slab's 7.8 MiB
+    import tracemalloc
+    enc = E.Encoder(E.pde_encoder_spec(n_visible=1, width=4), seed=0)
+    x = T.Tensor(np.random.default_rng(0).normal(size=(28, 32, 32, 1)))
+    patch_bytes = 125 * 24 * 32 * 32 * 8
+    tracemalloc.start()
+    try:
+        T.backward(T.tsum(enc(x)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < patch_bytes, peak / 2 ** 20
 
 
 def test_phase_embedding():

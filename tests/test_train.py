@@ -446,8 +446,9 @@ def _tape_nodes(loss):
 def test_loss_tape_sizes():
     # guards the graph sizes against re-expansion: 118 and 287 nodes before
     # fused encoder layers and one-node stencils, 104 and 106 before one
-    # contraction per jet order. The sweep drops every node's VJPs, so
-    # afterwards each loss reaches only itself
+    # contraction per jet order, 92 on diffusion before one node per encoder
+    # stack, whose input is no parent. The sweep drops every node's VJPs,
+    # so afterwards each loss reaches only itself
     from symder import cli, recover
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
@@ -465,9 +466,32 @@ def test_loss_tape_sizes():
                          alphas=cli.DEFAULT_CONFIGS["diffusion_source"][
                              "alphas"])
     loss = prob.compute_loss()[0]
-    assert _tape_nodes(loss) == 92
+    assert _tape_nodes(loss) == 89
     T.backward(loss)
     assert _tape_nodes(loss) == 1
+
+
+def test_jet_order_builds_only_its_coefficient(monkeypatch):
+    # 12 periodic stencils per jet order on the diffusion library (dx, dy,
+    # dxx, dyy and the two of dxy, for u and v); order 1 used to rebuild
+    # order 0's as well, 36 in all
+    from symder import cli
+    ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=24,
+                                             nx=8), seed=0)
+    settings = cli.DEFAULT_CONFIGS["diffusion_source"]
+    prob = train.Problem(ds, train.default_model(ds.preset),
+                         train.default_encoder(ds, settings),
+                         alphas=settings["alphas"])
+    calls = []
+    stencil = T.stencil
+
+    def counted(a, w, axis, periodic):
+        calls.append(periodic)
+        return stencil(a, w, axis, periodic)
+
+    monkeypatch.setattr(T, "stencil", counted)
+    prob.compute_loss()
+    assert calls == [True] * 24
 
 
 def test_staged_loss_builds_one_lincomb_per_jet_order():
