@@ -204,7 +204,10 @@ def cmd_generate(args):
         raise CliError(f"unknown preset {args.preset!r}", EXIT_FAIL)
     if args.nx is not None and not preset.grid:
         raise CliError(f"--nx sets a grid, and {preset.name} has none")
-    ds = datagen.simulate(preset, seed=args.seed)
+    try:
+        ds = datagen.simulate(preset, seed=args.seed)
+    except ValueError as e:     # a visible channel with zero spread
+        raise CliError(f"cannot generate {preset.name}: {e}")
     try:
         ds.save(args.out, force=args.force)
     except FileExistsError:
@@ -328,11 +331,16 @@ def cmd_predict(args):
     if start < 0 or start >= res["hidden_estimate"].shape[0]:
         raise CliError(f"--start must be in [{res['lo']}, {res['hi']})",
                        EXIT_FAIL)
-    horizon = evaluate.prediction_horizon(
+    horizon, to_end = evaluate.prediction_horizon(
         ds, res["comparison"]["found_physical"], res["align"],
         res["hidden_estimate"][start], args.start)
     unit = "Lyapunov times" if ds.preset.lyapunov_time else "time units"
-    print(f"prediction horizon: {horizon:.3f} {unit}")
+    if to_end:
+        last = ds.visible_raw.shape[0] - 1
+        print(f"prediction horizon: at least {horizon:.3f} {unit} (the data "
+              f"ends at sample {last}, {last - args.start} after --start)")
+    else:
+        print(f"prediction horizon: {horizon:.3f} {unit}")
     return EXIT_OK
 
 

@@ -99,9 +99,19 @@ def get_preset(name, n_time=None, nx=None):
 # ---------------------------------------------------------------------------
 
 def _lap(f, spacing):
-    out = np.zeros_like(f)
-    for ax, h in enumerate(spacing):
-        out += (np.roll(f, 1, axis=ax) - 2 * f + np.roll(f, -1, axis=ax)) / h**2
+    """Periodic five-point Laplacian of a 2-D field. Each axis's neighbours
+    are slices of a copy of f wrap-padded along that axis, and the axis
+    terms ((left - 2 f) + right) / h**2 are summed onto 0.0 in axis order,
+    so it rounds as the same sum over np.roll shifts does."""
+    rows = np.concatenate((f[-1:], f, f[:1]))
+    cols = np.concatenate((f[:, -1:], f, f[:, :1]), axis=1)
+    f2, out = 2 * f, 0.0
+    for left, right, h in ((rows[:-2], rows[2:], spacing[0]),
+                           (cols[:, :-2], cols[:, 2:], spacing[1])):
+        d = left - f2
+        d += right
+        d /= h**2
+        out = out + d
     return out
 
 
@@ -182,13 +192,29 @@ def true_coefficient_table(preset):
 def rk4_step(rhs, x, dt):
     """RK4 on a tuple of components (fields for a PDE, or floats for an ODE
     state of other than three components), in the operation order of RK4 on
-    stacked arrays. `rk4_stepper` picks it or `rk4_step3` for a state."""
+    stacked arrays. Each sum is taken in place in an array the step made
+    itself, never in one `rhs` returned, which may alias another.
+    `rk4_stepper` picks it or `rk4_step3` for a state."""
+    h2, h6 = 0.5 * dt, dt / 6.0
     k1 = rhs(*x)
-    k2 = rhs(*[a + 0.5 * dt * k for a, k in zip(x, k1)])
-    k3 = rhs(*[a + 0.5 * dt * k for a, k in zip(x, k2)])
-    k4 = rhs(*[a + dt * k for a, k in zip(x, k3)])
-    return tuple(a + dt / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4))
+    k2 = rhs(*[_add_scaled(a, h2, k) for a, k in zip(x, k1)])
+    k3 = rhs(*[_add_scaled(a, h2, k) for a, k in zip(x, k2)])
+    k4 = rhs(*[_add_scaled(a, dt, k) for a, k in zip(x, k3)])
+    out = []
+    for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4):
+        s = 2 * b2
+        s += b1
+        s += 2 * b3
+        s += b4
+        out.append(_add_scaled(a, h6, s))
+    return tuple(out)
+
+
+def _add_scaled(a, h, k):
+    """a + h*k, summed in place in the product."""
+    s = h * k
+    s += a
+    return s
 
 
 def rk4_step3(rhs, x, dt):
@@ -406,6 +432,9 @@ class Dataset:
                              arrays + [scales]):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} holds non-finite values")
+        if not (norm.std > 0).all():
+            raise ValueError(f"normalization std {norm.std.tolist()} is "
+                             "not positive")
         return cls(preset=preset, seed=meta["seed"], visible_raw=arrays[0],
                    hidden_truth=arrays[1], norm=norm)
 
@@ -420,6 +449,9 @@ def _make_norm(preset, visible_raw):
     else:
         mean = flat.mean(axis=0)
     std = flat.std(axis=0)
+    if not (std > 0).all():
+        raise ValueError(f"visible channel {int(np.argmin(std > 0))} is "
+                         "constant, so it cannot be normalized")
     normed = (visible_raw - mean) / std
     deriv_std = {}
     for p in (1, 2, 3, 4):

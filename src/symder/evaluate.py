@@ -156,8 +156,9 @@ def phase_errors(phase_est, phase_truth, dx):
     phase_err = float(np.sqrt(np.mean(resid ** 2)) / rng)
 
     def grad(phi):
-        d = wrap_angle(np.roll(phi, -1, axis=-1) - np.roll(phi, 1, axis=-1))
-        return d / (2 * dx)
+        # periodic central difference, from a wrap-padded copy of phi
+        p = np.concatenate([phi[..., -1:], phi, phi[..., :1]], axis=-1)
+        return wrap_angle(p[..., 2:] - p[..., :-2]) / (2 * dx)
 
     ge, gt = grad(est), grad(tru)
     grad_err = float(np.sqrt(np.mean((ge - gt) ** 2))
@@ -173,8 +174,10 @@ def prediction_horizon(dataset, table, align, hidden_estimate, start):
     """Forecast with the learned physical `table` from the visible truth at
     sample `start` and `align` applied to the hidden estimate there, and
     report how long the visible trajectory stays within HORIZON_THRESHOLD
-    of the truth (RMS amplitude units). Returns the horizon in Lyapunov
-    times when the preset defines one, otherwise in plain time units."""
+    of the truth (RMS amplitude units). Returns (horizon, to_end): the
+    horizon in Lyapunov times when the preset defines one, otherwise in
+    plain time units, and whether the forecast stayed within the threshold
+    up to the last sample, which makes the horizon a lower bound."""
     preset = dataset.preset
     if preset.kind != "ode":
         raise ValueError("prediction horizon is defined for the ODE systems")
@@ -203,7 +206,7 @@ def prediction_horizon(dataset, table, align, hidden_estimate, start):
         horizon_steps = k
     horizon = horizon_steps * dataset.norm.dt
     tau = preset.lyapunov_time
-    return horizon / tau if tau else horizon
+    return (horizon / tau if tau else horizon), horizon_steps == n_steps
 
 
 def hidden_baselines(dataset, lo, hi):

@@ -9,7 +9,8 @@
   (`EmbeddingRecovery.loss_and_grad`) to the tape's, over the largest tape
   entry of each parameter, and the median time of one call of each;
 - the median wall time of three in-process simulations of a Lorenz
-  dataset, burn-in included, and the RK4 substeps per second it implies;
+  dataset, burn-in included, and of a 128x32x32 diffusion_source one, and
+  the RK4 substeps per second each implies;
 - a short staged fit and its distilled width-8 encoder: the distill event,
   with its final mean squared error, and the encoder's hidden error over
   the embedding's on the encoder's window.
@@ -72,12 +73,27 @@ def chunk_peak_mb(n_time, nx):
         tracemalloc.stop()
 
 
+def simulate_line(preset, label):
+    """The median wall time of three simulations of `preset`, burn-in
+    included, and the RK4 substeps per second it implies."""
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        datagen.simulate(preset, seed=0)
+        times.append(time.perf_counter() - t0)
+    t = statistics.median(times)
+    n_burn = int(round(preset.burn_in / preset.dt))
+    substeps = (max(n_burn - 1, 0) + preset.n_time - 1) * preset.substeps
+    return (f"{label}: median of 3 {t:.3f} s, {substeps / t:.4g} RK4 "
+            f"substeps/s ({substeps} substeps)")
+
+
 def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
             pde_time=128, pde_nx=32):
     """Yield the summary lines: `calls` calls per loss-and-gradient timing,
-    a diffusion_source chunk on a `pde_time` x `pde_nx` x `pde_nx` field, a
-    simulation of `sim_time` samples, and a staged fit of `fit_steps` steps
-    on `fit_time` samples before the distill."""
+    a diffusion_source chunk and simulation on a `pde_time` x `pde_nx` x
+    `pde_nx` field, a Lorenz simulation of `sim_time` samples, and a staged
+    fit of `fit_steps` steps on `fit_time` samples before the distill."""
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = staged(ds, 10)
     yield f"staged Lorenz loss tape nodes: {tape_nodes(rec.loss_fn()[0])}"
@@ -113,17 +129,12 @@ def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
            f"{pde_nx}x{pde_nx}, tracemalloc peak MB: "
            f"{chunk_peak_mb(pde_time, pde_nx):.1f}")
 
-    preset = datagen.get_preset("lorenz", n_time=sim_time)
-    times = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        datagen.simulate(preset, seed=0)
-        times.append(time.perf_counter() - t0)
-    t = statistics.median(times)
-    n_burn = int(round(preset.burn_in / preset.dt))
-    substeps = (n_burn - 1 + preset.n_time - 1) * preset.substeps
-    yield (f"Lorenz simulate, {sim_time} samples: median of 3 {t:.3f} s, "
-           f"{substeps / t:.4g} RK4 substeps/s ({substeps} substeps)")
+    yield simulate_line(datagen.get_preset("lorenz", n_time=sim_time),
+                        f"Lorenz simulate, {sim_time} samples")
+    yield simulate_line(datagen.get_preset("diffusion_source",
+                                           n_time=pde_time, nx=pde_nx),
+                        f"diffusion_source simulate, {pde_time}x{pde_nx}x"
+                        f"{pde_nx}")
 
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=fit_time),
                           seed=0)

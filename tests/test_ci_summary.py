@@ -14,6 +14,7 @@ def test_summary_lines_at_small_size():
               "diffusion_source chunk compute_loss + backward, 24x8x8, "
               "tracemalloc peak MB: ",
               "Lorenz simulate, 120 samples: median of 3 ",
+              "diffusion_source simulate, 24x8x8: median of 3 ",
               "distill: loss ",
               "distilled / embedding hidden error: "]
     assert len(lines) == len(labels)

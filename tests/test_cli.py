@@ -82,6 +82,20 @@ def test_predict(workspace, capsys):
     assert "prediction horizon" in capsys.readouterr().out
 
 
+def test_predict_horizon_held_to_the_end(workspace, capsys, monkeypatch):
+    # a forecast that holds to the last sample prints its horizon as a
+    # lower bound
+    from symder import evaluate
+    monkeypatch.setattr(evaluate, "prediction_horizon",
+                        lambda *args: (0.082, True))
+    capsys.readouterr()
+    assert cli.main(["predict", "--data", str(workspace / "data"),
+                     "--run", str(workspace / "run"), "--start", "100"]) == 0
+    assert capsys.readouterr().out == (
+        "prediction horizon: at least 0.082 Lyapunov times (the data ends "
+        "at sample 119, 19 after --start)\n")
+
+
 def test_predict_bad_start(workspace):
     assert cli.main(["predict", "--data", str(workspace / "data"),
                      "--run", str(workspace / "run"),
@@ -368,6 +382,21 @@ def test_non_finite_artifact_exits_3(workspace, tmp_path, capsys, damage):
     assert not (run / "report.json").exists()
 
 
+def test_zero_normalization_std_exits_3(workspace, tmp_path, capsys):
+    # the normalization divides by std, so a zero there is as corrupt as a
+    # NaN
+    data, run = _copy_workspace(workspace, tmp_path)
+    meta = json.loads((data / "meta.json").read_text())
+    meta["normalization"]["std"][1] = 0.0
+    (data / "meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["eval", "--data", str(data), "--run", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt dataset") and \
+        err.count("\n") == 1, err
+    assert "std" in err and "Traceback" not in err
+
+
 def test_unknown_config_key(workspace, tmp_path, capsys):
     pde = tmp_path / "pde"
     assert cli.main(["generate", "--preset", "diffusion_source", "--out",
@@ -462,6 +491,9 @@ def short_data(tmp_path_factory):
     ("ode", ["--steps", "20", "--width", "2000"], "width 2000 needs"),
     ("generate", ["--preset", "lorenz", "--seed", "-1"], "--seed"),
     ("generate", ["--preset", "lorenz", "--nx", "7"], "--nx"),
+    # one sample, or one grid point at one time: nothing to normalize by
+    ("generate", ["--preset", "lorenz", "--n-time", "1"], "is constant"),
+    ("generate", ["--n-time", "1", "--nx", "1"], "is constant"),
 ])
 def test_bad_value_exits_1(workspace, pde_data, nlse_data, short_data,
                            tmp_path, capsys, dataset, argv, key):

@@ -204,8 +204,29 @@ def test_table_rhs_matches_simulator_rhs():
                                    rtol=1e-12, atol=1e-12, err_msg=name)
 
 
-# Reference: RK4 and right-hand sides on stacked arrays. The simulator's
-# component form must reproduce them bit for bit.
+# Reference: RK4 and right-hand sides on stacked arrays, with the Laplacian
+# as a sum of np.roll shifts. The simulator's component form must reproduce
+# them bit for bit.
+
+def _roll_lap(f, spacing):
+    out = np.zeros_like(f)
+    for ax, h in enumerate(spacing):
+        out += (np.roll(f, 1, axis=ax) - 2 * f + np.roll(f, -1, axis=ax)) / h**2
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (3, 5), (32, 32)])
+@pytest.mark.parametrize("spacing", [(1.0, 1.0), (0.7, 1.3)])
+def test_lap_matches_roll_form(shape, spacing):
+    f = np.random.default_rng(14).standard_normal(shape)
+    # a 0.0 whose neighbours are -0.0 has -0.0 for each axis's term, which
+    # the roll form's sum onto zeros ends as 0.0
+    signed = np.full(shape, -0.0)
+    signed[1 % shape[0], 1 % shape[1]] = 0.0
+    for field in (f, signed):
+        assert (dg._lap(field, spacing).tobytes()
+                == _roll_lap(field, spacing).tobytes())
+
 
 def _array_rhs(preset):
     p = preset.params
@@ -223,14 +244,14 @@ def _array_rhs(preset):
     elif preset.name == "diffusion_source":
         def rhs(x):
             u, v = x[..., 0], x[..., 1]
-            return np.stack([p["D"] * dg._lap(u, preset.spacing) + v,
+            return np.stack([p["D"] * _roll_lap(u, preset.spacing) + v,
                              -p["k"] * v], axis=-1)
     else:
         def rhs(x):
             u, v = x[..., 0], x[..., 1]
-            du = p["Du"] * dg._lap(u, preset.spacing) + \
+            du = p["Du"] * _roll_lap(u, preset.spacing) + \
                 p["alpha"] * u - p["beta"] * u * v
-            dv = p["Dv"] * dg._lap(v, preset.spacing) + \
+            dv = p["Dv"] * _roll_lap(v, preset.spacing) + \
                 p["delta"] * u * v - p["gamma"] * v
             return np.stack([du, dv], axis=-1)
     return rhs
@@ -259,7 +280,9 @@ def _array_integrate(rhs, x0, n_steps, dt, substeps=10):
 @pytest.mark.parametrize("name,kw", [
     ("rossler", {"n_time": 60}), ("lorenz", {"n_time": 60}),
     ("diffusion_source", {"n_time": 12, "nx": 8}),
-    ("diffusive_lv", {"n_time": 12, "nx": 8})])
+    ("diffusive_lv", {"n_time": 12, "nx": 8}),
+    *[(name, {"n_time": 12, "nx": nx})
+      for name in ("diffusion_source", "diffusive_lv") for nx in (1, 2, 3)]])
 def test_simulate_matches_array_rk4(name, kw):
     preset = small(name, **kw)
     if preset.burn_in:

@@ -105,16 +105,36 @@ def test_phase_errors_detects_mismatch():
     assert pe > 0.01 and ge > 0.01
 
 
-def _horizon(model, ds, align, hidden_estimate):
-    # from sample 0, with the table `evaluate_run` builds
+def _horizon(model, ds, align, hidden_estimate, start=0, to_end=False):
+    # with the table `evaluate_run` builds; whether the forecast held to the
+    # last sample is checked against `to_end`
     table = evaluate.compare_equations(model, ds, align)["found_physical"]
-    return evaluate.prediction_horizon(ds, table, align, hidden_estimate, 0)
+    horizon, held = evaluate.prediction_horizon(ds, table, align,
+                                                hidden_estimate, start)
+    assert held == to_end
+    return horizon
 
 
 def test_prediction_horizon_oracle(lorenz_ds, lorenz_oracle):
     model, enc, align = lorenz_oracle
-    horizon = _horizon(model, lorenz_ds, align, enc.hidden[0])
+    # the oracle holds through all 400 samples, 3.6 Lyapunov times
+    horizon = _horizon(model, lorenz_ds, align, enc.hidden[0], to_end=True)
     assert horizon > 1.0   # Lyapunov times
+    assert horizon == pytest.approx(
+        399 * lorenz_ds.norm.dt / lorenz_ds.preset.lyapunov_time)
+
+
+def test_prediction_horizon_held_to_the_last_sample(lorenz_ds,
+                                                    lorenz_oracle):
+    # from sample 390 of 400 the oracle holds through the 9 samples left:
+    # the horizon is all the data allows, a lower bound
+    model, enc, align = lorenz_oracle
+    horizon = _horizon(model, lorenz_ds, align, enc.hidden[390], start=390,
+                       to_end=True)
+    tau = lorenz_ds.preset.lyapunov_time
+    assert horizon == pytest.approx(9 * lorenz_ds.norm.dt / tau)
+    assert _horizon(model, lorenz_ds, align, enc.hidden[399], start=399,
+                    to_end=True) == 0.0
 
 
 def test_prediction_horizon_bad_model(lorenz_ds, lorenz_oracle):
