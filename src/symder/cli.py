@@ -42,15 +42,15 @@ DEFAULT_CONFIGS = {
     "diffusion_source": {"steps": 50000, "lr": 1e-4, "width": 64,
                          "alphas": [1.0, 10.0], "beta_phase": 0.0,
                          "sparsify_every": 1000, "theta_threshold": 5e-3,
-                         "chunk_time": 64, "divergence_limit": 1e6},
+                         "divergence_limit": 1e6},
     "diffusive_lv": {"steps": 100000, "lr": 1e-3, "width": 64,
                      "alphas": [1.0, 1.0], "beta_phase": 0.0,
                      "sparsify_every": 1000, "theta_threshold": 2e-3,
-                     "chunk_time": 64, "divergence_limit": 1e6},
+                     "divergence_limit": 1e6},
     "nlse": {"steps": 100000, "lr": 1e-4,
              "alphas": [1.0, 1.0], "beta_phase": 1e3,
              "sparsify_every": 10000, "theta_threshold": 1e-3,
-             "chunk_time": 0, "divergence_limit": 1e9},
+             "divergence_limit": 1e9},
 }
 
 EXIT_OK = 0
@@ -101,8 +101,8 @@ CONFIG_RULES = {
     "alphas": (lambda v: type(v) is list and len(v) == train.ORDER
                and all(map(_positive, v)),
                f"a list of {train.ORDER} positive finite numbers"),
-    "sparsify_every": _COUNT, "chunk_time": _COUNT,
-    "theta_threshold": _POSITIVE, "divergence_limit": _POSITIVE,
+    "sparsify_every": _COUNT, "theta_threshold": _POSITIVE,
+    "divergence_limit": _POSITIVE,
     "beta_phase": (lambda v: type(v) in (int, float) and 0 <= v < math.inf,
                    "a non-negative finite number"),
 }
@@ -197,11 +197,7 @@ def load_run(run_dir):
 # -- subcommands --------------------------------------------------------------
 
 def cmd_generate(args):
-    try:
-        preset = datagen.get_preset(args.preset, n_time=args.n_time,
-                                    nx=args.nx)
-    except KeyError:
-        raise CliError(f"unknown preset {args.preset!r}", EXIT_FAIL)
+    preset = datagen.get_preset(args.preset, n_time=args.n_time, nx=args.nx)
     if args.nx is not None and not preset.grid:
         raise CliError(f"--nx sets a grid, and {preset.name} has none")
     try:

@@ -414,6 +414,9 @@ class Dataset:
             raise ValueError(f"grid spacing {meta['grid']['spacing']} "
                              f"disagrees with the {preset.name} preset's "
                              f"{list(preset.spacing)}")
+        if meta["grid"]["dt"] != preset.dt:
+            raise ValueError(f"grid dt {meta['grid']['dt']} disagrees with "
+                             f"the {preset.name} preset's {preset.dt}")
         arrays = []
         for name in ("visible", "hidden"):
             f, shape = path / f"{name}.f64", meta[f"{name}_shape"]
@@ -432,9 +435,11 @@ class Dataset:
                              arrays + [scales]):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} holds non-finite values")
-        if not (norm.std > 0).all():
-            raise ValueError(f"normalization std {norm.std.tolist()} is "
-                             "not positive")
+        for name, std in [("std", norm.std)] + [
+                (f"deriv_std {p}", s) for p, s in norm.deriv_std.items()]:
+            if not (std > 0).all():
+                raise ValueError(f"normalization {name} {std.tolist()} is "
+                                 "not positive")
         return cls(preset=preset, seed=meta["seed"], visible_raw=arrays[0],
                    hidden_truth=arrays[1], norm=norm)
 
@@ -457,7 +462,9 @@ def _make_norm(preset, visible_raw):
     for p in (1, 2, 3, 4):
         if visible_raw.shape[0] >= len(fd.CENTRAL_STENCILS[p]):
             d, _ = fd.time_derivative(normed, p, preset.dt)
-            deriv_std[p] = d.reshape(-1, n_vis).std(axis=0)
+            s = d.reshape(-1, n_vis).std(axis=0)
+            if (s > 0).all():   # one value per channel has no spread
+                deriv_std[p] = s
     return NormalizationRecord(mean=mean, std=std, deriv_std=deriv_std,
                                dt=preset.dt, spacing=preset.spacing)
 

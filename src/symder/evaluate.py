@@ -142,7 +142,7 @@ def phase_errors(phase_est, phase_truth, dx):
 
     Returns (phase_rel_error, gradient_rel_error): the gauge-fixed wrapped
     phase residual and the periodic spatial phase gradient residual, both
-    RMS over range-of-truth.
+    RMS over range-of-truth; a zero range raises ValueError.
     """
     est = np.asarray(phase_est, float)
     tru = np.asarray(phase_truth, float)
@@ -160,10 +160,7 @@ def phase_errors(phase_est, phase_truth, dx):
         p = np.concatenate([phi[..., -1:], phi, phi[..., :1]], axis=-1)
         return wrap_angle(p[..., 2:] - p[..., :-2]) / (2 * dx)
 
-    ge, gt = grad(est), grad(tru)
-    grad_err = float(np.sqrt(np.mean((ge - gt) ** 2))
-                     / (gt.max() - gt.min()))
-    return phase_err, grad_err
+    return phase_err, relative_error(grad(est), grad(tru))
 
 
 # ---------------------------------------------------------------------------

@@ -209,10 +209,10 @@ def tsum(a):
     return Tensor(a.data.sum(), _parents=((a, vjp),), _op="sum")
 
 
-def tmean(a):
-    """Mean of every entry."""
+def tmean(a, count=None):
+    """Mean of every entry; given `count`, their sum over `count`."""
     a = as_tensor(a)
-    return mul(tsum(a), 1.0 / a.size)
+    return mul(tsum(a), 1.0 / (a.size if count is None else count))
 
 
 def _may_repeat(idx):

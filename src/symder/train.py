@@ -21,6 +21,8 @@ from . import fd, jets, encoders
 
 DIVERGENCE_LIMIT = 1e6
 ORDER = 2   # the loss matches time derivatives of orders 1..ORDER
+# grid points per window of a joint step; its peak memory follows them
+CHUNK_POINTS = 16384
 
 
 class TrainingDiverged(RuntimeError):
@@ -113,7 +115,9 @@ class Problem:
         hi = n_time - max(r, margin)
         # d/dt of the state in model time units, for the hidden residual
         self.d_t = fd.stencil_weights(1, 1.0, accuracy) * model.s_t
-        if hi - lo < (len(self.d_t) if beta else 1):
+        # a derivative of one value per channel has no spread to scale by
+        scaled = all(p in dataset.norm.deriv_std for p in range(1, ORDER + 1))
+        if hi - lo < (len(self.d_t) if beta else 1) or not scaled:
             raise SeriesTooShort(f"series of {n_time} samples too short "
                                  "for the stencils and the encoder window")
         self.lo, self.hi = lo, hi
@@ -145,61 +149,53 @@ class Problem:
         return encoders.aggregate(self.observed, vis, hidden)
 
     def compute_loss(self, lo=None, hi=None):
-        """Loss and its parts on the window [lo, hi) (defaults to all of
-        the interior), from the state estimate there and its jet through
-        the model."""
+        """Loss and its parts on the window [lo, hi) of the interior
+        (defaults to all of it). Each part is the window's sum divided by
+        the full batch's count, so the parts of windows that tile the
+        interior add up to the full batch's. With `beta` > 0 the state is
+        rebuilt up to a stencil radius beyond the window, inside the
+        interior, so the window scores `reg` at exactly its samples among
+        those the full batch scores, if any."""
         lo = self.lo if lo is None else lo
         hi = self.hi if hi is None else hi
-        state = self.reconstruct(lo, hi)
+        r = len(self.d_t) // 2 if self.beta else 0
+        a, b = max(lo - r, self.lo), min(hi + r, self.hi)
+        state = self.reconstruct(a, b)
         jet = jets.propagate(state, self.model, ORDER)
         sym = jets.visible_derivatives(jet, self.observed)
+        if (a, b) != (lo, hi):
+            sym = [d[lo - a:hi - a] for d in sym]
         total = None
         parts = {}
         for p in range(1, ORDER + 1):
             target = self.targets[p][lo - self.lo:hi - self.lo]
             resid = T.sub(T.mul(sym[p - 1], self.deriv_scale[p]), target)
-            lp = T.tmean(T.square(resid))
+            lp = T.tmean(T.square(resid), self.targets[p].size)
             parts[f"loss_p{p}"] = lp.item()
             term = T.mul(lp, self.alphas[p - 1])
             total = term if total is None else T.add(total, term)
         parts["reg"] = 0.0
-        if self.beta:
-            r = len(self.d_t) // 2
+        if self.beta and b - a > 2 * r:
             h = 0 if self.observed == "modulus" else len(self.observed)
             hidden = state[..., h:] if h else state
             F = jet.coeffs[1][r:-r, ..., h:]
+            count = (self.hi - self.lo - 2 * r) * (F.size // F.shape[0])
             reg = T.tmean(T.square(T.sub(
-                F, fd.apply_stencil(hidden, self.d_t))))
+                F, fd.apply_stencil(hidden, self.d_t))), count)
             weight = self.beta * (self.model.state_dim - h)
             reg = reg if weight == 1.0 else T.mul(reg, weight)
             parts["reg"] = reg.item()
             total = T.add(total, reg)
         return total, parts
 
-    def chunks(self, chunk_time):
-        """Tile [lo, hi) into windows of chunk_time samples, each with its
-        weight in the equally-weighted full-batch average. A tail shorter
-        than the residual stencil joins the window before it; with `beta`
-        > 0 a chunk_time below the stencil raises SeriesTooShort.
-
-        The weighted window losses sum to the full-batch loss_p1 and
-        loss_p2. They sum to its reg only at `beta` 0: each window scores
-        the hidden residual on its own interior, so the samples within a
-        stencil radius of a seam drop out, and each window's mean is taken
-        over fewer samples than its weight assumes."""
-        span = self.hi - self.lo
-        if not chunk_time or chunk_time >= span:
-            return [(self.lo, self.hi, 1.0)]
-        n = len(self.d_t)
-        if self.beta and chunk_time < n:
-            raise SeriesTooShort(f"chunk_time {chunk_time} is below the "
-                                 f"{n} samples of the hidden residual's "
-                                 "stencil")
-        cuts = list(range(self.lo, self.hi, chunk_time))
-        if self.hi - cuts[-1] < n:
-            cuts.pop()
-        bounds = cuts + [self.hi]
-        return [(a, b, (b - a) / span) for a, b in zip(bounds, bounds[1:])]
+    def chunks(self):
+        """Tile the interior [lo, hi) into windows [a, b) of CHUNK_POINTS
+        grid points, in whole frames, one frame at least; the last window
+        takes what is left."""
+        frame = int(np.prod(self.dataset.visible.shape[1:-1]))
+        cuts = list(range(self.lo, self.hi, max(1, CHUNK_POINTS // frame)))
+        cuts.append(self.hi)
+        return list(zip(cuts, cuts[1:]))
 
 
 def default_model(preset, seed=0):
@@ -302,22 +298,20 @@ def fit(problem, settings, out_dir=None, log=None):
     model, encoder = problem.model, problem.encoder
     params = [model.theta_t] + [p for _, p in encoder.parameters()]
     opt = GradientOptimizer(params, lr=settings["lr"])
-    chunks = problem.chunks(settings["chunk_time"])
     steps, every = settings["steps"], settings["sparsify_every"]
 
     def losses():
         # gradient accumulation over time windows, each tape freed by its
-        # sweep. The totals of loss_p1 and loss_p2 equal one full-batch
-        # pass's; reg does only at beta 0, as each window's residual drops
-        # the samples at its seams (see `Problem.chunks`)
+        # sweep; the windows' losses and parts sum to one full-batch pass's
+        # (see `Problem.compute_loss`)
         while True:
             val, parts = 0.0, {}
-            for lo, hi, w in chunks:
+            for lo, hi in problem.chunks():
                 total, cparts = problem.compute_loss(lo, hi)
-                val += w * float(total.data)
+                val += float(total.data)
                 for k, v in cparts.items():
-                    parts[k] = parts.get(k, 0.0) + w * v
-                T.backward(total if w == 1.0 else T.mul(total, w))
+                    parts[k] = parts.get(k, 0.0) + v
+                T.backward(total)
             yield val, parts
 
     def after(step, val):

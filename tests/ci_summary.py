@@ -4,7 +4,8 @@
   problem, so that a re-expansion of the tape shows in every run (83 and
   89; `test_loss_tape_sizes` holds them);
 - the tracemalloc peak of one diffusion_source chunk's `compute_loss` and
-  `backward`, on the benchmark's 128x32x32 field and 64-sample chunks;
+  `backward`, on the benchmark's 128x32x32 field and the first of its
+  windows of `train.CHUNK_POINTS` grid points, whose frames it names;
 - on the staged fixture, the largest difference of the closed-form gradient
   (`EmbeddingRecovery.loss_and_grad`) to the tape's, over the largest tape
   entry of each parameter, and the median time of one call of each;
@@ -56,19 +57,20 @@ def staged(ds, steps):
 
 
 def chunk_peak_mb(n_time, nx):
-    """The tracemalloc peak, in MB, of the first chunk's loss and gradient
-    on an n_time x nx x nx diffusion_source field."""
+    """The frames of the first chunk of a training step on an n_time x nx x
+    nx diffusion_source field, and the tracemalloc peak, in MB, of its loss
+    and gradient."""
     ds = datagen.simulate(datagen.get_preset("diffusion_source",
                                              n_time=n_time, nx=nx), seed=0)
     settings = cli.DEFAULT_CONFIGS["diffusion_source"]
     prob = train.Problem(ds, train.default_model(ds.preset),
                          train.default_encoder(ds, settings),
                          alphas=settings["alphas"])
-    lo, hi, _ = prob.chunks(settings["chunk_time"])[0]
+    lo, hi = prob.chunks()[0]
     tracemalloc.start()
     try:
         T.backward(prob.compute_loss(lo, hi)[0])
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        return hi - lo, tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
 
@@ -125,9 +127,10 @@ def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
                          alphas=settings["alphas"])
     yield ("diffusion_source loss tape nodes: "
            f"{tape_nodes(prob.compute_loss()[0])}")
+    frames, peak = chunk_peak_mb(pde_time, pde_nx)
     yield (f"diffusion_source chunk compute_loss + backward, {pde_time}x"
-           f"{pde_nx}x{pde_nx}, tracemalloc peak MB: "
-           f"{chunk_peak_mb(pde_time, pde_nx):.1f}")
+           f"{pde_nx}x{pde_nx}, first window of {frames} frames, "
+           f"tracemalloc peak MB: {peak:.1f}")
 
     yield simulate_line(datagen.get_preset("lorenz", n_time=sim_time),
                         f"Lorenz simulate, {sim_time} samples")

@@ -12,7 +12,7 @@ def test_summary_lines_at_small_size():
               "staged Lorenz loss and gradient, median ms per call of 3: ",
               "diffusion_source loss tape nodes: ",
               "diffusion_source chunk compute_loss + backward, 24x8x8, "
-              "tracemalloc peak MB: ",
+              "first window of 20 frames, tracemalloc peak MB: ",
               "Lorenz simulate, 120 samples: median of 3 ",
               "diffusion_source simulate, 24x8x8: median of 3 ",
               "distill: loss ",

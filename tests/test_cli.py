@@ -1,5 +1,6 @@
 import json
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,25 @@ def test_nlse_pipeline(tmp_path, capsys):
     assert "phase_error" in doc
 
 
+def test_eval_of_a_flat_phase_gradient_exits_1(tmp_path, capsys):
+    # on two grid points the periodic central difference of any phase is
+    # zero, so the phase gradient error has no range to divide by
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["generate", "--preset", "nlse", "--out", str(data),
+                     "--n-time", "40", "--nx", "2"]) == 0
+    assert cli.main(["train", "--data", str(data), "--out", str(run),
+                     "--steps", "2"]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["eval", "--data", str(data), "--run",
+                         str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot evaluate on {data}: truth signal has "
+                   "zero range\n")
+    assert not (run / "report.json").exists()
+
+
 @pytest.fixture(scope="module")
 def nlse_data(tmp_path_factory):
     root = tmp_path_factory.mktemp("nlse")
@@ -149,31 +169,35 @@ def nlse_data(tmp_path_factory):
     return root
 
 
-def test_chunk_below_the_residual_stencil_exits_1(nlse_data, tmp_path,
-                                                  capsys):
-    # the wave's hidden residual spans 3 samples; chunks of 2 cannot hold it
+def test_chunk_time_is_not_read(nlse_data, tmp_path, capsys):
+    # the window length follows from the grid (`train.CHUNK_POINTS`)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"chunk_time": 2}))
+    cfg.write_text(json.dumps({"chunk_time": 10}))
     out = tmp_path / "run"
     capsys.readouterr()
     assert cli.main(["train", "--data", str(nlse_data / "40"), "--out",
                      str(out), "--steps", "2", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "chunk_time 2" in err
+    assert err == "error: the joint path of nlse does not read chunk_time\n"
     assert not out.exists()
 
 
-def test_short_last_chunk_trains(nlse_data, tmp_path):
-    # window [1, 32) in chunks of 10 ends in a 1-sample tail, which joins
-    # the chunk before it
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"chunk_time": 10}))
-    out = tmp_path / "run"
-    assert cli.main(["train", "--data", str(nlse_data / "33"), "--out",
-                     str(out), "--steps", "2", "--config", str(cfg)]) == 0
-    rows = train.load_history(out / "history.csv")
-    assert len(rows) == 2 and all(r["reg"] > 0 for r in rows)
+def test_windowed_training_matches_one_window(nlse_data, tmp_path,
+                                              monkeypatch):
+    # interior [1, 32) of the 33-sample wave in windows of 10 frames ends
+    # in a one-frame tail; every step's parts match the one-window run's
+    runs = []
+    for points in (train.CHUNK_POINTS, 10 * 32):
+        monkeypatch.setattr(train, "CHUNK_POINTS", points)
+        out = tmp_path / str(points)
+        assert cli.main(["train", "--data", str(nlse_data / "33"), "--out",
+                         str(out), "--steps", "3"]) == 0
+        runs.append(train.load_history(out / "history.csv"))
+    one, windows = runs
+    assert len(windows) == 3 and all(r["reg"] > 0 for r in windows)
+    for r1, rw in zip(one, windows):
+        for k in ("total_loss", "loss_p1", "loss_p2", "reg"):
+            assert rw[k] == pytest.approx(r1[k], rel=1e-12), k
 
 
 def test_beta_phase_weighs_the_hidden_field(pde_data, tmp_path):
@@ -395,6 +419,32 @@ def test_zero_normalization_std_exits_3(workspace, tmp_path, capsys):
     assert err.startswith("error: corrupt dataset") and \
         err.count("\n") == 1, err
     assert "std" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("edit,word", [
+    # the preset fixes the sample spacing, as it fixes the grid spacing
+    (lambda meta: meta["grid"].update(dt=0.02), "dt"),
+    # the loss divides each derivative order by its std
+    (lambda meta: meta["normalization"]["deriv_std"]["1"].__setitem__(0, 0),
+     "deriv_std 1"),
+], ids=["dt", "deriv_std"])
+def test_disagreeing_dt_or_zero_deriv_std_exits_3(workspace, tmp_path,
+                                                  capsys, command, edit,
+                                                  word):
+    data, run = _copy_workspace(workspace, tmp_path)
+    meta = json.loads((data / "meta.json").read_text())
+    edit(meta)
+    (data / "meta.json").write_text(json.dumps(meta))
+    out = tmp_path / "out"
+    argv = {"train": ["--out", str(out), "--steps", "2"],
+            "eval": ["--run", str(run), "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert cli.main([command, "--data", str(data)] + argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt dataset") and \
+        err.count("\n") == 1, err
+    assert word in err and not out.exists()
 
 
 def test_unknown_config_key(workspace, tmp_path, capsys):

@@ -161,6 +161,18 @@ def test_dataset_roundtrip(tmp_path):
     ds.save(tmp_path / "d", force=True)
 
 
+def test_derivative_std_kept_only_where_it_spreads(tmp_path):
+    # a 3-point stencil on 3 samples leaves one value per channel, and a
+    # 5-point one on 5 samples too: no spread to scale by, so no record,
+    # and the saved dataset loads
+    for n_time, orders in ((3, []), (5, [1, 2]), (7, [1, 2, 3, 4])):
+        ds = dg.simulate(small("lorenz", n_time=n_time), seed=0)
+        assert sorted(ds.norm.deriv_std) == orders, n_time
+        ds.save(tmp_path / str(n_time))
+        assert sorted(dg.Dataset.load(tmp_path / str(n_time)).norm
+                      .deriv_std) == orders
+
+
 def test_bit_reproducible():
     a = dg.simulate(small("diffusive_lv", n_time=30, nx=16), seed=11)
     b = dg.simulate(small("diffusive_lv", n_time=30, nx=16), seed=11)

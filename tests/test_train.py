@@ -12,10 +12,9 @@ def lorenz_ds():
     return datagen.simulate(datagen.get_preset("lorenz", n_time=400), seed=0)
 
 
-# the run settings `train.fit` reads, thresholding and chunks off
+# the run settings `train.fit` reads, thresholding off
 SETTINGS = {"steps": 10, "lr": 1e-3, "sparsify_every": 0,
-            "theta_threshold": 1e-3, "divergence_limit": 1e6,
-            "chunk_time": 0}
+            "theta_threshold": 1e-3, "divergence_limit": 1e6}
 
 
 def settings(**changes):
@@ -212,59 +211,121 @@ def test_save_run_roundtrip(lorenz_ds, tmp_path):
         np.testing.assert_array_equal(enc.params[name].data, p.data)
 
 
-def test_chunked_loss_matches_full_batch(lorenz_ds):
+def test_chunked_loss_matches_full_batch(lorenz_ds, monkeypatch):
+    monkeypatch.setattr(train, "CHUNK_POINTS", 100)
     prob = small_problem(lorenz_ds)
     full, _ = prob.compute_loss()
-    chunks = prob.chunks(100)
+    chunks = prob.chunks()
     assert len(chunks) == 4
-    assert sum(b - a for a, b, _ in chunks) == prob.hi - prob.lo
-    acc = sum(w * prob.compute_loss(a, b)[0].item() for a, b, w in chunks)
+    assert sum(b - a for a, b in chunks) == prob.hi - prob.lo
+    acc = sum(prob.compute_loss(a, b)[0].item() for a, b in chunks)
     np.testing.assert_allclose(acc, full.item(), rtol=1e-12)
 
 
-def test_chunked_gradients_match_full_batch(lorenz_ds):
+def test_chunked_gradients_match_full_batch(lorenz_ds, monkeypatch):
+    monkeypatch.setattr(train, "CHUNK_POINTS", 100)
     prob = small_problem(lorenz_ds)
-    from symder import tensor as T
     total, _ = prob.compute_loss()
     T.backward(total)
     g_full = prob.model.theta_t.grad.copy()
     prob.model.theta_t.zero_grad()
-    for a, b, w in prob.chunks(100):
-        t, _ = prob.compute_loss(a, b)
-        T.backward(T.mul(t, w))
+    for a, b in prob.chunks():
+        T.backward(prob.compute_loss(a, b)[0])
     np.testing.assert_allclose(prob.model.theta_t.grad, g_full,
                                rtol=1e-9, atol=1e-12)
 
 
-def test_fit_chunked_equals_full(lorenz_ds):
-    cfg_full = settings(steps=5)
-    cfg_chunk = settings(steps=5, chunk_time=100)
-    h_full = train.fit(small_problem(lorenz_ds), cfg_full)
-    h_chunk = train.fit(small_problem(lorenz_ds), cfg_chunk)
+def test_fit_chunked_equals_full(lorenz_ds, monkeypatch):
+    h_full = train.fit(small_problem(lorenz_ds), settings(steps=5))
+    monkeypatch.setattr(train, "CHUNK_POINTS", 100)
+    h_chunk = train.fit(small_problem(lorenz_ds), settings(steps=5))
     for rf, rc in zip(h_full, h_chunk):
         np.testing.assert_allclose(rc["total_loss"], rf["total_loss"],
                                    rtol=1e-9)
 
 
-def test_short_tail_joins_the_chunk_before(lorenz_ds):
-    # [4, 396) in chunks of 97 leaves a 4-sample tail, shorter than the
-    # 5-sample stencil of an ODE preset's residual
+def test_windows_hold_chunk_points(lorenz_ds, monkeypatch):
+    # [4, 396) of a series (one grid point a frame) in windows of 97
+    # samples; the tail keeps its 4 samples
     prob = small_problem(lorenz_ds)
-    chunks = prob.chunks(97)
-    assert [(a, b) for a, b, _ in chunks] == [(4, 101), (101, 198),
-                                              (198, 295), (295, 396)]
-    assert sum(w for _, _, w in chunks) == pytest.approx(1.0, rel=1e-15)
-    assert [(a, b) for a, b, _ in prob.chunks(98)][-1] == (298, 396)
+    assert prob.chunks() == [(4, 396)]
+    monkeypatch.setattr(train, "CHUNK_POINTS", 97)
+    assert prob.chunks() == [(4, 101), (101, 198), (198, 295), (295, 392),
+                             (392, 396)]
+    # an 8x8 field: 64 points a frame, so 97 points make one frame and 128
+    # two; fewer points than a frame still make one frame
+    pde = field_problem(24, 8, 0.0)
+    assert (pde.lo, pde.hi) == (2, 22)
+    assert pde.chunks() == [(a, a + 1) for a in range(2, 22)]
+    monkeypatch.setattr(train, "CHUNK_POINTS", 128)
+    assert pde.chunks() == [(a, a + 2) for a in range(2, 22, 2)]
+    monkeypatch.setattr(train, "CHUNK_POINTS", 10)
+    assert len(pde.chunks()) == 20
 
 
-def test_chunk_below_the_residual_stencil(lorenz_ds):
-    prob = small_problem(lorenz_ds)
-    # without the residual any chunk works; the 2-sample tail still joins
-    assert len(prob.chunks(2)) == 195
-    prob.beta = 1.0
-    with pytest.raises(train.SeriesTooShort, match="chunk_time 4"):
-        prob.chunks(4)
-    assert len(prob.chunks(5)) == 78
+def field_problem(n_time, nx, beta):
+    """A diffusion_source Problem with a width-4 encoder."""
+    ds = datagen.simulate(datagen.get_preset("diffusion_source",
+                                             n_time=n_time, nx=nx), seed=0)
+    return train.Problem(ds, train.default_model(ds.preset),
+                         train.default_encoder(ds, {"width": 4}), beta=beta)
+
+
+def nlse_problem():
+    """The nlse preset's Problem at 40x32, at the preset's beta_phase."""
+    from symder import cli
+    ds = datagen.simulate(datagen.get_preset("nlse", n_time=40, nx=32),
+                          seed=0)
+    cfg = cli.DEFAULT_CONFIGS["nlse"]
+    model = train.default_model(ds.preset)
+    beta = cfg["beta_phase"] / (model.s_t * ds.norm.dt) ** 2
+    return train.Problem(ds, model, train.default_encoder(ds, cfg),
+                         alphas=cfg["alphas"], beta=beta)
+
+
+@pytest.mark.parametrize("make", [lambda: field_problem(24, 8, 5.0),
+                                  nlse_problem], ids=["field", "nlse"])
+def test_window_parts_sum_to_the_full_batch(make, monkeypatch):
+    # every window length, the hidden residual's seams included: the
+    # windows' parts and gradients add up to the full batch's
+    prob = make()
+    assert prob.beta > 0
+    params = [prob.model.theta_t] + [p for _, p in prob.encoder.parameters()]
+
+    def run(windows):
+        for q in params:
+            q.zero_grad()
+        parts = {}
+        for a, b in windows:
+            total, wparts = prob.compute_loss(a, b)
+            T.backward(total)
+            for k, v in wparts.items():
+                parts[k] = parts.get(k, 0.0) + v
+        return parts, [q.grad.copy() for q in params]
+
+    full_parts, full_grads = run([(prob.lo, prob.hi)])
+    assert full_parts["reg"] > 0
+    frame = prob.dataset.visible[0, ..., 0].size
+    for length in range(1, prob.hi - prob.lo + 1):
+        monkeypatch.setattr(train, "CHUNK_POINTS", length * frame)
+        windows = prob.chunks()
+        assert len(windows) == -(-(prob.hi - prob.lo) // length)
+        parts, grads = run(windows)
+        for k, v in full_parts.items():
+            assert parts[k] == pytest.approx(v, rel=1e-12, abs=0), (length, k)
+        for g, g0 in zip(grads, full_grads):
+            np.testing.assert_allclose(g, g0, rtol=0,
+                                       atol=1e-12 * np.abs(g0).max())
+
+
+def test_window_without_residual_samples_scores_no_reg():
+    # with the 3-sample first-derivative stencil the full batch scores the
+    # residual on [lo + 1, hi - 1): a one-frame window at either end holds
+    # none of it
+    prob = field_problem(24, 8, 5.0)
+    for a in (prob.lo, prob.hi - 1):
+        assert prob.compute_loss(a, a + 1)[1]["reg"] == 0.0
+    assert prob.compute_loss(prob.lo + 1, prob.lo + 2)[1]["reg"] > 0.0
 
 
 # -- hidden residual -------------------------------------------------------------
@@ -334,6 +395,15 @@ def test_hidden_residual_short_window():
     wave_problem(phase, 0.1, 0.0)
     with pytest.raises(train.SeriesTooShort):
         wave_problem(phase, 0.1, 1.0)
+
+
+def test_derivative_without_a_std_is_too_short():
+    # a dataset records no std for a derivative order of one value per
+    # channel (`datagen._make_norm`), so no loss can scale that order
+    prob = wave_problem(np.zeros((7, 8)), 0.1, 0.0)
+    del prob.dataset.norm.deriv_std[2]
+    with pytest.raises(train.SeriesTooShort):
+        train.Problem(prob.dataset, prob.model, prob.encoder)
 
 
 def test_hidden_residual_gradient_reaches_phase():
