@@ -167,9 +167,11 @@ def load_dataset(path):
 
 
 def load_run(run_dir):
-    """(model, encoder, record) of a run. The record holds what config.json
-    says of the data the run was trained on, `preset` and `data_seed`, as
-    far as it says it: it is empty for a run without config.json."""
+    """(model, encoder, record) of a run. The encoder's parameters take no
+    gradient, so its forward keeps no tape. The record holds what
+    config.json says of the data the run was trained on, `preset` and
+    `data_seed`, as far as it says it: it is empty for a run without
+    config.json."""
     run_dir = Path(run_dir)
     model_path = run_dir / "model.json"
     ckpt_path = run_dir / "encoder.ckpt"
@@ -185,6 +187,8 @@ def load_run(run_dir):
         encoder = encoders.load_checkpoint(ckpt_path)
     except encoders.CheckpointError as e:
         raise CliError(str(e), EXIT_CORRUPT)
+    for _, p in encoder.parameters():
+        p.requires_grad = False
     try:
         doc = json.loads(config_path.read_text()) if config_path.exists() \
             else {}

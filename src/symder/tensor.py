@@ -343,21 +343,25 @@ def stencil(a, w, axis, periodic):
 def lincomb(values, coef):
     """Contract n fields with a coefficient matrix in one node:
     out[..., j] = sum_i coef[j, i] * values[i]. The values broadcast
-    against each other (a float is a constant field); coef is (neq, n)."""
+    against each other (a float is a constant field); coef is (neq, n).
+    The fields are stacked by rows, phi[i] = values[i], one contiguous
+    copy each, and the product is coef @ phi, (neq, points); the output is
+    its transpose, a view, and coef's gradient (phi @ g).T."""
     values = [as_tensor(v) for v in values]
     coef = as_tensor(coef)
     neq, n = coef.shape
     shape = np.broadcast_shapes(*{v.shape for v in values})
-    phi = np.empty(shape + (n,))
+    phi = np.empty((n,) + shape)
     for i, v in enumerate(values):
-        phi[..., i] = v.data
-    out = phi @ coef.data.T
+        phi[i] = v.data
+    phi = phi.reshape(n, -1)
+    out = (coef.data @ phi).T.reshape(shape + (neq,))
 
     def make_vjp(i, vshape):
         return lambda g: _unbroadcast(g @ coef.data[:, i], vshape)
 
     def vjp_coef(g):
-        return g.reshape(-1, neq).T @ phi.reshape(-1, n)
+        return (phi @ g.reshape(-1, neq)).T
 
     parents = tuple((v, make_vjp(i, v.shape)) for i, v in enumerate(values))
     return Tensor(out, _parents=parents + ((coef, vjp_coef),), _op="lincomb")
@@ -386,15 +390,23 @@ def _conv_stack(op, x, layers, periodic):
     ValueError.
 
     The node runs over slabs of SLAB_POINTS output points, in C order. Per
-    slab it builds the patch matrix of the output frames (the first axis)
-    the slab touches, with one row per (kernel offset, input channel) in
-    the order of w's rows and one column per output point; each offset's
-    rows are one block copy out of the padded, channels-first input. Each
-    layer's product is taken as W.T @ h, a C-ordered (C_out, points) array,
-    with the bias and tanh applied in place while the slab is in cache.
-    Across slabs the node keeps the layers' outputs only. The VJP walks the
-    same slabs: it forms g * (1 - y^2) at each tanh layer, rebuilds the
-    slab's patches, and sums the weight and bias gradients slab by slab."""
+    slab it takes the spatial patch rows of the output frames (the first
+    axis) the slab touches: one row per (spatial kernel offset, input
+    channel), one column per point of those frames and the K[0] - 1 after
+    them. A time offset's patch rows are a window of these, so it stacks
+    the windows into the slab's patch matrix, one row per (kernel offset,
+    input channel) in the order of w's rows and one column per output
+    point. Each layer's product W.T @ h is written by `np.matmul`
+    into the array that then holds the layer's (C_out, points) output for
+    the slab, with the bias and tanh applied in place; the last layer's
+    goes straight into its slab's columns of the node's value. Across
+    slabs the node keeps those arrays only, and none when no parameter
+    takes a gradient: then it is no node. The VJP walks the same slabs: at
+    each tanh layer but the last it forms g * (1 - y^2) in place in the
+    output y, which it needs no more; it takes the first layer's weight
+    gradient as one product per time offset, on that offset's window of
+    the slab's spatial patch rows, and sums the weight and bias gradients
+    slab by slab."""
     if x.requires_grad:
         raise ValueError(f"{op}: the input takes no gradient")
     ws = [as_tensor(w) for w, _, _ in layers]
@@ -404,53 +416,76 @@ def _conv_stack(op, x, layers, periodic):
         if nxt.ndim != 2 or nxt.shape[0] != w.shape[-1]:
             raise ValueError(f"{op}: layer {nxt.shape} does not follow "
                              f"{w.shape}")
+    params = [p for w, b in zip(ws, bs) for p in (w, b) if p is not None]
+    grad = any(p.requires_grad for p in params)
     wmats = [w.data.reshape(-1, w.shape[-1]) for w in ws]
-    ks, cin = ws[0].shape[:-2], ws[0].shape[-2]
+    ks = ws[0].shape[:-2]
     pads = [(k // 2, k - 1 - k // 2) if per else (0, 0)
             for k, per in zip(ks, periodic)]
     xp = np.pad(np.moveaxis(x.data, -1, 0), [(0, 0)] + pads, mode="wrap")
     oshape = tuple(n - k + 1 for n, k in zip(xp.shape[1:], ks))
-    offsets = list(np.ndindex(*ks))
     frame = int(np.prod(oshape[1:]))
     npts = oshape[0] * frame
     slabs = [slice(p, min(p + SLAB_POINTS, npts))
              for p in range(0, npts, SLAB_POINTS)]
 
-    def patches(pts):
-        t0, t1 = pts.start // frame, -(-pts.stop // frame)
-        cols = np.empty((len(offsets), cin, t1 - t0) + oshape[1:])
-        for i, (ot, *off) in enumerate(offsets):
-            cols[i] = xp[(slice(None), slice(t0 + ot, t1 + ot)) + tuple(
-                slice(o, o + n) for o, n in zip(off, oshape[1:]))]
-        return cols.reshape(len(offsets) * cin, -1)[
-            :, pts.start - t0 * frame:pts.stop - t0 * frame]
+    spatial = list(np.ndindex(*ks[1:]))
 
-    outs = [np.empty((wm.shape[1], npts)) for wm in wmats]
+    def windows(pts):
+        """Each time offset's patch rows for the slab: windows of its
+        spatial patch rows."""
+        t0, t1 = pts.start // frame, -(-pts.stop // frame) + ks[0] - 1
+        rows = np.empty((len(spatial), len(xp), t1 - t0) + oshape[1:])
+        for i, off in enumerate(spatial):
+            rows[i] = xp[(slice(None), slice(t0, t1)) + tuple(
+                slice(o, o + n) for o, n in zip(off, oshape[1:]))]
+        rows = rows.reshape(len(spatial) * len(xp), -1)
+        c0, n = pts.start - t0 * frame, pts.stop - pts.start
+        return [rows[:, c0 + ot * frame:c0 + ot * frame + n]
+                for ot in range(ks[0])]
+
+    last = len(ws) - 1
+    out = np.empty((wmats[-1].shape[1], npts))
+    saved = []
     for pts in slabs:
-        h = patches(pts)
-        for wm, b, tanh, out in zip(wmats, bs, acts, outs):
-            h = wm.T @ h
+        h, ys = np.concatenate(windows(pts)), []
+        for i, (wm, b, tanh) in enumerate(zip(wmats, bs, acts)):
+            y = out[:, pts] if i == last else \
+                np.empty((wm.shape[1], h.shape[1]))
+            h = np.matmul(wm.T, h, out=y)
             if b is not None:
                 h += b.data[:, None]
             if tanh:
                 np.tanh(h, out=h)
-            out[:, pts] = h
+            if grad and i < last:
+                ys.append(h)
+        saved.append(ys)
+    value = out.T.reshape(oshape + (len(out),))
+    if not grad:
+        return Tensor(value, _op=op)
 
     def sweep(g):
-        """Every parent's gradient, in the order of the parents."""
+        """Every parent's gradient, in the order of the parents; it frees
+        each slab's outputs once it has passed them."""
         gw, gb = [None] * len(ws), [None] * len(ws)
-        g = g.reshape(-1, len(outs[-1])).T
-        for pts in slabs:
+        g = g.reshape(-1, len(out)).T
+        for s, pts in enumerate(slabs):
+            ys, saved[s] = saved[s], None
             gt = g[:, pts]
             for i in reversed(range(len(ws))):
                 if acts[i]:
-                    y = outs[i][:, pts]
-                    d = y * y
+                    if i == last:   # the node's value, kept as it is
+                        d = out[:, pts] * out[:, pts]
+                    else:
+                        d = ys[i]
+                        d *= d
                     np.subtract(1.0, d, out=d)
                     d *= gt
                     gt = d
-                h = outs[i - 1][:, pts] if i else patches(pts)
-                part = h @ gt.T
+                if i:
+                    part = ys[i - 1] @ gt.T
+                else:
+                    part = np.concatenate([r @ gt.T for r in windows(pts)])
                 gw[i] = part if gw[i] is None else gw[i] + part
                 if bs[i] is not None:
                     part = gt.sum(axis=1)
@@ -471,10 +506,9 @@ def _conv_stack(op, x, layers, periodic):
             return memo[k]
         return vjp
 
-    params = [p for w, b in zip(ws, bs) for p in (w, b) if p is not None]
-    return Tensor(outs[-1].T.reshape(oshape + (len(outs[-1]),)),
-                  _parents=tuple((p, make_vjp(k))
-                                 for k, p in enumerate(params)), _op=op)
+    return Tensor(value, _parents=tuple((p, make_vjp(k))
+                                        for k, p in enumerate(params)),
+                  _op=op)
 
 
 def conv1d(x, w, *, b=None, tanh=False, then=()):

@@ -22,7 +22,7 @@ from . import fd, jets, encoders
 DIVERGENCE_LIMIT = 1e6
 ORDER = 2   # the loss matches time derivatives of orders 1..ORDER
 # grid points per window of a joint step; its peak memory follows them
-CHUNK_POINTS = 16384
+CHUNK_POINTS = 8192
 
 
 class TrainingDiverged(RuntimeError):

@@ -6,6 +6,9 @@
 - the tracemalloc peak of one diffusion_source chunk's `compute_loss` and
   `backward`, on the benchmark's 128x32x32 field and the first of its
   windows of `train.CHUNK_POINTS` grid points, whose frames it names;
+- the tracemalloc peak of an eval-style reconstruct of that field, with
+  an encoder whose parameters take no gradient, as `cli.load_run` hands
+  it over;
 - on the staged fixture, the largest difference of the closed-form gradient
   (`EmbeddingRecovery.loss_and_grad`) to the tape's, over the largest tape
   entry of each parameter, and the median time of one call of each;
@@ -56,21 +59,38 @@ def staged(ds, steps):
         recover.RecoveryConfig(steps, cli.DEFAULT_CONFIGS["lorenz"]["lr"]))
 
 
-def chunk_peak_mb(n_time, nx):
-    """The frames of the first chunk of a training step on an n_time x nx x
-    nx diffusion_source field, and the tracemalloc peak, in MB, of its loss
-    and gradient."""
+def pde_problem(n_time, nx):
+    """The joint problem of an n_time x nx x nx diffusion_source field under
+    the preset's settings."""
     ds = datagen.simulate(datagen.get_preset("diffusion_source",
                                              n_time=n_time, nx=nx), seed=0)
     settings = cli.DEFAULT_CONFIGS["diffusion_source"]
-    prob = train.Problem(ds, train.default_model(ds.preset),
+    return train.Problem(ds, train.default_model(ds.preset),
                          train.default_encoder(ds, settings),
                          alphas=settings["alphas"])
+
+
+def chunk_peak_mb(prob):
+    """The frames of the first chunk of a training step of `prob`, and the
+    tracemalloc peak, in MB, of its loss and gradient."""
     lo, hi = prob.chunks()[0]
     tracemalloc.start()
     try:
         T.backward(prob.compute_loss(lo, hi)[0])
         return hi - lo, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def reconstruct_peak_mb(prob):
+    """The tracemalloc peak, in MB, of `prob`'s whole-interior reconstruct
+    with an encoder that takes no gradient, as `eval` runs it."""
+    for _, p in prob.encoder.parameters():
+        p.requires_grad = False
+    tracemalloc.start()
+    try:
+        prob.reconstruct()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
 
@@ -119,18 +139,16 @@ def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
            f"loss_and_grad {closed_ms:.3f}, tape (loss_fn + backward) "
            f"{tape_ms:.3f}")
 
-    ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=24,
-                                             nx=8), seed=0)
-    settings = cli.DEFAULT_CONFIGS["diffusion_source"]
-    prob = train.Problem(ds, train.default_model(ds.preset),
-                         train.default_encoder(ds, settings),
-                         alphas=settings["alphas"])
     yield ("diffusion_source loss tape nodes: "
-           f"{tape_nodes(prob.compute_loss()[0])}")
-    frames, peak = chunk_peak_mb(pde_time, pde_nx)
+           f"{tape_nodes(pde_problem(24, 8).compute_loss()[0])}")
+    prob = pde_problem(pde_time, pde_nx)
+    frames, peak = chunk_peak_mb(prob)
     yield (f"diffusion_source chunk compute_loss + backward, {pde_time}x"
            f"{pde_nx}x{pde_nx}, first window of {frames} frames, "
            f"tracemalloc peak MB: {peak:.1f}")
+    yield (f"diffusion_source eval reconstruct, encoder without gradients, "
+           f"{pde_time}x{pde_nx}x{pde_nx}, tracemalloc peak MB: "
+           f"{reconstruct_peak_mb(prob):.1f}")
 
     yield simulate_line(datagen.get_preset("lorenz", n_time=sim_time),
                         f"Lorenz simulate, {sim_time} samples")

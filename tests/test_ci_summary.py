@@ -13,6 +13,8 @@ def test_summary_lines_at_small_size():
               "diffusion_source loss tape nodes: ",
               "diffusion_source chunk compute_loss + backward, 24x8x8, "
               "first window of 20 frames, tracemalloc peak MB: ",
+              "diffusion_source eval reconstruct, encoder without "
+              "gradients, 24x8x8, tracemalloc peak MB: ",
               "Lorenz simulate, 120 samples: median of 3 ",
               "diffusion_source simulate, 24x8x8: median of 3 ",
               "distill: loss ",

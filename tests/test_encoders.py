@@ -128,9 +128,11 @@ def _match_chain(spec, shape):
         for p in enc.params.values():
             p.zero_grad()
         out = forward(T.Tensor(x))
+        value = out.data.copy()
         T.backward(T.tsum(T.mul(out, weights)))
-        results.append((out.data.copy(),
-                        {k: p.grad for k, p in enc.params.items()}))
+        # the VJP works in place in the activations, never in the value
+        assert np.array_equal(out.data, value)
+        results.append((value, {k: p.grad for k, p in enc.params.items()}))
     (fused, grads), (chain, grads_ref) = results
     assert np.array_equal(fused, chain)
     for name in grads:
@@ -143,10 +145,11 @@ def _match_chain(spec, shape):
     (E.pde_encoder_spec(n_visible=2, width=5), (7, 6, 5, 2)),
 ])
 def test_fused_layers_match_op_chain(monkeypatch, spec, shape):
-    # the stack is one node; the per-op chain is the reference. Its 80 or
-    # 90 output points run in one slab, then in slabs of 32, 32 and 16 or
-    # 26, the second cutting frames of 30 points. 32 is a power of two, as
-    # SLAB_POINTS is, for the products to round as over all the points
+    # the stack is one node; the per-op chain is the reference, and the
+    # node's value is unchanged by its backward. Its 80 or 90 output points
+    # run in one slab, then in slabs of 32, 32 and 16 or 26, the second
+    # cutting frames of 30 points. 32 is a power of two, as SLAB_POINTS is,
+    # for the products to round as over all the points
     for slab in (T.SLAB_POINTS, 32):
         monkeypatch.setattr(T, "SLAB_POINTS", slab)
         _match_chain(spec, shape)
@@ -174,6 +177,28 @@ def test_stack_peaks_below_its_patch_matrix():
     finally:
         tracemalloc.stop()
     assert peak < patch_bytes, peak / 2 ** 20
+
+
+def test_no_grad_stack_keeps_no_activations():
+    # parameters that take no gradient: no node, and no layer's outputs
+    # kept past their slab. One width-128 layer over the 24 output frames
+    # holds 24 MiB; one slab's patches and two layers' outputs take less
+    import tracemalloc
+    enc = E.Encoder(E.pde_encoder_spec(n_visible=1, width=128), seed=0)
+    x = T.Tensor(np.random.default_rng(0).normal(size=(28, 32, 32, 1)))
+    layer_bytes = 128 * 24 * 32 * 32 * 8
+    with_grad = enc(x).data
+    for _, p in enc.parameters():
+        p.requires_grad = False
+    tracemalloc.start()
+    try:
+        out = enc(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.requires_grad and out._parents == ()
+    assert peak < layer_bytes, peak / 2 ** 20
+    assert np.array_equal(out.data, with_grad)
 
 
 def test_phase_embedding():

@@ -249,6 +249,66 @@ def test_conv_input_with_grad_raises(conv, xshape, wshape):
         conv(x, T.Tensor(np.ones(wshape), requires_grad=True))
 
 
+def _full_patches(x, ks):
+    """The whole patch matrix of a valid-in-time correlation, periodic in
+    space, by index arithmetic: one row per (kernel offset, input channel)
+    in the order of the kernel's rows, one column per output point."""
+    oshape = (x.shape[0] - ks[0] + 1,) + x.shape[1:-1]
+    rows = []
+    for off in np.ndindex(*ks):
+        idx = [np.arange(n)[(slice(None),) + (None,) * (len(oshape) - a - 1)]
+               + o - (k // 2 if a else 0)
+               for a, (n, o, k) in enumerate(zip(oshape, off, ks))]
+        idx = [i % x.shape[a] if a else i for a, i in enumerate(idx)]
+        patch = x[tuple(idx)]
+        rows += [patch[..., c].reshape(-1) for c in range(x.shape[-1])]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("conv, xshape, wshape, slab", [
+    (T.conv3d, (7, 6, 5, 2), (3, 3, 3, 2, 4), 64),
+    (T.conv1d, (88, 2), (9, 2, 8), 32)])
+def test_first_weight_gradient_equals_full_patch_product(
+        monkeypatch, conv, xshape, wshape, slab):
+    # 150 or 80 output points in three slabs, the conv3d's cutting its
+    # frames of 30 points: the VJP's products on windows of the spatial
+    # patch rows give the bits of the whole patch matrix's, slab by slab.
+    # The bits are the BLAS kernels' for a product this wide; OpenBLAS
+    # rounds a one- or two-column weight gradient of few rows differently
+    monkeypatch.setattr(T, "SLAB_POINTS", slab)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(xshape)
+    w = T.Tensor(rng.standard_normal(wshape), requires_grad=True)
+    out = conv(T.Tensor(x), w)
+    g = rng.standard_normal(out.shape)
+    T.backward(T.tsum(T.mul(out, g)))
+    patches = _full_patches(x, wshape[:-2])
+    gt = g.reshape(-1, wshape[-1]).T
+    npts = gt.shape[1]
+    assert npts > 2 * slab
+    ref = sum(patches[:, p:p + slab] @ gt[:, p:p + slab].T
+              for p in range(0, npts, slab))
+    assert np.array_equal(w.grad, ref.reshape(wshape))
+    np.testing.assert_allclose(out.data.reshape(-1, wshape[-1]),
+                               (w.data.reshape(-1, wshape[-1]).T
+                                @ patches).T, rtol=1e-13)
+
+
+def test_conv_value_survives_its_backward():
+    # a stack that ends in tanh: the VJP's g * (1 - y^2) is formed in place
+    # in the hidden layer's output, never in the node's value
+    rng = np.random.default_rng(9)
+    x = T.Tensor(rng.standard_normal((6, 5, 4, 2)))
+    params = [T.Tensor(rng.standard_normal(s), requires_grad=True)
+              for s in ((2, 3, 3, 2, 3), (3,), (3, 2), (2,))]
+    out = T.conv3d(x, params[0], b=params[1], tanh=True,
+                   then=((params[2], params[3], True),))
+    value = out.data.copy()
+    T.backward(T.tsum(out))
+    assert np.array_equal(out.data, value)
+    assert all(p.grad is not None for p in params)
+
+
 def test_getitem_scatter_repeats_only_where_an_index_can():
     a = T.Tensor(np.arange(4.0), requires_grad=True)
     T.backward(T.tsum(T.mul(T.getitem(a, [1, -3, 2]), [1.0, 2.0, 4.0])))
