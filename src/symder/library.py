@@ -121,6 +121,23 @@ class SpatialDerivative(Term):
                 out = _apply_stencil(out, o, geom.axes[a], geom.spacing[a])
         return out
 
+    def kernel(self, geom, nspace, radius):
+        """The term as one periodic stencil on a component field whose
+        `nspace` spatial axes follow its time axis: the weights at the
+        offsets -radius..radius along each spatial axis, an array of shape
+        (2 * radius + 1,) * nspace, the outer product of the central
+        stencils `evaluate` applies axis by axis."""
+        orders = {a % (nspace + 1) - 1: (o, h) for a, o, h in
+                  zip(geom.axes, self.orders, geom.spacing)}
+        out = np.ones(())
+        for ax in range(nspace):
+            o, h = orders.get(ax, (0, 1.0))
+            w = fd.stencil_weights(o, h) if o else np.ones(1)
+            v = np.zeros(2 * radius + 1)
+            v[radius - len(w) // 2:radius + len(w) // 2 + 1] = w
+            out = np.multiply.outer(out, v)
+        return out
+
     def substitute(self, A, g):
         """The derivative is linear: it mixes through row `component` of A."""
         return {SpatialDerivative(m, self.orders).key: A[self.component, m]
@@ -334,6 +351,69 @@ def _coefficient(value, p):
     if isinstance(value, jets.JetVar):
         return value.coef(p)
     return value if p == 0 else 0.0
+
+
+# ---------------------------------------------------------------------------
+# the monomial part of a model in closed form
+# ---------------------------------------------------------------------------
+
+class QuadraticForms:
+    """The monomials of degree 2 or less of a library as one quadratic form
+    per equation, for the losses written out in plain numpy.
+
+    Over N points x = [1, state] is (D, N), channels first, and equation j
+    takes F_j = x^T P_j x / 2. P_j, flattened, is theta[j] @ E: term i is
+    x[a] * x[b], so E adds its coefficient to P_j[a, b] and to P_j[b, a]
+    (twice to P_j[a, a] when a == b), which keeps P_j symmetric. Y = P x,
+    one (equations * D, D) @ (D, N) product, holds dF_j/dx, so
+    F_j = sum_a x[a] Y[j, a] / 2, and the derivative of F_j along a field
+    f of the state is sum_a Y[j, 1 + a] f[a]. Terms of other kinds get
+    zero rows of E; the callers admit no monomial of higher degree."""
+
+    def __init__(self, terms, ncomp):
+        d = ncomp + 1
+        self.E = np.zeros((len(terms), d * d))
+        for i, t in enumerate(terms):
+            if not isinstance(t, Monomial):
+                continue
+            rows = [j + 1 for j, e in enumerate(t.exponents) for _ in range(e)]
+            a, b = [0] * (2 - len(rows)) + rows
+            self.E[i, a * d + b] += 1.0
+            self.E[i, b * d + a] += 1.0
+
+    def forward(self, th, x):
+        """P, Y and the forms F (equations, N) for the masked coefficients
+        th (equations, terms)."""
+        n_eq, d = th.shape[0], x.shape[0]
+        P = (th @ self.E).reshape(n_eq * d, d)
+        Y = (P @ x).reshape(n_eq, d, -1)
+        return P, Y, 0.5 * np.einsum("jan,an->jn", Y, x)
+
+    @staticmethod
+    def along(Y, f, rows):
+        """The derivatives of the first `rows` forms along f."""
+        return np.einsum("jan,an->jn", Y[:rows, 1:], f)
+
+    @staticmethod
+    def along_vjp(Y, g):
+        """The gradient in f of `along`'s output, given its gradient g."""
+        return np.einsum("jn,jan->an", g, Y[:len(g), 1:])
+
+    def backward(self, x, gF, g, f):
+        """The gradients in Y, flattened to (equations * D, N), and in
+        theta, given the gradient gF in the forms and g in their
+        derivatives along f."""
+        n_eq, d = gF.shape[0], x.shape[0]
+        gY = 0.5 * gF[:, None] * x
+        gY[:len(g), 1:] += g[:, None] * f
+        gY = gY.reshape(n_eq * d, -1)
+        return gY, (gY @ x.T).reshape(n_eq, d * d) @ self.E.T
+
+    @staticmethod
+    def row_grad(P, Y, gY, gF, a):
+        """The gradient in row a of x: x enters through Y = P x and through
+        the x of F_j = sum_a x[a] Y[j, a] / 2."""
+        return P[:, a] @ gY + 0.5 * np.einsum("jn,jn->n", gF, Y[:, a])
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,10 @@ basin with a staged procedure built around a *free per-sample embedding*
 Every descent step takes the loss and its gradients from
 `EmbeddingRecovery.loss_and_grad`, which writes them out in plain numpy: the
 library is monomials of degree 2 or less, so each equation is a quadratic
-form in [1, state], its time derivative is that form's gradient along the
-state's, and no tape is built. `loss_fn` is the same loss on the tape, the
-reference the tests hold the closed form to.
+form in [1, state] (`library.QuadraticForms`, whose algebra the joint field
+loss `train.FieldLoss` shares), its time derivative is that form's gradient
+along the state's, and no tape is built. `loss_fn` is the same loss on the
+tape, the reference the tests hold the closed form to.
 
 `fit` leaves the trained model and the embedding encoder on the recovery;
 `distill` fits a conv encoder to the embedding for deployment-style
@@ -140,21 +141,14 @@ class EmbeddingRecovery:
         self.history: list = []    # rows of train.HISTORY_FIELDS
         self.events: list = []
 
-        # `loss_and_grad` takes equation j as the quadratic form x^T P_j x / 2
-        # in x = x1 = [1, state] over the window, channels first. P_j,
-        # flattened, is theta[j] @ E: term i is x1[a] * x1[b], so E adds its
-        # coefficient to P_j[a, b] and to P_j[b, a] (twice to P_j[a, a] when
-        # a == b), which keeps P_j symmetric
-        d = self.n_vis + 2
-        self.E = np.zeros((len(model.terms), d * d))
-        for i, t in enumerate(model.terms):
+        # `loss_and_grad` takes each equation as a quadratic form in
+        # x1 = [1, state] over the window, channels first
+        for t in model.terms:
             if not isinstance(t, library.Monomial) or sum(t.exponents) > 2:
                 raise ValueError(f"term {t.name} is not a monomial of degree "
                                  "2 or less; the staged loss takes no other")
-            rows = [j + 1 for j, e in enumerate(t.exponents) for _ in range(e)]
-            a, b = [0] * (2 - len(rows)) + rows
-            self.E[i, a * d + b] += 1.0
-            self.E[i, b * d + a] += 1.0
+        self.forms = library.QuadraticForms(model.terms, model.state_dim)
+        d = self.n_vis + 2
         lo, hi = self.prob.lo, self.prob.hi
         self.x1 = np.ones((d, hi - lo))
         self.x1[1:-1] = self.vis[lo:hi].T
@@ -173,23 +167,18 @@ class EmbeddingRecovery:
         `phi.grad`.
 
         Over the window, x = x1 = [1, state] is (D, N), and equation j is the
-        quadratic form F_j = x^T P_j x / 2. Y = P x, one (equations * D, D)
-        @ (D, N) product, holds dF_j/dx, so F_j = sum_a x[a] Y[j, a] / 2,
-        and along F the second derivative is sum_a Y[j, a] f[a], with
-        f = [0, F]: `loss_p2` matches its visible rows. The chain rule then
-        runs the same steps backwards, and reaches theta through E^T; of the
-        gradient in x only the row of w is needed."""
+        quadratic form F_j = x^T P_j x / 2 of `library.QuadraticForms`; the
+        second derivative is its derivative along F, whose visible rows
+        `loss_p2` matches. The chain rule then runs the same steps
+        backwards; of the gradient in x only the row of w is needed."""
         prob, h = self.prob, self.n_vis
         th = self.model.theta * self.model.mask
         x = self.x1
         x[-1] = self.phi.data[prob.lo:prob.hi, 0]
-        n_eq, d = th.shape[0], x.shape[0]
-        P = (th @ self.E).reshape(n_eq * d, d)
-        Y = (P @ x).reshape(n_eq, d, -1)
-        F = 0.5 * np.einsum("jan,an->jn", Y, x)
+        P, Y, F = self.forms.forward(th, x)
         s1, s2 = (prob.deriv_scale[p][:, None] for p in (1, 2))
         r1 = F[:h] * s1 - prob.targets[1].T
-        r2 = np.einsum("jan,an->jn", Y[:h, 1:], F) * s2 - prob.targets[2].T
+        r2 = self.forms.along(Y, F, h) * s2 - prob.targets[2].T
         # the hidden residual: F of w against the stencil derivative of w
         r = len(prob.d_t) // 2
         e = F[h, r:-r] - np.convolve(x[-1], prob.d_t[::-1], "valid")
@@ -201,15 +190,11 @@ class EmbeddingRecovery:
 
         g2 = (2.0 * prob.alphas[1] / r2.size) * r2 * s2
         ge = (2.0 * prob.beta / e.size) * e
-        gF = np.einsum("jn,jan->an", g2, Y[:h, 1:])
+        gF = self.forms.along_vjp(Y, g2)
         gF[:h] += (2.0 * prob.alphas[0] / r1.size) * r1 * s1
         gF[h, r:-r] += ge
-        gY = 0.5 * gF[:, None] * x
-        gY[:h, 1:] += g2[:, None] * F
-        gY = gY.reshape(n_eq * d, -1)
-        gth = (gY @ x.T).reshape(n_eq, d * d) @ self.E.T
-        # w enters through Y = P x and through the x of F's sum over x[a] Y
-        gw = (P[:, -1] @ gY + 0.5 * np.einsum("jn,jn->n", gF, Y[:, -1])
+        gY, gth = self.forms.backward(x, gF, g2, F)
+        gw = (self.forms.row_grad(P, Y, gY, gF, -1)
               - np.convolve(ge, prob.d_t, "full"))
         self.model.theta_t.grad = gth * self.model.mask
         self.phi.grad = np.zeros_like(self.phi.data)

@@ -406,7 +406,9 @@ def _conv_stack(op, x, layers, periodic):
     output y, which it needs no more; it takes the first layer's weight
     gradient as one product per time offset, on that offset's window of
     the slab's spatial patch rows, and sums the weight and bias gradients
-    slab by slab."""
+    slab by slab. Through a layer of one output channel it passes the
+    gradient on as the broadcast product of the weight column and the
+    gradient row, whose entries are those of the one-term matrix product."""
     if x.requires_grad:
         raise ValueError(f"{op}: the input takes no gradient")
     ws = [as_tensor(w) for w, _, _ in layers]
@@ -491,7 +493,7 @@ def _conv_stack(op, x, layers, periodic):
                     part = gt.sum(axis=1)
                     gb[i] = part if gb[i] is None else gb[i] + part
                 if i:
-                    gt = wmats[i] @ gt
+                    gt = wmats[i] * gt if len(gt) == 1 else wmats[i] @ gt
         return [v for i, w in enumerate(ws)
                 for v in (gw[i].reshape(w.shape), gb[i]) if v is not None]
 

@@ -2,7 +2,8 @@
 
 - the loss tape node counts of a staged Lorenz and a diffusion_source
   problem, so that a re-expansion of the tape shows in every run (83 and
-  89; `test_loss_tape_sizes` holds them);
+  89, the diffusion one from the tape reference `Problem.tape_loss`;
+  `test_loss_tape_sizes` holds them);
 - the tracemalloc peak of one diffusion_source chunk's `compute_loss` and
   `backward`, on the benchmark's 128x32x32 field and the first of its
   windows of `train.CHUNK_POINTS` grid points, whose frames it names;
@@ -12,6 +13,12 @@
 - on the staged fixture, the largest difference of the closed-form gradient
   (`EmbeddingRecovery.loss_and_grad`) to the tape's, over the largest tape
   entry of each parameter, and the median time of one call of each;
+- the same two figures for the joint diffusion_source loss on the first
+  window of the benchmark's field: the closed form `compute_loss` takes
+  against the tape reference `tape_loss`, the gradients of theta and every
+  encoder parameter with a third of the terms masked, and each call timed
+  with its `backward` and every term active (the encoder's conv stack is
+  in both);
 - the median wall time of three in-process simulations of a Lorenz
   dataset, burn-in included, and of a 128x32x32 diffusion_source one, and
   the RK4 substeps per second each implies;
@@ -140,7 +147,32 @@ def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
            f"{tape_ms:.3f}")
 
     yield ("diffusion_source loss tape nodes: "
-           f"{tape_nodes(pde_problem(24, 8).compute_loss()[0])}")
+           f"{tape_nodes(pde_problem(24, 8).tape_loss()[0])}")
+    prob = pde_problem(pde_time, pde_nx)
+    lo, hi = prob.chunks()[0]
+    closed_ms = median_ms(lambda: T.backward(prob.compute_loss(lo, hi)[0]),
+                          calls)
+    tape_ms = median_ms(lambda: T.backward(prob.tape_loss(lo, hi)[0]), calls)
+    prob.model.mask[:, ::3] = False    # a partial mask, as sparsify leaves
+    prob.model.theta[~prob.model.mask] = 0.0
+
+    def field_grads(loss):
+        params = [prob.model.theta_t] + [p for _, p in
+                                         prob.encoder.parameters()]
+        for p in params:
+            p.zero_grad()
+        T.backward(loss(lo, hi)[0])
+        return [p.grad.copy() for p in params]
+
+    closed = field_grads(prob.compute_loss)
+    tape = field_grads(prob.tape_loss)
+    diff = max(np.abs(c - t).max() / np.abs(t).max()
+               for c, t in zip(closed, tape))
+    yield ("diffusion_source closed-form gradient, first window, largest "
+           f"relative difference to the tape: {diff:.3g}")
+    yield (f"diffusion_source loss and gradient, {pde_time}x{pde_nx}x"
+           f"{pde_nx}, first window, median ms per call of {calls}: "
+           f"compute_loss {closed_ms:.3f}, tape (tape_loss) {tape_ms:.3f}")
     prob = pde_problem(pde_time, pde_nx)
     frames, peak = chunk_peak_mb(prob)
     yield (f"diffusion_source chunk compute_loss + backward, {pde_time}x"

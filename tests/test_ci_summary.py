@@ -11,6 +11,10 @@ def test_summary_lines_at_small_size():
               "difference to the tape: ",
               "staged Lorenz loss and gradient, median ms per call of 3: ",
               "diffusion_source loss tape nodes: ",
+              "diffusion_source closed-form gradient, first window, largest "
+              "relative difference to the tape: ",
+              "diffusion_source loss and gradient, 24x8x8, first window, "
+              "median ms per call of 3: ",
               "diffusion_source chunk compute_loss + backward, 24x8x8, "
               "first window of 20 frames, tracemalloc peak MB: ",
               "diffusion_source eval reconstruct, encoder without "

@@ -309,6 +309,46 @@ def test_conv_value_survives_its_backward():
     assert all(p.grad is not None for p in params)
 
 
+def test_one_channel_head_passes_the_matrix_products_bits():
+    # through a linear head of one output channel the sweep passes the
+    # gradient on as the broadcast product of the weight column and the
+    # gradient row; every gradient keeps the bits of the one-term matrix
+    # product w @ g, replayed here step by step as the sweep takes them
+    # on one slab (a conv1d of kernel 1, whose patch matrix is x.T)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((40, 2))
+    w0, b0, w1, b1, w2, b2 = [
+        T.Tensor(rng.standard_normal(s), requires_grad=True)
+        for s in ((1, 2, 3), (3,), (3, 4), (4,), (4, 1), (1,))]
+    out = T.conv1d(T.Tensor(x), w0, b=b0, tanh=True,
+                   then=((w1, b1, True), (w2, b2, False)))
+    g = rng.standard_normal(out.shape)
+    T.backward(T.tsum(T.mul(out, g)))
+
+    patches = np.ascontiguousarray(x.T)
+    ys = []
+    h = patches
+    for w, b in ((w0, b0), (w1, b1)):
+        h = np.matmul(w.data.reshape(-1, w.shape[-1]).T, h)
+        h += b.data[:, None]
+        np.tanh(h, out=h)
+        ys.append(h)
+    gt = g.reshape(-1, 1).T
+    ref = {"w2": ys[1] @ gt.T, "b2": gt.sum(axis=1)}
+    gt = w2.data @ gt
+    for i, (w, b) in ((1, (w1, b1)), (0, (w0, b0))):
+        d = ys[i] * ys[i]
+        d = 1.0 - d
+        d *= gt
+        gt = d
+        ref[f"w{i}"] = (ys[i - 1] if i else patches) @ gt.T
+        ref[f"b{i}"] = gt.sum(axis=1)
+        gt = w.data @ gt
+    for name, p in zip(("w0", "b0", "w1", "b1", "w2", "b2"),
+                       (w0, b0, w1, b1, w2, b2)):
+        assert np.array_equal(p.grad, ref[name].reshape(p.shape)), name
+
+
 def test_getitem_scatter_repeats_only_where_an_index_can():
     a = T.Tensor(np.arange(4.0), requires_grad=True)
     T.backward(T.tsum(T.mul(T.getitem(a, [1, -3, 2]), [1.0, 2.0, 4.0])))

@@ -513,12 +513,26 @@ def _tape_nodes(loss):
     return len(seen)
 
 
+def _ops(loss):
+    """The ops of the graph behind `loss` that are no leaves, sorted."""
+    seen, stack, ops = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._parents:
+                ops.append(node._op)
+            stack.extend(p for p, _ in node._parents)
+    return sorted(ops)
+
+
 def test_loss_tape_sizes():
     # guards the graph sizes against re-expansion: 118 and 287 nodes before
     # fused encoder layers and one-node stencils, 104 and 106 before one
     # contraction per jet order, 92 on diffusion before one node per encoder
-    # stack, whose input is no parent. The sweep drops every node's VJPs,
-    # so afterwards each loss reaches only itself
+    # stack, whose input is no parent; the diffusion count is the tape
+    # reference's. The sweep drops every node's VJPs, so afterwards each
+    # loss reaches only itself
     from symder import cli, recover
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
@@ -535,16 +549,19 @@ def test_loss_tape_sizes():
                              ds, cli.DEFAULT_CONFIGS["diffusion_source"]),
                          alphas=cli.DEFAULT_CONFIGS["diffusion_source"][
                              "alphas"])
-    loss = prob.compute_loss()[0]
+    loss = prob.tape_loss()[0]
     assert _tape_nodes(loss) == 89
     T.backward(loss)
     assert _tape_nodes(loss) == 1
+    # the training loss is the closed form's one node over the conv's
+    loss = prob.compute_loss()[0]
+    assert _ops(loss) == ["conv3d", "field_loss"]
 
 
 def test_jet_order_builds_only_its_coefficient(monkeypatch):
-    # 12 periodic stencils per jet order on the diffusion library (dx, dy,
-    # dxx, dyy and the two of dxy, for u and v); order 1 used to rebuild
-    # order 0's as well, 36 in all
+    # 12 periodic stencils per jet order of the tape reference on the
+    # diffusion library (dx, dy, dxx, dyy and the two of dxy, for u and v);
+    # order 1 used to rebuild order 0's as well, 36 in all
     from symder import cli
     ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=24,
                                              nx=8), seed=0)
@@ -560,6 +577,9 @@ def test_jet_order_builds_only_its_coefficient(monkeypatch):
         return stencil(a, w, axis, periodic)
 
     monkeypatch.setattr(T, "stencil", counted)
+    prob.tape_loss()
+    assert calls == [True] * 24
+    # the closed form takes its stencils off the tape
     prob.compute_loss()
     assert calls == [True] * 24
 
@@ -593,3 +613,115 @@ def test_nlse_step0_loss_parts_pinned():
     assert parts == pytest.approx({"loss_p1": 1.0001211309096325,
                                    "loss_p2": 2985.527600457094,
                                    "reg": 3037465.887493094}, rel=1e-12)
+
+
+# -- the closed-form field loss -------------------------------------------------
+
+def masked_field_problem(preset, beta, seed=0):
+    """A 24x8x8 Problem of a field preset with a random theta of which
+    about a third is masked, and a width-4 encoder."""
+    ds = datagen.simulate(datagen.get_preset(preset, n_time=24, nx=8),
+                          seed=0)
+    model = train.default_model(ds.preset)
+    rng = np.random.default_rng(seed)
+    model.theta[...] = rng.uniform(-0.3, 0.3, model.theta.shape)
+    model.mask[...] = rng.random(model.mask.shape) > 0.35
+    model.theta[~model.mask] = 0.0
+    return train.Problem(ds, model, train.default_encoder(ds, {"width": 4}),
+                         alphas=(1.0, 10.0), beta=beta)
+
+
+def loss_and_grads(prob, loss, lo=None, hi=None):
+    """The value, the parts and the gradients of theta and every encoder
+    parameter of one `loss` call of `prob` and its backward."""
+    params = [prob.model.theta_t] + [p for _, p in prob.encoder.parameters()]
+    for p in params:
+        p.zero_grad()
+    total, parts = loss(lo, hi)
+    T.backward(total)
+    return total.item(), parts, [p.grad.copy() for p in params]
+
+
+@pytest.mark.parametrize("beta", [0.0, 5.0])
+@pytest.mark.parametrize("preset", ["diffusion_source", "diffusive_lv"])
+def test_field_loss_matches_the_tape(preset, beta):
+    # the whole interior, an inner window, a one-frame window inside and
+    # the one-frame tail, which scores no reg
+    prob = masked_field_problem(preset, beta)
+    assert prob.field_loss is not None
+    assert not prob.model.mask.all()
+    lo, hi = prob.lo, prob.hi
+    for a, b in [(lo, hi), (lo + 3, lo + 11), (lo + 1, lo + 2), (hi - 1, hi)]:
+        value, parts, grads = loss_and_grads(prob, prob.compute_loss, a, b)
+        ref, ref_parts, ref_grads = loss_and_grads(prob, prob.tape_loss, a, b)
+        assert value == pytest.approx(ref, rel=1e-12, abs=0)
+        assert parts.keys() == ref_parts.keys()
+        for k in parts:
+            assert parts[k] == pytest.approx(ref_parts[k], rel=1e-12, abs=0)
+        assert (parts["reg"] > 0) == (beta > 0 and a < hi - 1)
+        for g, g0 in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, g0, rtol=0,
+                                       atol=1e-12 * np.abs(g0).max())
+        # masked (equation, term) pairs get exact zeros
+        assert (grads[0][~prob.model.mask] == 0.0).all()
+
+
+def test_field_windows_sum_to_the_full_batch(monkeypatch):
+    prob = masked_field_problem("diffusive_lv", 5.0)
+    full, full_parts, full_grads = loss_and_grads(prob, prob.compute_loss)
+    monkeypatch.setattr(train, "CHUNK_POINTS", 3 * 64)
+    windows = prob.chunks()
+    assert len(windows) == 7 and windows[-1] == (20, 22)
+    params = [prob.model.theta_t] + [p for _, p in prob.encoder.parameters()]
+    for p in params:
+        p.zero_grad()
+    value, parts = 0.0, {}
+    for a, b in windows:
+        total, wparts = prob.compute_loss(a, b)
+        T.backward(total)
+        value += total.item()
+        for k, v in wparts.items():
+            parts[k] = parts.get(k, 0.0) + v
+    assert value == pytest.approx(full, rel=1e-12, abs=0)
+    for k, v in full_parts.items():
+        assert parts[k] == pytest.approx(v, rel=1e-12, abs=0)
+    for p, g0 in zip(params, full_grads):
+        np.testing.assert_allclose(p.grad, g0, rtol=0,
+                                   atol=1e-12 * np.abs(g0).max())
+
+
+def test_field_loss_theta_gradient_central_difference():
+    # a step of 1e-5 sits well above the loss's rounding and keeps the
+    # central difference's own error near 1e-10 of the gradient
+    prob = masked_field_problem("diffusion_source", 5.0, seed=3)
+    lo, hi = prob.lo + 2, prob.lo + 6
+    _, _, grads = loss_and_grads(prob, prob.compute_loss, lo, hi)
+    theta = prob.model.theta
+    step = 1e-5
+    for idx in zip(*np.nonzero(prob.model.mask)):
+        base = theta[idx]
+        theta[idx] = base + step
+        up = prob.compute_loss(lo, hi)[0].item()
+        theta[idx] = base - step
+        down = prob.compute_loss(lo, hi)[0].item()
+        theta[idx] = base
+        fd_grad = (up - down) / (2 * step)
+        assert fd_grad == pytest.approx(grads[0][idx], rel=1e-6,
+                                        abs=1e-9), idx
+
+
+def test_nlse_keeps_the_tape():
+    prob = nlse_problem()
+    assert prob.field_loss is None
+    assert _ops(prob.compute_loss()[0]).count("lincomb") == train.ORDER
+
+
+def test_reconstruct_names_a_window_outside_the_interior():
+    prob = field_problem(24, 8, 0.0)
+    assert (prob.lo, prob.hi) == (2, 22)
+    for lo, hi in [(2, 66), (1, 5), (5, 5), (7, 4)]:
+        with pytest.raises(ValueError, match=rf"window \[{lo}, {hi}\) is "
+                           r"not a window of the interior \[2, 22\)"):
+            prob.reconstruct(lo, hi)
+        with pytest.raises(ValueError, match=r"interior \[2, 22\)"):
+            prob.compute_loss(lo, hi)
