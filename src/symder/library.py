@@ -332,11 +332,25 @@ class SymbolicModel:
 
     @classmethod
     def from_json(cls, text):
+        """The model of a `to_json` document. A scale or grid spacing that
+        is not a positive finite number raises ValueError naming it, as do
+        a state size that is not a positive integer and non-finite
+        coefficients."""
         doc = json.loads(text)
         terms = [term_from_key(s) for s in doc["term_spec"]]
         theta = np.array(doc["theta"], dtype=float)
         if not np.isfinite(theta).all():
             raise ValueError("theta holds non-finite values")
+        lengths = {f"scales.{k}": doc["scales"][k] for k in ("s_t", "s_x")}
+        lengths.update((f"grid_spacing[{i}]", d)
+                       for i, d in enumerate(doc["grid_spacing"]))
+        for name, v in lengths.items():
+            if not (type(v) in (int, float) and np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} is {v!r}, not a positive finite "
+                                 "number")
+        if type(doc["state_dim"]) is not int or doc["state_dim"] < 1:
+            raise ValueError(f"state_dim is {doc['state_dim']!r}, not a "
+                             "positive integer")
         return cls(terms=terms, theta=theta,
                    mask=np.array(doc["mask"], dtype=bool),
                    s_t=doc["scales"]["s_t"], s_x=doc["scales"]["s_x"],

@@ -44,12 +44,12 @@ basin with a staged procedure built around a *free per-sample embedding*
 5. polish      cosine-decayed descent on the final support.
 
 Every descent step takes the loss and its gradients from
-`EmbeddingRecovery.loss_and_grad`, which writes them out in plain numpy: the
-library is monomials of degree 2 or less, so each equation is a quadratic
-form in [1, state] (`library.QuadraticForms`, whose algebra the joint field
-loss `train.FieldLoss` shares), its time derivative is that form's gradient
-along the state's, and no tape is built. `loss_fn` is the same loss on the
-tape, the reference the tests hold the closed form to.
+`EmbeddingRecovery.loss_and_grad`, which calls the numpy core of the
+problem's closed-form loss (`train.FieldLoss`) on the embedding and builds
+no tape; a library that loss does not take (any term but a monomial of
+degree 2 or less) is refused when the recovery is built. `loss_fn` returns
+the same loss as one tape node; the tests hold both to the problem's tape
+reference, `train.Problem.tape_loss`.
 
 `fit` leaves the trained model and the embedding encoder on the recovery;
 `distill` fits a conv encoder to the embedding for deployment-style
@@ -141,64 +141,28 @@ class EmbeddingRecovery:
         self.history: list = []    # rows of train.HISTORY_FIELDS
         self.events: list = []
 
-        # `loss_and_grad` takes each equation as a quadratic form in
-        # x1 = [1, state] over the window, channels first
-        for t in model.terms:
-            if not isinstance(t, library.Monomial) or sum(t.exponents) > 2:
-                raise ValueError(f"term {t.name} is not a monomial of degree "
-                                 "2 or less; the staged loss takes no other")
-        self.forms = library.QuadraticForms(model.terms, model.state_dim)
-        d = self.n_vis + 2
-        lo, hi = self.prob.lo, self.prob.hi
-        self.x1 = np.ones((d, hi - lo))
-        self.x1[1:-1] = self.vis[lo:hi].T
+        if self.prob.field_loss is None:
+            raise ValueError("the staged loss takes monomials of degree 2 or "
+                             f"less only, not all of {', '.join(self.names)}")
 
     # ------------------------------------------------------------------ loss
 
     def loss_fn(self):
         """Staged loss and its parts: the problem's derivative matching plus,
         as `reg` at unit weight, the residual of the hidden equation against
-        the finite-difference derivative of the embedding."""
+        the finite-difference derivative of the embedding, as one tape node
+        (`train.FieldLoss`)."""
         return self.prob.compute_loss()
 
     def loss_and_grad(self):
-        """`loss_fn` in closed form, off the tape: returns the loss value and
-        its parts, and writes its gradients to `theta_t.grad` and
-        `phi.grad`.
-
-        Over the window, x = x1 = [1, state] is (D, N), and equation j is the
-        quadratic form F_j = x^T P_j x / 2 of `library.QuadraticForms`; the
-        second derivative is its derivative along F, whose visible rows
-        `loss_p2` matches. The chain rule then runs the same steps
-        backwards; of the gradient in x only the row of w is needed."""
-        prob, h = self.prob, self.n_vis
-        th = self.model.theta * self.model.mask
-        x = self.x1
-        x[-1] = self.phi.data[prob.lo:prob.hi, 0]
-        P, Y, F = self.forms.forward(th, x)
-        s1, s2 = (prob.deriv_scale[p][:, None] for p in (1, 2))
-        r1 = F[:h] * s1 - prob.targets[1].T
-        r2 = self.forms.along(Y, F, h) * s2 - prob.targets[2].T
-        # the hidden residual: F of w against the stencil derivative of w
-        r = len(prob.d_t) // 2
-        e = F[h, r:-r] - np.convolve(x[-1], prob.d_t[::-1], "valid")
-        parts = {"loss_p1": float(r1.ravel() @ r1.ravel()) / r1.size,
-                 "loss_p2": float(r2.ravel() @ r2.ravel()) / r2.size,
-                 "reg": prob.beta * float(e @ e) / e.size}
-        value = (prob.alphas[0] * parts["loss_p1"]
-                 + prob.alphas[1] * parts["loss_p2"] + parts["reg"])
-
-        g2 = (2.0 * prob.alphas[1] / r2.size) * r2 * s2
-        ge = (2.0 * prob.beta / e.size) * e
-        gF = self.forms.along_vjp(Y, g2)
-        gF[:h] += (2.0 * prob.alphas[0] / r1.size) * r1 * s1
-        gF[h, r:-r] += ge
-        gY, gth = self.forms.backward(x, gF, g2, F)
-        gw = (self.forms.row_grad(P, Y, gY, gF, -1)
-              - np.convolve(ge, prob.d_t, "full"))
-        self.model.theta_t.grad = gth * self.model.mask
+        """`loss_fn` off the tape: returns the loss value and its parts from
+        the closed form's numpy core on the embedding, and writes its
+        gradients to `theta_t.grad` and `phi.grad`."""
+        lo, hi = self.prob.lo, self.prob.hi
         self.phi.grad = np.zeros_like(self.phi.data)
-        self.phi.grad[prob.lo:prob.hi, 0] = gw
+        value, parts, self.model.theta_t.grad = \
+            self.prob.field_loss.evaluate(self.phi.data[lo:hi], lo, hi,
+                                          self.phi.grad[lo:hi])
         return value, parts
 
     # ----------------------------------------------------------------- gauge

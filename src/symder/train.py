@@ -2,19 +2,18 @@
 encoder.
 
 The loss compares d^p/dt^p of the visible projection computed two ways:
-symbolically (jet propagation through the candidate model, in model time
-units) and numerically (central finite differences of the normalized visible
-data). Each order is rescaled by the precomputed std of its finite-difference
+symbolically, through the candidate model in model time units, and
+numerically, by central finite differences of the normalized visible data.
+Each order is rescaled by the precomputed std of its finite-difference
 derivative so the per-order residuals start at O(1).
 
-The field presets whose library is monomials of degree 2 or less and spatial
-derivatives (diffusion_source, diffusive_lv) take the symbolic side, the loss
-and its gradients in closed form, in plain numpy (`FieldLoss`): each
-equation is a quadratic form plus fixed stencils, and the training step's
-tape holds the encoder's node and the loss's only. Every other model, the
-wave's (nlse) among them, takes them on the tape through the jets
-(`Problem.tape_loss`), which stays the reference the closed form is tested
-against.
+Every real-kind model whose terms are monomials of degree 2 or less and
+spatial derivatives, the ODE presets' and the fields', takes the loss and
+its gradients in closed form, in plain numpy, from `FieldLoss` alone: the
+joint path as one tape node beside the encoder's, the staged recovery from
+its numpy core. The wave's model (nlse) takes them on the tape through the
+jets (`Problem.tape_loss`), which stays the reference the closed form is
+tested against.
 """
 
 from __future__ import annotations
@@ -187,10 +186,9 @@ class Problem:
         interior, so the window scores `reg` at exactly its samples among
         those the full batch scores, if any.
 
-        A field model whose terms are all monomials of degree 2 or less and
-        spatial derivatives takes the loss in closed form (`FieldLoss`), as
-        one tape node whose parents are the encoder's output and theta;
-        any other takes it on the tape, from `tape_loss`."""
+        A model `FieldLoss` takes has the loss in closed form, as one tape
+        node whose parents are the encoder's output and theta; the wave's,
+        of the complex kind, takes it on the tape, from `tape_loss`."""
         lo, hi = self._window(lo, hi)
         if self.field_loss is not None:
             return self.field_loss(lo, hi)
@@ -266,38 +264,38 @@ def _patch_rows(fields, fshape, radius, out):
 
 
 class FieldLoss:
-    """`Problem.compute_loss` of a field model in closed form, off the tape.
+    """`Problem.compute_loss` in closed form, off the tape, for every model
+    of the real kind whose observed channels are the first h of its n and
+    whose terms are monomials of degree 2 or less or `SpatialDerivative`s.
 
-    The model is of the real kind on a spatial grid, the observed channels
-    are the first ones of the state, and every term is a monomial of degree
-    2 or less or a `SpatialDerivative`. Over the window's N scored points
-    x = [1, state] is (D, N), channels first, and equation j is
+    Over the window's N scored points x = [1, state] is (D, N), channels
+    first, and equation j is
 
         F_j = x^T P_j x / 2 + sum_i theta[j, i] D_i x[c_i],
 
-    the quadratic form of its monomials (`library.QuadraticForms`, as the
-    staged loss takes it) plus its derivative terms. Each D_i is a fixed
-    periodic stencil of component c_i (`SpatialDerivative.kernel`), so an
-    equation's derivative terms on one field are one combined stencil, the
-    theta-weighted sum of their kernels, applied as one product with the
-    field's patch rows: its shifts by the stencils' offsets, taken from one
-    wrap-padded copy of it. Along F the second time derivative of a visible
-    equation is the form's derivative along F plus its combined stencils
-    on the fields of F. The backward pass runs the same steps back, each
-    stencil's adjoint as the combined stencil mirrored, on the patch rows
-    of the gradient.
+    the quadratic form of its monomials (`library.QuadraticForms`) plus its
+    derivative terms. Each D_i is a fixed periodic stencil of component c_i
+    (`SpatialDerivative.kernel`), so an equation's derivative terms on one
+    field are one combined stencil, the theta-weighted sum of their
+    kernels, applied as one product with the field's patch rows: its shifts
+    by the stencils' offsets, taken from one wrap-padded copy of it. Along
+    F the second time derivative of a visible equation is the form's
+    derivative along F plus its combined stencils on the fields of F. The
+    backward pass runs the same steps back, each stencil's adjoint as the
+    combined stencil mirrored, on the patch rows of the gradient; a model
+    without derivative terms (an ODE's) takes no stencil step.
 
-    A call returns one tape node whose parents are the encoder's output
-    and `theta_t`, with their gradients computed in the call; it keeps
-    those two gradients only, so every array of the call is free again
-    before the encoder's backward sweep, the peak of a training step."""
+    `evaluate` is the numpy core, which the staged recovery calls on its
+    embedding. A call returns its loss as one tape node whose parents are
+    the encoder's output and `theta_t`; it keeps their two gradients only,
+    so every array of the call is free again before the encoder's backward
+    sweep, the peak of a training step."""
 
     @staticmethod
     def takes(model, observed, space):
         """Whether the closed form covers `model` with the `observed`
-        channels on a grid of extent `space`."""
-        return (model.kind == "real" and len(model.spatial_axes) > 0
-                and observed != "modulus"
+        channels on a grid of extent `space` (none for an ODE)."""
+        return (model.kind == "real" and observed != "modulus"
                 and list(observed) == list(range(len(observed)))
                 and all(isinstance(t, library.SpatialDerivative)
                         or (isinstance(t, library.Monomial)
@@ -321,46 +319,68 @@ class FieldLoss:
         # each term's weights over the offsets of `_patch_rows`; the
         # offsets mirror each other in reverse order
         geom = model.geometry()
+        offsets = (2 * self.radius + 1) ** len(self.space)
         self.weights = np.array([
             model.terms[i].kernel(geom, len(self.space), self.radius).ravel()
-            for i in self.derivs]).reshape(len(self.derivs), -1)
+            for i in self.derivs]).reshape(len(self.derivs), offsets)
 
     def __call__(self, lo, hi):
-        prob, model = self.prob, self.prob.model
-        h, n = self.h, model.state_dim
+        prob = self.prob
         a, b = prob._state_window(lo, hi)
         # the gradient in the encoder's output outlives the call. Taken
         # before the encoder's arrays and the call's, it leaves the heap
         # they free in one piece for the encoder's backward sweep
-        gH = np.zeros((b - a,) + self.space + (n - h,))
+        gH = np.zeros((b - a,) + self.space
+                      + (prob.model.state_dim - self.h,))
         hidden = prob._encode(a, b)
         H = hidden.data.reshape((b - a,) + self.space + (-1,))
         if H.shape != gH.shape:
-            raise ValueError(f"state has {h + H.shape[-1]} components, "
-                             f"model expects {n}")
+            raise ValueError(f"state has {self.h + H.shape[-1]} components, "
+                             f"model expects {prob.model.state_dim}")
+        value, parts, gth = self.evaluate(H, lo, hi, gH)
+
+        def vjp_hidden(g):
+            gH[...] *= g
+            return gH.reshape(hidden.shape)
+
+        total = T.Tensor(value, _parents=(
+            (hidden, vjp_hidden), (prob.model.theta_t, lambda g: g * gth)),
+            _op="field_loss")
+        return total, parts
+
+    def evaluate(self, H, lo, hi, gH):
+        """The loss on the window [lo, hi) of the interior from the hidden
+        fields H on the window [a, b) `Problem._state_window` rebuilds the
+        state on, shaped (b - a,) + space + (hidden channels,). Returns the
+        value, the parts and the gradient in theta, and adds the gradient
+        in H to gH, an array of H's shape."""
+        prob, model = self.prob, self.prob.model
+        h, n = self.h, model.state_dim
+        a, b = prob._state_window(lo, hi)
         th = model.theta * model.mask
-        m, N = (2 * self.radius + 1) ** len(self.space), (hi - lo) * self.frame
+        m, N = self.weights.shape[1], (hi - lo) * self.frame
         fshape = (hi - lo,) + self.space
-        # W[j, c] is equation j's combined stencil on field c, over the
-        # offsets; W.reshape(n, n * m) @ patch rows applies them all
-        W = np.zeros((n, n, m))
-        for c in range(n):
-            sel = self.comp == c
-            W[:, c] = th[:, self.derivs[sel]] @ self.weights[sel]
-        Wt = W[:, :, ::-1].transpose(1, 0, 2)    # the adjoints
-        x, xp, fp = (np.empty((n + 1, N)), np.empty((n, m, N)),
-                     np.empty((n, m, N)))
+        x = np.empty((n + 1, N))
         x[0] = 1.0
         x[1:h + 1] = prob.dataset.visible[lo:hi].reshape(N, h).T
         x[h + 1:] = H[lo - a:hi - a].reshape(N, n - h).T
 
         # F, and the second derivative along F of the visible equations
-        _patch_rows(x[1:], fshape, self.radius, xp)
         P, Y, F = self.forms.forward(th, x)
-        F += W.reshape(n, n * m) @ xp.reshape(n * m, N)
-        _patch_rows(F, fshape, self.radius, fp)
-        sym2 = (self.forms.along(Y, F, h)
-                + W[:h].reshape(h, n * m) @ fp.reshape(n * m, N))
+        if self.derivs.size:
+            # W[j, c] is equation j's combined stencil on field c, over the
+            # offsets; W.reshape(n, n * m) @ patch rows applies them all
+            W = np.zeros((n, n, m))
+            for c in range(n):
+                sel = self.comp == c
+                W[:, c] = th[:, self.derivs[sel]] @ self.weights[sel]
+            xp, fp = np.empty((n, m, N)), np.empty((n, m, N))
+            _patch_rows(x[1:], fshape, self.radius, xp)
+            F += W.reshape(n, n * m) @ xp.reshape(n * m, N)
+            _patch_rows(F, fshape, self.radius, fp)
+        sym2 = self.forms.along(Y, F, h)
+        if self.derivs.size:
+            sym2 += W[:h].reshape(h, n * m) @ fp.reshape(n * m, N)
         s1, s2 = (prob.deriv_scale[p][:, None] for p in (1, 2))
         t1, t2 = (prob.targets[p][lo - prob.lo:hi - prob.lo].reshape(N, h).T
                   for p in (1, 2))
@@ -370,13 +390,17 @@ class FieldLoss:
         parts = {"loss_p1": float(r1.ravel() @ r1.ravel()) / c1,
                  "loss_p2": float(r2.ravel() @ r2.ravel()) / c2,
                  "reg": 0.0}
-        # the hidden residual on [a + r, b - r), inside [lo, hi)
+        # the hidden residual on [a + r, b - r), inside [lo, hi). A series
+        # of one value a sample takes its stencil as one convolution, three
+        # times faster than the loop over the taps at 2500 samples
         r = len(prob.d_t) // 2 if prob.beta else 0
         scored = prob.beta and b - a > 2 * r
+        single = H[0].size == 1
         if scored:
             nout = b - a - 2 * r
-            dH = sum(wk * H[i:i + nout] for i, wk in enumerate(prob.d_t)
-                     if wk != 0.0)
+            dH = (np.convolve(H.ravel(), prob.d_t[::-1], "valid") if single
+                  else sum(wk * H[i:i + nout] for i, wk in
+                           enumerate(prob.d_t) if wk != 0.0))
             c0 = (a + r - lo) * self.frame
             e = F[h:, c0:c0 + nout * self.frame] - dH.reshape(-1, n - h).T
             count = (prob.hi - prob.lo - 2 * r) * self.frame * (n - h)
@@ -385,44 +409,41 @@ class FieldLoss:
         value = (prob.alphas[0] * parts["loss_p1"]
                  + prob.alphas[1] * parts["loss_p2"] + parts["reg"])
 
-        # gradients in W, as in the stencils' weights, and in F
+        # gradients in F, and in W, as in the stencils' weights
         g2 = (2.0 * prob.alphas[1] / c2) * r2 * s2
-        gW = np.zeros((n, n, m))
-        gW[:h] = (g2 @ fp.reshape(n * m, N).T).reshape(h, n, m)
         gF = self.forms.along_vjp(Y, g2)
         gF[:h] += (2.0 * prob.alphas[0] / c1) * r1 * s1
         if scored:
             ge = (2.0 * weight / count) * e
             gF[h:, c0:c0 + ge.shape[1]] += ge
-        gp = fp[:h]
-        _patch_rows(g2, fshape, self.radius, gp)
-        gF += Wt[:, :h].reshape(n, h * m) @ gp.reshape(h * m, N)
-        gW += (gF @ xp.reshape(n * m, N).T).reshape(n, n, m)
+        if self.derivs.size:
+            Wt = W[:, :, ::-1].transpose(1, 0, 2)    # the adjoints
+            gW = np.zeros((n, n, m))
+            gW[:h] = (g2 @ fp.reshape(n * m, N).T).reshape(h, n, m)
+            gp = fp[:h]
+            _patch_rows(g2, fshape, self.radius, gp)
+            gF += Wt[:, :h].reshape(n, h * m) @ gp.reshape(h * m, N)
+            gW += (gF @ xp.reshape(n * m, N).T).reshape(n, n, m)
         # and in theta and the hidden fields
         gY, gth = self.forms.backward(x, gF, g2, F)
-        for c in range(n):
-            sel = self.comp == c
-            gth[:, self.derivs[sel]] += gW[:, c] @ self.weights[sel].T
-        gth *= model.mask
         gx = np.array([self.forms.row_grad(P, Y, gY, gF, 1 + c)
                        for c in range(h, n)])
-        _patch_rows(gF, fshape, self.radius, xp)
-        gx += Wt[h:].reshape(n - h, n * m) @ xp.reshape(n * m, N)
-        gH[lo - a:hi - a] = gx.T.reshape(fshape + (n - h,))
-        if scored:
+        if self.derivs.size:
+            for c in range(n):
+                sel = self.comp == c
+                gth[:, self.derivs[sel]] += gW[:, c] @ self.weights[sel].T
+            _patch_rows(gF, fshape, self.radius, xp)
+            gx += Wt[h:].reshape(n - h, n * m) @ xp.reshape(n * m, N)
+        gth *= model.mask
+        gH[lo - a:hi - a] += gx.T.reshape(fshape + (n - h,))
+        if scored and single:
+            gH -= np.convolve(ge.ravel(), prob.d_t, "full").reshape(gH.shape)
+        elif scored:
             ge = ge.T.reshape((nout,) + self.space + (n - h,))
             for i, wk in enumerate(prob.d_t):
                 if wk != 0.0:
                     gH[i:i + nout] -= wk * ge
-
-        def vjp_hidden(g):
-            gH[...] *= g
-            return gH.reshape(hidden.shape)
-
-        total = T.Tensor(value, _parents=(
-            (hidden, vjp_hidden), (model.theta_t, lambda g: g * gth)),
-            _op="field_loss")
-        return total, parts
+        return value, parts, gth
 
 
 def _radius(terms):

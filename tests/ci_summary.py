@@ -1,8 +1,8 @@
 """The figures tier-1 CI writes to its job summary, one line each:
 
 - the loss tape node counts of a staged Lorenz and a diffusion_source
-  problem, so that a re-expansion of the tape shows in every run (83 and
-  89, the diffusion one from the tape reference `Problem.tape_loss`;
+  problem, both from the tape reference `Problem.tape_loss`, so that a
+  re-expansion of the tape shows in every run (83 and 89;
   `test_loss_tape_sizes` holds them);
 - the tracemalloc peak of one diffusion_source chunk's `compute_loss` and
   `backward`, on the benchmark's 128x32x32 field and the first of its
@@ -11,8 +11,9 @@
   an encoder whose parameters take no gradient, as `cli.load_run` hands
   it over;
 - on the staged fixture, the largest difference of the closed-form gradient
-  (`EmbeddingRecovery.loss_and_grad`) to the tape's, over the largest tape
-  entry of each parameter, and the median time of one call of each;
+  (`EmbeddingRecovery.loss_and_grad`, which calls `train.FieldLoss`) to
+  the tape reference's, over the largest tape entry of each parameter, and
+  the median time of one call of each;
 - the same two figures for the joint diffusion_source loss on the first
   window of the benchmark's field: the closed form `compute_loss` takes
   against the tape reference `tape_loss`, the gradients of theta and every
@@ -22,9 +23,11 @@
 - the median wall time of three in-process simulations of a Lorenz
   dataset, burn-in included, and of a 128x32x32 diffusion_source one, and
   the RK4 substeps per second each implies;
-- a short staged fit and its distilled width-8 encoder: the distill event,
-  with its final mean squared error, and the encoder's hidden error over
-  the embedding's on the encoder's window.
+- a short staged fit and its distilled width-8 encoder: the fit's wall
+  time without the distill, so that a slowdown of the closed-form loss on
+  the staged path shows in every run, the distill event, with its final
+  mean squared error, and the encoder's hidden error over the embedding's
+  on the encoder's window.
 
 The times are for information: they gate nothing.
 
@@ -125,7 +128,8 @@ def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
     fit of `fit_steps` steps on `fit_time` samples before the distill."""
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = staged(ds, 10)
-    yield f"staged Lorenz loss tape nodes: {tape_nodes(rec.loss_fn()[0])}"
+    yield ("staged Lorenz loss tape nodes: "
+           f"{tape_nodes(rec.prob.tape_loss()[0])}")
 
     def grads(loss_and_grad):
         params = (rec.model.theta_t, rec.phi)
@@ -134,16 +138,16 @@ def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
         loss_and_grad()
         return [p.grad.copy() for p in params]
 
-    tape = grads(lambda: T.backward(rec.loss_fn()[0]))
+    tape = grads(lambda: T.backward(rec.prob.tape_loss()[0]))
     closed = grads(rec.loss_and_grad)
     diff = max(np.abs(c - t).max() / np.abs(t).max()
                for c, t in zip(closed, tape))
     yield ("staged Lorenz closed-form gradient, largest relative difference "
            f"to the tape: {diff:.3g}")
     closed_ms = median_ms(rec.loss_and_grad, calls)
-    tape_ms = median_ms(lambda: T.backward(rec.loss_fn()[0]), calls)
+    tape_ms = median_ms(lambda: T.backward(rec.prob.tape_loss()[0]), calls)
     yield (f"staged Lorenz loss and gradient, median ms per call of {calls}: "
-           f"loss_and_grad {closed_ms:.3f}, tape (loss_fn + backward) "
+           f"loss_and_grad {closed_ms:.3f}, tape (tape_loss + backward) "
            f"{tape_ms:.3f}")
 
     yield ("diffusion_source loss tape nodes: "
@@ -192,7 +196,10 @@ def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=fit_time),
                           seed=0)
     rec = staged(ds, fit_steps)
+    t0 = time.perf_counter()
     rec.fit()
+    yield (f"staged Lorenz fit, {fit_time} samples, {fit_steps} steps, "
+           f"wall time without distill: {time.perf_counter() - t0:.3f} s")
     enc = recover.distill(rec, 8)
     r = enc.radius
     truth = ds.hidden_truth[r:-r, 0]

@@ -21,6 +21,8 @@ def test_summary_lines_at_small_size():
               "gradients, 24x8x8, tracemalloc peak MB: ",
               "Lorenz simulate, 120 samples: median of 3 ",
               "diffusion_source simulate, 24x8x8: median of 3 ",
+              "staged Lorenz fit, 120 samples, 20 steps, wall time without "
+              "distill: ",
               "distill: loss ",
               "distilled / embedding hidden error: "]
     assert len(lines) == len(labels)

@@ -714,8 +714,35 @@ def _state_dim_2(run):
     (run / "model.json").write_text(json.dumps(doc))
 
 
-@pytest.mark.parametrize("damage", [_drop_term_spec, _state_dim_2])
-def test_inconsistent_model_exits_3(workspace, tmp_path, capsys, damage):
+def _set(value, *path):
+    """A damage that sets the model document's entry at `path` to value."""
+    def damage(run):
+        doc = json.loads((run / "model.json").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        (run / "model.json").write_text(json.dumps(doc))
+    return damage
+
+
+@pytest.mark.parametrize("damage,message", [
+    pytest.param(_drop_term_spec, "theta has shape", id="_drop_term_spec"),
+    pytest.param(_state_dim_2, "theta has shape", id="_state_dim_2")] + [
+    pytest.param(_set(v, "scales", k), f"scales.{k} is {v!r}, not a "
+                 "positive finite number", id=f"{k}={v}")
+    for k in ("s_t", "s_x") for v in (0.0, -1.0, float("nan"), "a")] + [
+    pytest.param(_set([v], "grid_spacing"), f"grid_spacing[0] is {v!r}",
+                 id=f"grid_spacing={v}")
+    for v in (0.0, float("inf"), True)] + [
+    pytest.param(_set(v, "state_dim"), f"state_dim is {v!r}, not a positive "
+                 "integer", id=f"state_dim={v}")
+    for v in (3.0, 0)])
+def test_inconsistent_model_exits_3(workspace, tmp_path, capsys, damage,
+                                    message):
+    # a scale of 0 used to end in a ZeroDivisionError traceback, "a" in a
+    # numpy UFuncNoLoopError one, and -1 or NaN in a horizon of 0.000; a
+    # state size of 3.0 ends in a TypeError where the loss is built
     data, run = _copy_workspace(workspace, tmp_path)
     (run / "report.json").unlink(missing_ok=True)
     damage(run)
@@ -723,7 +750,7 @@ def test_inconsistent_model_exits_3(workspace, tmp_path, capsys, damage):
     assert cli.main(["eval", "--data", str(data), "--run", str(run)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: corrupt model file"), err
-    assert err.count("\n") == 1 and "theta has shape" in err, err
+    assert err.count("\n") == 1 and message in err, err
     assert not (run / "report.json").exists()
 
 

@@ -179,8 +179,9 @@ def test_distill_ends_below_the_descent_fit():
 
 
 def test_loss_fn_matches_two_pass_formula(lorenz_ds):
-    """One jet per staged loss gives the loss (and gradient) of the formula
-    that reconstructs the state twice and evaluates the model again."""
+    """The tape reference's one jet per staged loss gives the loss (and
+    gradient) of the formula that reconstructs the state twice and
+    evaluates the model again."""
     rec = _recovery(lorenz_ds, 10)
     rec.phi.data[...] = np.random.default_rng(3).normal(size=rec.phi.shape)
 
@@ -189,7 +190,7 @@ def test_loss_fn_matches_two_pass_formula(lorenz_ds):
 
     def two_pass():
         lo, hi = rec.prob.lo, rec.prob.hi
-        base, parts = matching.compute_loss(lo, hi)
+        base, parts = matching.tape_loss(lo, hi)
         state = rec.prob.reconstruct(lo, hi)
         F = jets.propagate(state, rec.model, 1).coeffs[1]
         dw = fd.apply_stencil(state[:, rec.n_vis:],
@@ -199,7 +200,7 @@ def test_loss_fn_matches_two_pass_formula(lorenz_ds):
         return T.add(base, reg), parts
 
     out = []
-    for loss_fn in (rec.loss_fn, two_pass):
+    for loss_fn in (rec.prob.tape_loss, two_pass):
         rec.model.theta_t.zero_grad()
         rec.phi.zero_grad()
         total, parts = loss_fn()
@@ -282,8 +283,9 @@ def test_gauge_keeps_fit_on_mask_without_shift_targets():
 
 
 def _tape_loss_and_grad(rec):
-    """`loss_and_grad` on the tape: `loss_fn` and its backward sweep."""
-    total, parts = rec.loss_fn()
+    """`loss_and_grad` on the tape: the problem's tape reference and its
+    backward sweep."""
+    total, parts = rec.prob.tape_loss()
     T.backward(total)
     return float(total.data), parts
 

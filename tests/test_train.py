@@ -283,8 +283,10 @@ def nlse_problem():
                          alphas=cfg["alphas"], beta=beta)
 
 
-@pytest.mark.parametrize("make", [lambda: field_problem(24, 8, 5.0),
-                                  nlse_problem], ids=["field", "nlse"])
+@pytest.mark.parametrize("make", [
+    lambda: field_problem(24, 8, 5.0), nlse_problem,
+    lambda: masked_ode_problem("lorenz", 1.0, "embedding")],
+    ids=["field", "nlse", "lorenz"])
 def test_window_parts_sum_to_the_full_batch(make, monkeypatch):
     # every window length, the hidden residual's seams included: the
     # windows' parts and gradients add up to the full batch's
@@ -530,17 +532,19 @@ def test_loss_tape_sizes():
     # guards the graph sizes against re-expansion: 118 and 287 nodes before
     # fused encoder layers and one-node stencils, 104 and 106 before one
     # contraction per jet order, 92 on diffusion before one node per encoder
-    # stack, whose input is no parent; the diffusion count is the tape
+    # stack, whose input is no parent; both counts are the tape
     # reference's. The sweep drops every node's VJPs, so afterwards each
     # loss reaches only itself
     from symder import cli, recover
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
                                     recover.RecoveryConfig(10, 2e-3))
-    loss = rec.loss_fn()[0]
+    loss = rec.prob.tape_loss()[0]
     assert _tape_nodes(loss) == 83
     T.backward(loss)
     assert _tape_nodes(loss) == 1
+    # the staged loss is the closed form's one node over the embedding's
+    assert _ops(rec.loss_fn()[0]) == ["field_loss", "getitem"]
 
     ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=24,
                                              nx=8), seed=0)
@@ -589,7 +593,7 @@ def test_staged_loss_builds_one_lincomb_per_jet_order():
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = recover.EmbeddingRecovery(ds, train.default_model(ds.preset),
                                     recover.RecoveryConfig(10, 2e-3))
-    seen, stack, ops = set(), [rec.loss_fn()[0]], []
+    seen, stack, ops = set(), [rec.prob.tape_loss()[0]], []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -617,18 +621,40 @@ def test_nlse_step0_loss_parts_pinned():
 
 # -- the closed-form field loss -------------------------------------------------
 
+def mask_at_random(model, seed):
+    """Give `model` a random theta of which about a third is masked."""
+    rng = np.random.default_rng(seed)
+    model.theta[...] = rng.uniform(-0.3, 0.3, model.theta.shape)
+    model.mask[...] = rng.random(model.mask.shape) > 0.35
+    model.theta[~model.mask] = 0.0
+
+
 def masked_field_problem(preset, beta, seed=0):
     """A 24x8x8 Problem of a field preset with a random theta of which
     about a third is masked, and a width-4 encoder."""
     ds = datagen.simulate(datagen.get_preset(preset, n_time=24, nx=8),
                           seed=0)
     model = train.default_model(ds.preset)
-    rng = np.random.default_rng(seed)
-    model.theta[...] = rng.uniform(-0.3, 0.3, model.theta.shape)
-    model.mask[...] = rng.random(model.mask.shape) > 0.35
-    model.theta[~model.mask] = 0.0
+    mask_at_random(model, seed)
     return train.Problem(ds, model, train.default_encoder(ds, {"width": 4}),
                          alphas=(1.0, 10.0), beta=beta)
+
+
+def masked_ode_problem(preset, beta, encoder, seed=0):
+    """A 120-sample Problem of an ODE preset with a random theta of which
+    about a third is masked, and either a phase embedding of random values,
+    the staged path's kind of encoder, or the width-8 conv1d of
+    `small_problem`."""
+    ds = datagen.simulate(datagen.get_preset(preset, n_time=120), seed=0)
+    prob = small_problem(ds)
+    mask_at_random(prob.model, seed)
+    if encoder == "embedding":
+        enc = encoders.Encoder(encoders.phase_embedding_spec((120, 1)))
+        enc.params["phi"].data[...] = np.random.default_rng(seed).normal(
+            0.5, 2.0, (120, 1))
+    else:
+        enc = prob.encoder
+    return train.Problem(ds, prob.model, enc, alphas=(1.0, 10.0), beta=beta)
 
 
 def loss_and_grads(prob, loss, lo=None, hi=None):
@@ -642,15 +668,29 @@ def loss_and_grads(prob, loss, lo=None, hi=None):
     return total.item(), parts, [p.grad.copy() for p in params]
 
 
-@pytest.mark.parametrize("beta", [0.0, 5.0])
-@pytest.mark.parametrize("preset", ["diffusion_source", "diffusive_lv"])
-def test_field_loss_matches_the_tape(preset, beta):
+@pytest.mark.parametrize("make", [
+    lambda: masked_field_problem("diffusion_source", 0.0),
+    lambda: masked_field_problem("diffusion_source", 5.0),
+    lambda: masked_field_problem("diffusive_lv", 0.0),
+    lambda: masked_field_problem("diffusive_lv", 5.0),
+    lambda: masked_ode_problem("lorenz", 0.0, "embedding"),
+    lambda: masked_ode_problem("lorenz", 1.0, "embedding"),
+    lambda: masked_ode_problem("rossler", 0.0, "embedding"),
+    lambda: masked_ode_problem("rossler", 1.0, "embedding"),
+    lambda: masked_ode_problem("lorenz", 0.0, "conv1d")],
+    ids=["diffusion_source-0.0", "diffusion_source-5.0", "diffusive_lv-0.0",
+         "diffusive_lv-5.0", "lorenz-embedding-0.0", "lorenz-embedding-1.0",
+         "rossler-embedding-0.0", "rossler-embedding-1.0",
+         "lorenz-conv1d-0.0"])
+def test_field_loss_matches_the_tape(make):
     # the whole interior, an inner window, a one-frame window inside and
-    # the one-frame tail, which scores no reg
-    prob = masked_field_problem(preset, beta)
+    # the one-frame tail; a window scores reg when it holds a sample of
+    # [lo + r, hi - r), r being the radius of the time stencil
+    prob = make()
     assert prob.field_loss is not None
     assert not prob.model.mask.all()
     lo, hi = prob.lo, prob.hi
+    r = len(prob.d_t) // 2
     for a, b in [(lo, hi), (lo + 3, lo + 11), (lo + 1, lo + 2), (hi - 1, hi)]:
         value, parts, grads = loss_and_grads(prob, prob.compute_loss, a, b)
         ref, ref_parts, ref_grads = loss_and_grads(prob, prob.tape_loss, a, b)
@@ -658,12 +698,24 @@ def test_field_loss_matches_the_tape(preset, beta):
         assert parts.keys() == ref_parts.keys()
         for k in parts:
             assert parts[k] == pytest.approx(ref_parts[k], rel=1e-12, abs=0)
-        assert (parts["reg"] > 0) == (beta > 0 and a < hi - 1)
+        assert (parts["reg"] > 0) == (prob.beta > 0 and a < hi - r
+                                      and b > lo + r)
         for g, g0 in zip(grads, ref_grads):
             np.testing.assert_allclose(g, g0, rtol=0,
                                        atol=1e-12 * np.abs(g0).max())
         # masked (equation, term) pairs get exact zeros
         assert (grads[0][~prob.model.mask] == 0.0).all()
+
+
+def test_ode_loss_builds_no_patch_rows(monkeypatch):
+    # a model without derivative terms skips every stencil step
+    calls = []
+    monkeypatch.setattr(train, "_patch_rows",
+                        lambda *args: calls.append(args))
+    prob = masked_ode_problem("lorenz", 1.0, "embedding")
+    T.backward(prob.compute_loss()[0])
+    assert calls == []
+    assert prob.model.theta_t.grad is not None
 
 
 def test_field_windows_sum_to_the_full_batch(monkeypatch):
