@@ -6,9 +6,9 @@
     symder predict  --data data/lorenz --run runs/lorenz
     symder report   --run runs/lorenz
 
-Exit codes: 0 success, 1 runtime failure (divergence, bad arguments caught
-late, existing output without --force), 2 missing dataset or run input,
-3 corrupt dataset, checkpoint or model file.
+Exit codes: 0 success, 1 runtime failure (divergence, late bad arguments,
+existing output without --force, an unwritable --out, a closed stdout), 2
+missing dataset or run input, 3 corrupt dataset, checkpoint or model file.
 
 SYMDER_THREADS limits the BLAS thread pools; it must be handled before numpy
 is first imported, which is why this module sets the environment up top.
@@ -156,6 +156,14 @@ def load_config(ds, args):
     return cfg
 
 
+def check_out_dir(path):
+    """Raise CliError unless `path` is a directory or can be made one: the
+    nearest of it and the folders above it that exists is a directory."""
+    p = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not p.is_dir():
+        raise CliError(f"cannot write to {path}: {p} is not a directory")
+
+
 def load_dataset(path):
     path = Path(path)
     try:
@@ -192,9 +200,11 @@ def load_run(run_dir):
     try:
         doc = json.loads(config_path.read_text()) if config_path.exists() \
             else {}
-        record = {k: doc[k] for k in ("preset", "data_seed") if k in doc}
-    except (TypeError, ValueError) as e:
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as e:
         raise CliError(f"corrupt run config {config_path}: {e}", EXIT_CORRUPT)
+    record = {k: doc[k] for k in ("preset", "data_seed") if k in doc}
     return model, encoder, record
 
 
@@ -204,6 +214,7 @@ def cmd_generate(args):
     preset = datagen.get_preset(args.preset, n_time=args.n_time, nx=args.nx)
     if args.nx is not None and not preset.grid:
         raise CliError(f"--nx sets a grid, and {preset.name} has none")
+    check_out_dir(args.out)
     try:
         ds = datagen.simulate(preset, seed=args.seed)
     except ValueError as e:     # a visible channel with zero spread
@@ -221,6 +232,7 @@ def cmd_generate(args):
 def cmd_train(args):
     ds = load_dataset(args.data)
     cfg = load_config(ds, args)
+    check_out_dir(args.out)
     keep_freed_heap()
     try:
         if ds.preset.kind == "ode":
@@ -313,7 +325,10 @@ def cmd_eval(args):
     doc = evaluate.report(model, ds,
                           _evaluate_run(args, ds, model, encoder, record))
     out = Path(args.out) if args.out else Path(args.run) / "report.json"
-    evaluate.write_report(doc, out)
+    try:
+        evaluate.write_report(doc, out)
+    except OSError as e:
+        raise CliError(f"cannot write {out}: {e.strerror}")
     print(f"wrote {out}")
     print(f"pattern match: {doc['pattern_match']}")
     print(f"hidden rel error: "
@@ -424,10 +439,17 @@ def main(argv=None):
                 raise CliError(f"--{key.replace('_', '-')} must be a "
                                f"{'positive' if least else 'non-negative'} "
                                f"integer, got {value}")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except BrokenPipeError:
+        # the reader of standard output left (`symder train ... | head`):
+        # end quietly, with what is still buffered sent nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ Three encoder kinds:
 
 Hidden layers use tanh; the final layer is linear. The whole stack is one
 tape node, `tensor.conv1d` or `tensor.conv3d` with the per-point layers
-passed as `then`, which runs over slabs of output points and rebuilds each
-slab's spatial patch rows in its VJP. With parameters that take no
-gradient, as `cli.load_run` hands them to `eval` and `predict`, it keeps
-no layer's outputs and makes no node. Aggregation rebuilds the full state from the
+passed as `then`, which runs on the window of frames it is handed
+(`train.Problem` tiles a field into windows) and rebuilds their spatial
+patch rows in its VJP. With parameters that take no gradient, as
+`cli.load_run` hands them to `eval` and `predict`, it keeps no layer's
+outputs past the next and makes no node. Aggregation rebuilds the full state from the
 preset's observed channels: concatenation for a list of components,
 |psi| e^{i phi} (as paired real channels) for the wave's modulus. The
 penalty that ties the reconstructed hidden state to the model lives in

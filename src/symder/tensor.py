@@ -372,13 +372,6 @@ def lincomb(values, coef):
 # (channels-last layout)
 # ---------------------------------------------------------------------------
 
-# output points per slab of a conv stack's forward and VJP: 8 frames of a
-# 32x32 field, or a whole Lorenz series. A power of two, so that every slab
-# starts on a block of the BLAS kernels' output rows and the products round
-# as one product over all the points would
-SLAB_POINTS = 8192
-
-
 def _conv_stack(op, x, layers, periodic):
     """One node for a correlation of x[*S, Cin] with w[*K, Cin, C1] and the
     per-point layers after it. `layers` holds (w, b, tanh) per layer, the
@@ -389,26 +382,24 @@ def _conv_stack(op, x, layers, periodic):
     data and no parent of the node: one that requires a gradient raises
     ValueError.
 
-    The node runs over slabs of SLAB_POINTS output points, in C order. Per
-    slab it takes the spatial patch rows of the output frames (the first
-    axis) the slab touches: one row per (spatial kernel offset, input
-    channel), one column per point of those frames and the K[0] - 1 after
-    them. A time offset's patch rows are a window of these, so it stacks
-    the windows into the slab's patch matrix, one row per (kernel offset,
-    input channel) in the order of w's rows and one column per output
-    point. Each layer's product W.T @ h is written by `np.matmul`
-    into the array that then holds the layer's (C_out, points) output for
-    the slab, with the bias and tanh applied in place; the last layer's
-    goes straight into its slab's columns of the node's value. Across
-    slabs the node keeps those arrays only, and none when no parameter
-    takes a gradient: then it is no node. The VJP walks the same slabs: at
-    each tanh layer but the last it forms g * (1 - y^2) in place in the
-    output y, which it needs no more; it takes the first layer's weight
-    gradient as one product per time offset, on that offset's window of
-    the slab's spatial patch rows, and sums the weight and bias gradients
-    slab by slab. Through a layer of one output channel it passes the
-    gradient on as the broadcast product of the weight column and the
-    gradient row, whose entries are those of the one-term matrix product."""
+    The node takes the spatial patch rows of its input frames (the first
+    axis): one row per (spatial kernel offset, input channel), one column
+    per point of the frames. A time offset's patch rows are a window of
+    these, so it stacks the windows into the patch matrix, one row per
+    (kernel offset, input channel) in the order of w's rows and one column
+    per output point, in C order. Each layer's product W.T @ h makes the
+    array that then holds the layer's (C_out, points) output, with the
+    bias and tanh applied in place; the last layer's is the node's value.
+    The node keeps the hidden layers' outputs, and none when no parameter
+    takes a gradient: then it is no node. The VJP rebuilds the spatial
+    patch rows; at each tanh layer but the last it forms g * (1 - y^2) in
+    place in the output y, which it needs no more; it takes the first
+    layer's weight gradient as one product per time offset, on that
+    offset's window of the spatial patch rows, so it holds no patch
+    matrix. Through a layer of one output channel it passes the gradient
+    on as the broadcast product of the weight column and the gradient row,
+    whose entries are those of the one-term matrix product. Its memory
+    follows its input: `train.Problem` hands it windows of a field."""
     if x.requires_grad:
         raise ValueError(f"{op}: the input takes no gradient")
     ws = [as_tensor(w) for w, _, _ in layers]
@@ -427,73 +418,47 @@ def _conv_stack(op, x, layers, periodic):
     xp = np.pad(np.moveaxis(x.data, -1, 0), [(0, 0)] + pads, mode="wrap")
     oshape = tuple(n - k + 1 for n, k in zip(xp.shape[1:], ks))
     frame = int(np.prod(oshape[1:]))
-    npts = oshape[0] * frame
-    slabs = [slice(p, min(p + SLAB_POINTS, npts))
-             for p in range(0, npts, SLAB_POINTS)]
-
     spatial = list(np.ndindex(*ks[1:]))
 
-    def windows(pts):
-        """Each time offset's patch rows for the slab: windows of its
-        spatial patch rows."""
-        t0, t1 = pts.start // frame, -(-pts.stop // frame) + ks[0] - 1
-        rows = np.empty((len(spatial), len(xp), t1 - t0) + oshape[1:])
+    def windows():
+        """Each time offset's patch rows, a window of the spatial ones."""
+        rows = np.empty((len(spatial),) + xp.shape[:2] + oshape[1:])
         for i, off in enumerate(spatial):
-            rows[i] = xp[(slice(None), slice(t0, t1)) + tuple(
+            rows[i] = xp[(slice(None), slice(None)) + tuple(
                 slice(o, o + n) for o, n in zip(off, oshape[1:]))]
         rows = rows.reshape(len(spatial) * len(xp), -1)
-        c0, n = pts.start - t0 * frame, pts.stop - pts.start
-        return [rows[:, c0 + ot * frame:c0 + ot * frame + n]
+        return [rows[:, ot * frame:(ot + oshape[0]) * frame]
                 for ot in range(ks[0])]
 
-    last = len(ws) - 1
-    out = np.empty((wmats[-1].shape[1], npts))
-    saved = []
-    for pts in slabs:
-        h, ys = np.concatenate(windows(pts)), []
-        for i, (wm, b, tanh) in enumerate(zip(wmats, bs, acts)):
-            y = out[:, pts] if i == last else \
-                np.empty((wm.shape[1], h.shape[1]))
-            h = np.matmul(wm.T, h, out=y)
-            if b is not None:
-                h += b.data[:, None]
-            if tanh:
-                np.tanh(h, out=h)
-            if grad and i < last:
-                ys.append(h)
-        saved.append(ys)
-    value = out.T.reshape(oshape + (len(out),))
+    h, ys = np.concatenate(windows()), []
+    for i, (wm, b, tanh) in enumerate(zip(wmats, bs, acts)):
+        if grad and i:
+            ys.append(h)
+        h = wm.T @ h
+        if b is not None:
+            h += b.data[:, None]
+        if tanh:
+            np.tanh(h, out=h)
+    value = h.T.reshape(oshape + (len(h),))
     if not grad:
         return Tensor(value, _op=op)
 
     def sweep(g):
-        """Every parent's gradient, in the order of the parents; it frees
-        each slab's outputs once it has passed them."""
+        """Every parent's gradient, in the order of the parents."""
         gw, gb = [None] * len(ws), [None] * len(ws)
-        g = g.reshape(-1, len(out)).T
-        for s, pts in enumerate(slabs):
-            ys, saved[s] = saved[s], None
-            gt = g[:, pts]
-            for i in reversed(range(len(ws))):
-                if acts[i]:
-                    if i == last:   # the node's value, kept as it is
-                        d = out[:, pts] * out[:, pts]
-                    else:
-                        d = ys[i]
-                        d *= d
-                    np.subtract(1.0, d, out=d)
-                    d *= gt
-                    gt = d
-                if i:
-                    part = ys[i - 1] @ gt.T
-                else:
-                    part = np.concatenate([r @ gt.T for r in windows(pts)])
-                gw[i] = part if gw[i] is None else gw[i] + part
-                if bs[i] is not None:
-                    part = gt.sum(axis=1)
-                    gb[i] = part if gb[i] is None else gb[i] + part
-                if i:
-                    gt = wmats[i] * gt if len(gt) == 1 else wmats[i] @ gt
+        gt = g.reshape(-1, len(h)).T
+        for i in reversed(range(len(ws))):
+            if acts[i]:     # in place in a hidden output, not in the value
+                d = h * h if i == len(ws) - 1 else np.square(ys[i], out=ys[i])
+                np.subtract(1.0, d, out=d)
+                d *= gt
+                gt = d
+            gw[i] = (ys[i - 1] @ gt.T if i else
+                     np.concatenate([r @ gt.T for r in windows()]))
+            if bs[i] is not None:
+                gb[i] = gt.sum(axis=1)
+            if i:
+                gt = wmats[i] * gt if len(gt) == 1 else wmats[i] @ gt
         return [v for i, w in enumerate(ws)
                 for v in (gw[i].reshape(w.shape), gb[i]) if v is not None]
 

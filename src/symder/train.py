@@ -29,7 +29,8 @@ from . import fd, jets, encoders, library
 
 DIVERGENCE_LIMIT = 1e6
 ORDER = 2   # the loss matches time derivatives of orders 1..ORDER
-# grid points per window of a joint step; its peak memory follows them
+# grid points per window a `Problem` tiles the interior into, for a joint
+# step's loss and for the encoder alike; their peak memory follows them
 CHUNK_POINTS = 8192
 
 
@@ -155,13 +156,16 @@ class Problem:
         return lo, hi
 
     def _encode(self, lo, hi):
-        """The encoder's hidden estimate on the interior window [lo, hi).
-        It only sees the samples its receptive field needs, so windows tile
-        the series exactly."""
+        """The encoder's hidden estimate on the interior window [lo, hi),
+        a conv encoder's taken one window of `chunks(lo, hi)` at a time. It
+        only sees the samples its receptive field needs, so the windows'
+        pieces are those of one call on all of [lo, hi)."""
         r = self.encoder.radius
         if self.encoder.receptive_field == 1:
             return self.encoder(self.vis_t)[lo:hi]
-        return self.encoder(self.vis_t[lo - r:hi + r])
+        pieces = [self.encoder(self.vis_t[a - r:b + r])
+                  for a, b in self.chunks(lo, hi)]
+        return T.concat(pieces) if len(pieces) > 1 else pieces[0]
 
     def reconstruct(self, lo=None, hi=None):
         """Full state estimate on the valid interior window [lo, hi)
@@ -229,13 +233,15 @@ class Problem:
             total = T.add(total, reg)
         return total, parts
 
-    def chunks(self):
-        """Tile the interior [lo, hi) into windows [a, b) of CHUNK_POINTS
-        grid points, in whole frames, one frame at least; the last window
-        takes what is left."""
+    def chunks(self, lo=None, hi=None):
+        """Tile the window [lo, hi) of the interior, all of it by default
+        (a joint step's windows), into windows [a, b) of CHUNK_POINTS grid
+        points, in whole frames, one frame at least; the last window takes
+        what is left."""
+        lo, hi = self._window(lo, hi)
         frame = int(np.prod(self.dataset.visible.shape[1:-1]))
-        cuts = list(range(self.lo, self.hi, max(1, CHUNK_POINTS // frame)))
-        cuts.append(self.hi)
+        cuts = list(range(lo, hi, max(1, CHUNK_POINTS // frame)))
+        cuts.append(hi)
         return list(zip(cuts, cuts[1:]))
 
 

@@ -1,6 +1,7 @@
 import json
 import platform
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,56 @@ def test_train_artifacts(workspace):
         assert (run / name).exists(), name
     hist = train.load_history(run / "history.csv")
     assert len(hist) == 20
+
+
+def _one_error_line(capsys, says):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert says in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "DATA", "--steps", "5"],
+    ["generate", "--preset", "lorenz", "--n-time", "120"]])
+def test_out_that_is_no_directory_exits_1(workspace, tmp_path, capsys,
+                                          monkeypatch, argv, under):
+    # a regular file at --out, or at a folder above it, stops the command
+    # before it simulates or trains, and the file is left as it was
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    monkeypatch.setattr(cli.recover.EmbeddingRecovery, "fit", None)
+    monkeypatch.setattr(cli.datagen, "simulate", None)
+    argv = [str(workspace / "data") if a == "DATA" else a for a in argv]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(blocker / under)]) == 1
+    _one_error_line(capsys, f"{blocker} is not a directory")
+    assert blocker.read_text() == "keep"
+
+
+def test_eval_out_in_a_missing_folder_exits_1(workspace, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    capsys.readouterr()
+    assert cli.main(["eval", "--data", str(workspace / "data"),
+                     "--run", str(workspace / "run"), "--out", str(out)]) == 1
+    _one_error_line(capsys, f"cannot write {out}")
+
+
+def test_closed_stdout_exits_1_quietly(tmp_path):
+    # the reader of standard output is gone before the program writes
+    import os
+    import subprocess
+    import sys
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symder.cli", "generate", "--preset",
+         "lorenz", "--n-time", "120", "--out", str(tmp_path / "data")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1 and err == b"", err.decode()
 
 
 def test_train_missing_dataset(tmp_path):
@@ -690,16 +741,20 @@ def test_constant_hidden_estimate_exits_1(misfits, tmp_path, capsys, cmd):
 
 
 def test_corrupt_run_config_exits_3(misfits, tmp_path, capsys):
+    # one that does not parse, and one that parses but is no object
     run = tmp_path / "run"
     run.mkdir()
     for name in ("model.json", "encoder.ckpt"):
         (run / name).write_bytes((misfits["lorenz_emb"] / name).read_bytes())
-    (run / "config.json").write_text("[1, 2")
-    capsys.readouterr()
-    assert cli.main(["eval", "--data", str(misfits["lorenz"]),
-                     "--run", str(run)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: corrupt run config") and err.count("\n") == 1
+    for text in ("[1, 2", "[1, 2]"):
+        (run / "config.json").write_text(text)
+        capsys.readouterr()
+        assert cli.main(["eval", "--data", str(misfits["lorenz"]),
+                         "--run", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt run config") and \
+            err.count("\n") == 1, err
+        assert not (run / "report.json").exists()
 
 
 def _drop_term_spec(run):

@@ -144,15 +144,10 @@ def _match_chain(spec, shape):
     (E.ode_encoder_spec(n_visible=2, width=7), (88, 2)),
     (E.pde_encoder_spec(n_visible=2, width=5), (7, 6, 5, 2)),
 ])
-def test_fused_layers_match_op_chain(monkeypatch, spec, shape):
+def test_fused_layers_match_op_chain(spec, shape):
     # the stack is one node; the per-op chain is the reference, and the
-    # node's value is unchanged by its backward. Its 80 or 90 output points
-    # run in one slab, then in slabs of 32, 32 and 16 or 26, the second
-    # cutting frames of 30 points. 32 is a power of two, as SLAB_POINTS is,
-    # for the products to round as over all the points
-    for slab in (T.SLAB_POINTS, 32):
-        monkeypatch.setattr(T, "SLAB_POINTS", slab)
-        _match_chain(spec, shape)
+    # node's value is unchanged by its backward
+    _match_chain(spec, shape)
 
 
 def test_encoder_layers_are_single_nodes():
@@ -163,42 +158,62 @@ def test_encoder_layers_are_single_nodes():
     assert [p for p, _ in out._parents] == [p for _, p in enc.parameters()]
 
 
-def test_stack_peaks_below_its_patch_matrix():
-    # 24 frames at 32x32 in slabs of 8: the whole patch matrix (125 rows
-    # of 24576 points) would take 23.4 MiB, one slab's 7.8 MiB
+def _field_problem(width):
+    """A diffusion_source Problem on 28 frames of 32x32: its interior, 24
+    frames, is three encoder windows of 8 frames."""
+    from symder import datagen, train
+    ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=28,
+                                             nx=32), seed=0)
+    prob = train.Problem(ds, train.default_model(ds.preset),
+                         train.default_encoder(ds, {"width": width}))
+    assert prob.chunks() == [(2, 10), (10, 18), (18, 26)]
+    return prob
+
+
+def _peak(fn):
     import tracemalloc
-    enc = E.Encoder(E.pde_encoder_spec(n_visible=1, width=4), seed=0)
-    x = T.Tensor(np.random.default_rng(0).normal(size=(28, 32, 32, 1)))
-    patch_bytes = 125 * 24 * 32 * 32 * 8
     tracemalloc.start()
     try:
-        T.backward(T.tsum(enc(x)))
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_stack_peaks_below_its_patch_matrix():
+    # the whole interior's loss on the tape, through the jets: the encoder
+    # runs window by window, and the whole patch matrix (125 rows of 24
+    # frames of 1024 points) would take 23.4 MiB, one window's 7.8 MiB
+    prob = _field_problem(4)
+    patch_bytes = 125 * 24 * 32 * 32 * 8
+    _, peak = _peak(lambda: T.backward(prob.tape_loss()[0]))
     assert peak < patch_bytes, peak / 2 ** 20
 
 
 def test_no_grad_stack_keeps_no_activations():
     # parameters that take no gradient: no node, and no layer's outputs
-    # kept past their slab. One width-128 layer over the 24 output frames
-    # holds 24 MiB; one slab's patches and two layers' outputs take less
-    import tracemalloc
-    enc = E.Encoder(E.pde_encoder_spec(n_visible=1, width=128), seed=0)
-    x = T.Tensor(np.random.default_rng(0).normal(size=(28, 32, 32, 1)))
+    # kept past their window. One width-128 layer over the 24 interior
+    # frames holds 24 MiB; one window's patches and two layers' outputs
+    # take less
+    prob = _field_problem(128)
     layer_bytes = 128 * 24 * 32 * 32 * 8
-    with_grad = enc(x).data
-    for _, p in enc.parameters():
+    with_grad = prob.reconstruct().data
+    for _, p in prob.encoder.parameters():
         p.requires_grad = False
-    tracemalloc.start()
-    try:
-        out = enc(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = _peak(prob.reconstruct)
     assert not out.requires_grad and out._parents == ()
     assert peak < layer_bytes, peak / 2 ** 20
     assert np.array_equal(out.data, with_grad)
+
+
+def test_windowed_reconstruct_is_one_encoder_call():
+    # three windows of 8 frames give the bits of one call on the interior
+    prob = _field_problem(4)
+    r = prob.encoder.radius
+    whole = prob.encoder(prob.vis_t[prob.lo - r:prob.hi + r])
+    hidden = prob._encode(prob.lo, prob.hi)
+    assert [p._op for p, _ in hidden._parents] == ["conv3d"] * 3
+    assert np.array_equal(prob.reconstruct().data[..., 1:], whole.data)
 
 
 def test_phase_embedding():

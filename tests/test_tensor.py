@@ -265,17 +265,15 @@ def _full_patches(x, ks):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("conv, xshape, wshape, slab", [
-    (T.conv3d, (7, 6, 5, 2), (3, 3, 3, 2, 4), 64),
-    (T.conv1d, (88, 2), (9, 2, 8), 32)])
-def test_first_weight_gradient_equals_full_patch_product(
-        monkeypatch, conv, xshape, wshape, slab):
-    # 150 or 80 output points in three slabs, the conv3d's cutting its
-    # frames of 30 points: the VJP's products on windows of the spatial
-    # patch rows give the bits of the whole patch matrix's, slab by slab.
-    # The bits are the BLAS kernels' for a product this wide; OpenBLAS
-    # rounds a one- or two-column weight gradient of few rows differently
-    monkeypatch.setattr(T, "SLAB_POINTS", slab)
+@pytest.mark.parametrize("conv, xshape, wshape", [
+    (T.conv3d, (7, 6, 5, 2), (3, 3, 3, 2, 4)),
+    (T.conv1d, (88, 2), (9, 2, 8))])
+def test_first_weight_gradient_equals_full_patch_product(conv, xshape,
+                                                         wshape):
+    # 150 or 80 output points: the VJP's products on windows of the spatial
+    # patch rows give the bits of the whole patch matrix's. The bits are
+    # the BLAS kernels' for a product this wide; OpenBLAS rounds a one- or
+    # two-column weight gradient of few rows differently
     rng = np.random.default_rng(8)
     x = rng.standard_normal(xshape)
     w = T.Tensor(rng.standard_normal(wshape), requires_grad=True)
@@ -284,11 +282,7 @@ def test_first_weight_gradient_equals_full_patch_product(
     T.backward(T.tsum(T.mul(out, g)))
     patches = _full_patches(x, wshape[:-2])
     gt = g.reshape(-1, wshape[-1]).T
-    npts = gt.shape[1]
-    assert npts > 2 * slab
-    ref = sum(patches[:, p:p + slab] @ gt[:, p:p + slab].T
-              for p in range(0, npts, slab))
-    assert np.array_equal(w.grad, ref.reshape(wshape))
+    assert np.array_equal(w.grad, (patches @ gt.T).reshape(wshape))
     np.testing.assert_allclose(out.data.reshape(-1, wshape[-1]),
                                (w.data.reshape(-1, wshape[-1]).T
                                 @ patches).T, rtol=1e-13)
@@ -314,7 +308,7 @@ def test_one_channel_head_passes_the_matrix_products_bits():
     # gradient on as the broadcast product of the weight column and the
     # gradient row; every gradient keeps the bits of the one-term matrix
     # product w @ g, replayed here step by step as the sweep takes them
-    # on one slab (a conv1d of kernel 1, whose patch matrix is x.T)
+    # (a conv1d of kernel 1, whose patch matrix is x.T)
     rng = np.random.default_rng(11)
     x = rng.standard_normal((40, 2))
     w0, b0, w1, b1, w2, b2 = [
