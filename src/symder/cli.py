@@ -176,7 +176,8 @@ def load_dataset(path):
 
 def load_run(run_dir):
     """(model, encoder, record) of a run. The encoder's parameters take no
-    gradient, so its forward keeps no tape. The record holds what
+    gradient (`encoders.load_checkpoint` freezes them), so its forward
+    keeps no tape. The record holds what
     config.json says of the data the run was trained on, `preset` and
     `data_seed`, as far as it says it: it is empty for a run without
     config.json."""
@@ -195,8 +196,6 @@ def load_run(run_dir):
         encoder = encoders.load_checkpoint(ckpt_path)
     except encoders.CheckpointError as e:
         raise CliError(str(e), EXIT_CORRUPT)
-    for _, p in encoder.parameters():
-        p.requires_grad = False
     try:
         doc = json.loads(config_path.read_text()) if config_path.exists() \
             else {}

@@ -14,9 +14,15 @@ Hidden layers use tanh; the final layer is linear. The whole stack is one
 tape node, `tensor.conv1d` or `tensor.conv3d` with the per-point layers
 passed as `then`, which runs on the window of frames it is handed
 (`train.Problem` tiles a field into windows) and rebuilds their spatial
-patch rows in its VJP. With parameters that take no gradient, as
-`cli.load_run` hands them to `eval` and `predict`, it keeps no layer's
-outputs past the next and makes no node. Aggregation rebuilds the full state from the
+patch rows in its VJP. It computes in its spec's `dtype`: float32 for the
+PDE encoder, whose stack is most of a joint step, and float64 for the
+others (the ODE encoder's distill solves normal equations with condition
+numbers up to 1e12). The parameters are float64 whatever the dtype: they
+are the master copy the optimizer updates and a checkpoint stores, and the
+node casts them on the way in and hands back a float64 value and
+gradients. With parameters that take no gradient, as `load_checkpoint`
+hands them to `eval` and `predict`, it keeps no layer's outputs past the
+next and makes no node. Aggregation rebuilds the full state from the
 preset's observed channels: concatenation for a list of components,
 |psi| e^{i phi} (as paired real channels) for the wave's modulus. The
 penalty that ties the reconstructed hidden state to the model lives in
@@ -35,6 +41,7 @@ import numpy as np
 from . import tensor as T
 
 CHECKPOINT_MAGIC = b"SYMDERCK"
+DTYPES = ("float32", "float64")     # a conv stack's arithmetic
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,7 @@ class EncoderSpec:
     kernels: tuple = ()
     widths: tuple = ()
     shape: tuple = ()           # phase_embedding: full (t, x) grid shape
+    dtype: str = "float64"      # the conv stack's arithmetic, one of DTYPES
 
 
 def ode_encoder_spec(n_visible, width):
@@ -54,40 +62,55 @@ def ode_encoder_spec(n_visible, width):
 
 def pde_encoder_spec(n_visible, width):
     return EncoderSpec(kind="spatiotemporal_conv", n_visible=n_visible,
-                       kernels=(5, 1, 1), widths=(width, width, 1))
+                       kernels=(5, 1, 1), widths=(width, width, 1),
+                       dtype="float32")
 
 
 def phase_embedding_spec(shape):
     return EncoderSpec(kind="phase_embedding", shape=tuple(shape))
 
 
+def param_shapes(spec):
+    """{name: shape} of the parameters an Encoder of `spec` holds, in the
+    order it makes them. ValueError for a spec no Encoder builds: an
+    unknown kind or dtype, or a size that is not a positive integer."""
+    if spec.dtype not in DTYPES:
+        raise ValueError(f"unknown encoder dtype {spec.dtype!r}")
+    if spec.kind in ("temporal_conv", "spatiotemporal_conv"):
+        nd = 1 if spec.kind == "temporal_conv" else 3
+        shapes, cin = {}, spec.n_visible
+        for i, w in enumerate(spec.widths):
+            shapes[f"w{i}"] = (spec.kernels[0],) * nd + (cin, w) if i == 0 \
+                else (cin, w)
+            shapes[f"b{i}"] = (w,)
+            cin = w
+    elif spec.kind == "phase_embedding":
+        shapes = {"phi": tuple(spec.shape)}
+    else:
+        raise ValueError(f"unknown encoder kind {spec.kind!r}")
+    if not all(isinstance(n, (int, np.integer)) and n > 0
+               for s in shapes.values() for n in s):
+        raise ValueError(f"parameter shapes {list(shapes.values())} are not "
+                         "of positive integers")
+    return shapes
+
+
 class Encoder:
-    """Parameter container + forward pass for one EncoderSpec."""
+    """Parameter container + forward pass for one EncoderSpec. A conv
+    encoder's weights start uniform in +-1/sqrt(fan-in), its biases at
+    zero; a phase embedding's phases at zero."""
 
     def __init__(self, spec: EncoderSpec, seed=0):
         self.spec = spec
         self.seed = seed
         self.params = {}
         rng = np.random.default_rng(seed)
-        if spec.kind in ("temporal_conv", "spatiotemporal_conv"):
-            k = spec.kernels[0]
-            nd = 1 if spec.kind == "temporal_conv" else 3
-            cin = spec.n_visible
-            for i, w in enumerate(spec.widths):
-                if i == 0:
-                    fan_in = k ** nd * cin
-                    wshape = (k,) * nd + (cin, w)
-                else:
-                    fan_in = cin
-                    wshape = (cin, w)
-                s = 1.0 / np.sqrt(fan_in)
-                self._add(f"w{i}", rng.uniform(-s, s, wshape))
-                self._add(f"b{i}", np.zeros(w))
-                cin = w
-        elif spec.kind == "phase_embedding":
-            self._add("phi", np.zeros(spec.shape))
-        else:
-            raise ValueError(f"unknown encoder kind {spec.kind!r}")
+        for name, shape in param_shapes(spec).items():
+            if name.startswith("w"):
+                s = 1.0 / np.sqrt(np.prod(shape[:-1]))
+                self._add(name, rng.uniform(-s, s, shape))
+            else:
+                self._add(name, np.zeros(shape))
 
     def _add(self, name, value):
         self.params[name] = T.Tensor(np.asarray(value, dtype=np.float64),
@@ -120,7 +143,7 @@ class Encoder:
             (self.params[f"w{i}"], self.params[f"b{i}"], i < n_layers - 1)
             for i in range(n_layers)]
         conv = T.conv1d if spec.kind == "temporal_conv" else T.conv3d
-        return conv(visible, w, b=b, tanh=tanh, then=then)
+        return conv(visible, w, b=b, tanh=tanh, then=then, dtype=spec.dtype)
 
 
 def aggregate(observed, visible, hidden):
@@ -154,10 +177,14 @@ def aggregate(observed, visible, hidden):
 
 def save_checkpoint(encoder, path):
     """File layout: 8-byte magic, u64-LE header length, JSON header (spec,
-    seed, per-parameter shapes and f64 offsets), then the parameter blob."""
+    seed, per-parameter shapes and f64 offsets), then the parameter blob.
+    The header's spec leaves out the default dtype, float64, so a float64
+    encoder's file is what it was before specs had one."""
     names = sorted(encoder.params)
-    header = {"spec": asdict(encoder.spec), "seed": encoder.seed,
-              "params": []}
+    spec = asdict(encoder.spec)
+    if spec["dtype"] == "float64":
+        del spec["dtype"]
+    header = {"spec": spec, "seed": encoder.seed, "params": []}
     offset = 0
     for name in names:
         arr = encoder.params[name].data
@@ -179,6 +206,11 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path):
+    """The encoder a checkpoint holds, with frozen parameters: they take no
+    gradient, so its forward keeps no tape. A header without a dtype is a
+    float64 encoder's. CheckpointError unless the header's spec builds an
+    Encoder whose parameters the records name once each, with their
+    shapes, at offsets that tile the blob, and every value is finite."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not an encoder checkpoint")
@@ -189,16 +221,40 @@ def load_checkpoint(path):
         for key in ("kernels", "widths", "shape"):
             spec_doc[key] = tuple(spec_doc[key])
         spec = EncoderSpec(**spec_doc)
-        enc = Encoder(spec, seed=header["seed"])
-        if len(raw) != 16 + hlen + 8 * sum(
-                int(np.prod(r["shape"])) for r in header["params"]):
-            raise CheckpointError(f"{path}: blob size disagrees with header")
-        blob = np.frombuffer(raw[16 + hlen:], dtype="<f8")
-        for rec in header["params"]:
-            shape = tuple(rec["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            enc.params[rec["name"]].data = \
-                blob[rec["offset"]:rec["offset"] + n].reshape(shape).copy()
-    except (KeyError, TypeError, json.JSONDecodeError) as e:
+        shapes = param_shapes(spec)
+        seed = header["seed"]
+        records = sorted((r["offset"], r["name"], r["shape"])
+                         for r in header["params"])
+    except (IndexError, KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint ({e})") from e
+    names = [name for _, name, _ in records]
+    if sorted(names, key=str) != sorted(shapes):
+        raise CheckpointError(f"{path}: parameters {names}, its spec's "
+                              f"{sorted(shapes)}")
+    end = 0
+    for offset, name, shape in records:
+        if shape != list(shapes[name]):
+            raise CheckpointError(f"{path}: parameter {name} of shape "
+                                  f"{shape}, its spec's {list(shapes[name])}")
+        if type(offset) is not int or offset != end:
+            raise CheckpointError(f"{path}: parameter {name} at offset "
+                                  f"{offset}, where the blob's next value "
+                                  f"is {end}")
+        end += int(np.prod(shape))
+    if len(raw) - 16 - hlen != 8 * end:
+        raise CheckpointError(f"{path}: blob of {len(raw) - 16 - hlen} "
+                              f"bytes, its header's parameters take "
+                              f"{8 * end}")
+    blob = np.frombuffer(raw[16 + hlen:], dtype="<f8")
+    if not np.isfinite(blob).all():
+        raise CheckpointError(f"{path}: parameter values that are not "
+                              "finite")
+    try:
+        enc = Encoder(spec, seed=seed)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed checkpoint ({e})") from e
+    for offset, name, _ in records:
+        n = int(np.prod(shapes[name]))
+        enc.params[name] = T.Tensor(
+            blob[offset:offset + n].reshape(shapes[name]).astype(np.float64))
     return enc

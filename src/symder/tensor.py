@@ -7,7 +7,11 @@ Broadcasting follows numpy's trailing-dimension rules; gradients of broadcast
 inputs are summed back to the input shape.
 
 Complex values are handled outside this module as paired real channels, so the
-tape only ever sees real f64 arrays.
+tape only ever sees real f64 arrays: every node's value and every gradient
+it hands on is f64. Only inside a conv node (`conv1d`, `conv3d`) may the
+arithmetic run in another dtype, its encoder's: the node casts its
+parameters and input to it on the way in and its value and gradients back
+to f64 on the way out.
 """
 
 from __future__ import annotations
@@ -372,15 +376,21 @@ def lincomb(values, coef):
 # (channels-last layout)
 # ---------------------------------------------------------------------------
 
-def _conv_stack(op, x, layers, periodic):
+def _conv_stack(op, x, layers, periodic, dtype):
     """One node for a correlation of x[*S, Cin] with w[*K, Cin, C1] and the
-    per-point layers after it. `layers` holds (w, b, tanh) per layer, the
-    conv's first: h = act(h W + b), act = tanh when `tanh`, else the
-    identity, b None for no bias; a per-point w is (C_in, C_out).
+    per-point layers after it, computed in `dtype`. `layers` holds (w, b,
+    tanh) per layer, the conv's first: h = act(h W + b), act = tanh when
+    `tanh`, else the identity, b None for no bias; a per-point w is (C_in,
+    C_out).
     periodic[a] picks centered periodic padding for spatial axis a (extent
     kept); otherwise it is valid (extent shrinks by K[a] - 1). The input is
     data and no parent of the node: one that requires a gradient raises
     ValueError.
+
+    The node casts its weights, biases and input to `dtype` once, and
+    builds its patch rows, layer outputs, tanh and sweep in it; its value
+    and its parameters' gradients are cast back to f64. In f64 the casts
+    are no copies.
 
     The node takes the spatial patch rows of its input frames (the first
     axis): one row per (spatial kernel offset, input channel), one column
@@ -411,18 +421,23 @@ def _conv_stack(op, x, layers, periodic):
                              f"{w.shape}")
     params = [p for w, b in zip(ws, bs) for p in (w, b) if p is not None]
     grad = any(p.requires_grad for p in params)
-    wmats = [w.data.reshape(-1, w.shape[-1]) for w in ws]
+    wmats = [w.data.reshape(-1, w.shape[-1]).astype(dtype, copy=False)
+             for w in ws]
+    bias = [None if b is None else b.data.astype(dtype, copy=False)
+            for b in bs]
     ks = ws[0].shape[:-2]
     pads = [(k // 2, k - 1 - k // 2) if per else (0, 0)
             for k, per in zip(ks, periodic)]
-    xp = np.pad(np.moveaxis(x.data, -1, 0), [(0, 0)] + pads, mode="wrap")
+    xp = np.pad(np.moveaxis(x.data, -1, 0).astype(dtype, copy=False),
+                [(0, 0)] + pads, mode="wrap")
     oshape = tuple(n - k + 1 for n, k in zip(xp.shape[1:], ks))
     frame = int(np.prod(oshape[1:]))
     spatial = list(np.ndindex(*ks[1:]))
 
     def windows():
         """Each time offset's patch rows, a window of the spatial ones."""
-        rows = np.empty((len(spatial),) + xp.shape[:2] + oshape[1:])
+        rows = np.empty((len(spatial),) + xp.shape[:2] + oshape[1:],
+                        dtype=xp.dtype)
         for i, off in enumerate(spatial):
             rows[i] = xp[(slice(None), slice(None)) + tuple(
                 slice(o, o + n) for o, n in zip(off, oshape[1:]))]
@@ -431,12 +446,12 @@ def _conv_stack(op, x, layers, periodic):
                 for ot in range(ks[0])]
 
     h, ys = np.concatenate(windows()), []
-    for i, (wm, b, tanh) in enumerate(zip(wmats, bs, acts)):
+    for i, (wm, b, tanh) in enumerate(zip(wmats, bias, acts)):
         if grad and i:
             ys.append(h)
         h = wm.T @ h
         if b is not None:
-            h += b.data[:, None]
+            h += b[:, None]
         if tanh:
             np.tanh(h, out=h)
     value = h.T.reshape(oshape + (len(h),))
@@ -446,7 +461,7 @@ def _conv_stack(op, x, layers, periodic):
     def sweep(g):
         """Every parent's gradient, in the order of the parents."""
         gw, gb = [None] * len(ws), [None] * len(ws)
-        gt = g.reshape(-1, len(h)).T
+        gt = g.reshape(-1, len(h)).T.astype(dtype, copy=False)
         for i in reversed(range(len(ws))):
             if acts[i]:     # in place in a hidden output, not in the value
                 d = h * h if i == len(ws) - 1 else np.square(ys[i], out=ys[i])
@@ -459,7 +474,7 @@ def _conv_stack(op, x, layers, periodic):
                 gb[i] = gt.sum(axis=1)
             if i:
                 gt = wmats[i] * gt if len(gt) == 1 else wmats[i] @ gt
-        return [v for i, w in enumerate(ws)
+        return [v.astype(np.float64, copy=False) for i, w in enumerate(ws)
                 for v in (gw[i].reshape(w.shape), gb[i]) if v is not None]
 
     # the first VJP to run makes every gradient; the one sweep calls them
@@ -478,11 +493,12 @@ def _conv_stack(op, x, layers, periodic):
                   _op=op)
 
 
-def conv1d(x, w, *, b=None, tanh=False, then=()):
+def conv1d(x, w, *, b=None, tanh=False, then=(), dtype=np.float64):
     """act(valid correlation of x[T, Cin] with w[K, Cin, Cout] + b), act =
     tanh when `tanh`, else the identity: output length T-K+1,
     out[t] = sum_k w[k]·x[t+k]. Each (w, b, tanh) of `then` maps every
-    output sample on, act(h @ w + b), in the same node.
+    output sample on, act(h @ w + b), in the same node, which computes in
+    `dtype` (see `_conv_stack`).
     """
     x, w = as_tensor(x), as_tensor(w)
     K, cin, cout = w.shape
@@ -491,13 +507,14 @@ def conv1d(x, w, *, b=None, tanh=False, then=()):
         raise ValueError(f"conv1d: input channels {x.shape[1]} != kernel {cin}")
     if K > T:
         raise ValueError(f"conv1d: kernel {K} longer than input {T}")
-    return _conv_stack("conv1d", x, [(w, b, tanh), *then], (False,))
+    return _conv_stack("conv1d", x, [(w, b, tanh), *then], (False,), dtype)
 
 
-def conv3d(x, w, *, b=None, tanh=False, then=()):
+def conv3d(x, w, *, b=None, tanh=False, then=(), dtype=np.float64):
     """act(correlation of x[T, X, Y, Cin] with w[Kt, Kx, Ky, Cin, Cout] +
     b), act = tanh when `tanh`, else the identity. Each (w, b, tanh) of
-    `then` maps every output point on, act(h @ w + b), in the same node.
+    `then` maps every output point on, act(h @ w + b), in the same node,
+    which computes in `dtype` (see `_conv_stack`).
 
     The time axis is valid (output shrinks by Kt-1); the spatial axes use
     centered periodic padding (extent preserved).
@@ -510,7 +527,7 @@ def conv3d(x, w, *, b=None, tanh=False, then=()):
         raise ValueError(f"conv3d: time kernel {kt} longer than input "
                          f"{x.shape[0]}")
     return _conv_stack("conv3d", x, [(w, b, tanh), *then],
-                       (False, True, True))
+                       (False, True, True), dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@
   `backward`, on the benchmark's 128x32x32 field and the first of its
   windows of `train.CHUNK_POINTS` grid points, whose frames it names;
 - the tracemalloc peak of an eval-style reconstruct of that field, with
-  an encoder whose parameters take no gradient, as `cli.load_run` hands
-  it over;
+  its encoder saved and loaded back, so that its parameters take no
+  gradient, as `cli.load_run` hands it over;
 - on the staged fixture, the largest difference of the closed-form gradient
   (`EmbeddingRecovery.loss_and_grad`, which calls `train.FieldLoss`) to
   the tape reference's, over the largest tape entry of each parameter, and
@@ -20,6 +20,10 @@
   encoder parameter with a third of the terms masked, and each call timed
   with its `backward` and every term active (the encoder's conv stack is
   in both);
+- the encoder's conv stack alone on that window, forward and backward, in
+  float32, the joint PDE encoder's dtype, and in float64: the median time
+  of one call in each, and the largest difference of the float32 value and
+  weight gradients to the float64 ones, over the largest float64 entry;
 - the median wall time of three in-process simulations of a Lorenz
   dataset, burn-in included, and of a 128x32x32 diffusion_source one, and
   the RK4 substeps per second each implies;
@@ -34,13 +38,16 @@ The times are for information: they gate nothing.
     PYTHONPATH=src python tests/ci_summary.py >> "$GITHUB_STEP_SUMMARY"
 """
 
+import dataclasses
 import statistics
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
-from symder import cli, datagen, evaluate, recover, train
+from symder import cli, datagen, encoders, evaluate, recover, train
 from symder import tensor as T
 
 
@@ -94,15 +101,51 @@ def chunk_peak_mb(prob):
 
 def reconstruct_peak_mb(prob):
     """The tracemalloc peak, in MB, of `prob`'s whole-interior reconstruct
-    with an encoder that takes no gradient, as `eval` runs it."""
-    for _, p in prob.encoder.parameters():
-        p.requires_grad = False
+    with its encoder saved and loaded back, as `eval` runs it: the loaded
+    parameters take no gradient."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "encoder.ckpt"
+        encoders.save_checkpoint(prob.encoder, path)
+        prob.encoder = encoders.load_checkpoint(path)
     tracemalloc.start()
     try:
         prob.reconstruct()
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def conv_stack_line(prob, calls, label):
+    """The conv stack of `prob`'s encoder on the first window of a training
+    step, forward and backward, in float32 and in float64: the median time
+    of `calls` calls each, and the largest difference of the float32 value
+    and weight gradients to the float64 ones, over the largest float64
+    entry of each."""
+    lo, hi = prob.chunks()[0]
+    r = prob.encoder.radius
+    x = prob.vis_t[lo - r:hi + r]
+    shape = (hi - lo,) + x.shape[1:-1] + (1,)
+    g = np.cos(np.arange(np.prod(shape))).reshape(shape)  # upstream grad
+    results, times = [], []
+    for dtype in ("float32", "float64"):
+        enc = encoders.Encoder(dataclasses.replace(prob.encoder.spec,
+                                                   dtype=dtype))
+
+        def run():
+            for _, p in enc.parameters():
+                p.zero_grad()
+            out = enc(x)
+            T.backward(T.tsum(T.mul(out, g)))
+            return [out.data] + [p.grad for _, p in enc.parameters()]
+
+        results.append(run())
+        times.append(median_ms(run, calls))
+    diff = max(np.abs(a - b).max() / np.abs(b).max()
+               for a, b in zip(*results))
+    return (f"diffusion_source conv stack forward + backward, {label}, first "
+            f"window of {hi - lo} frames, median ms per call of {calls}: "
+            f"float32 {times[0]:.3f}, float64 {times[1]:.3f}; largest "
+            f"relative difference of float32 to float64: {diff:.3g}")
 
 
 def simulate_line(preset, label):
@@ -177,6 +220,7 @@ def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
     yield (f"diffusion_source loss and gradient, {pde_time}x{pde_nx}x"
            f"{pde_nx}, first window, median ms per call of {calls}: "
            f"compute_loss {closed_ms:.3f}, tape (tape_loss) {tape_ms:.3f}")
+    yield conv_stack_line(prob, calls, f"{pde_time}x{pde_nx}x{pde_nx}")
     prob = pde_problem(pde_time, pde_nx)
     frames, peak = chunk_peak_mb(prob)
     yield (f"diffusion_source chunk compute_loss + backward, {pde_time}x"

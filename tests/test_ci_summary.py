@@ -15,6 +15,8 @@ def test_summary_lines_at_small_size():
               "relative difference to the tape: ",
               "diffusion_source loss and gradient, 24x8x8, first window, "
               "median ms per call of 3: ",
+              "diffusion_source conv stack forward + backward, 24x8x8, "
+              "first window of 20 frames, median ms per call of 3: float32 ",
               "diffusion_source chunk compute_loss + backward, 24x8x8, "
               "first window of 20 frames, tracemalloc peak MB: ",
               "diffusion_source eval reconstruct, encoder without "
@@ -29,3 +31,5 @@ def test_summary_lines_at_small_size():
     for line, label in zip(lines, labels):
         assert line.startswith(label), (line, label)
     assert lines[0].endswith(": 83") and lines[3].endswith(": 89")
+    # float32 rounds, within the bound the encoder tests hold it to
+    assert 0 < float(lines[6].rsplit(": ", 1)[1]) <= 1e-4

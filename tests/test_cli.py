@@ -757,6 +757,65 @@ def test_corrupt_run_config_exits_3(misfits, tmp_path, capsys):
         assert not (run / "report.json").exists()
 
 
+
+def _edit_checkpoint(path, edit):
+    """Rewrite the checkpoint at `path` after edit(header, blob) changes
+    its JSON header (a dict) and its f64 parameter blob in place."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + hlen])
+    blob = np.frombuffer(raw[16 + hlen:], dtype="<f8").copy()
+    edit(header, blob)
+    head = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(head).to_bytes(8, "little") + head
+                     + blob.tobytes())
+
+
+def _record(header, name):
+    return next(r for r in header["params"] if r["name"] == name)
+
+
+@pytest.mark.parametrize("edit,says", [
+    (lambda h, b: _record(h, "w2").update(offset=10 ** 6),
+     "parameter w2 at offset 1000000"),
+    (lambda h, b: h["spec"].update(widths=[4, 4, 1]),
+     "parameter b0 of shape [8], its spec's [4]"),
+    (lambda h, b: b.__setitem__(5, np.nan), "not finite"),
+    (lambda h, b: _record(h, "w1").update(shape=[4, 16]),
+     "parameter w1 of shape [4, 16], its spec's [8, 8]"),
+    (lambda h, b: h["spec"].update(dtype="float16"), "dtype 'float16'"),
+    (lambda h, b: _record(h, "b2").update(name="b3"), "parameters ["),
+    (lambda h, b: h["spec"].update(widths=[8, -8, 1]), "positive integers"),
+], ids=["offset_past_blob", "narrow_spec", "nan_weight", "w1_reshaped",
+        "unknown_dtype", "renamed", "negative_width"])
+def test_malformed_checkpoint_exits_3(misfits, tmp_path, capsys, edit,
+                                      says):
+    # each record is checked against the parameters its spec builds
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("model.json", "encoder.ckpt", "config.json"):
+        (run / name).write_bytes((misfits["pde_run"] / name).read_bytes())
+    _edit_checkpoint(run / "encoder.ckpt", edit)
+    capsys.readouterr()
+    assert cli.main(["eval", "--data", str(misfits["pde"]),
+                     "--run", str(run)]) == 3
+    _one_error_line(capsys, says)
+    assert not (run / "report.json").exists()
+
+
+def test_pde_run_checkpoint_records_float32(misfits, tmp_path):
+    # the joint PDE encoder trains in float32 and its checkpoint says so;
+    # the run scores, and the loaded encoder takes no gradient
+    enc = encoders.load_checkpoint(misfits["pde_run"] / "encoder.ckpt")
+    assert enc.spec.dtype == "float32"
+    assert not any(p.requires_grad for _, p in enc.parameters())
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("model.json", "encoder.ckpt", "config.json"):
+        (run / name).write_bytes((misfits["pde_run"] / name).read_bytes())
+    assert cli.main(["eval", "--data", str(misfits["pde"]),
+                     "--run", str(run)]) == 0
+
 def _drop_term_spec(run):
     doc = json.loads((run / "model.json").read_text())
     doc["term_spec"].pop()

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -142,11 +145,12 @@ def _match_chain(spec, shape):
 
 @pytest.mark.parametrize("spec, shape", [
     (E.ode_encoder_spec(n_visible=2, width=7), (88, 2)),
-    (E.pde_encoder_spec(n_visible=2, width=5), (7, 6, 5, 2)),
+    (dataclasses.replace(E.pde_encoder_spec(n_visible=2, width=5),
+                         dtype="float64"), (7, 6, 5, 2)),
 ])
 def test_fused_layers_match_op_chain(spec, shape):
-    # the stack is one node; the per-op chain is the reference, and the
-    # node's value is unchanged by its backward
+    # the stack is one node; the per-op chain, in float64, is the
+    # reference, and the node's value is unchanged by its backward
     _match_chain(spec, shape)
 
 
@@ -290,3 +294,80 @@ def test_checkpoint_corrupt(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(E.CheckpointError):
         E.load_checkpoint(path)
+
+
+def test_float32_stack_against_float64():
+    # the PDE encoder's conv stack runs in float32 over float64 weights;
+    # on a fixed input its value and weight gradients stay within 1e-4 of
+    # the largest float64 entry, a bound set before measuring
+    spec32 = E.pde_encoder_spec(n_visible=2, width=16)
+    assert spec32.dtype == "float32"
+    spec64 = dataclasses.replace(spec32, dtype="float64")
+    rng = np.random.default_rng(11)
+    x = T.Tensor(rng.normal(size=(12, 16, 16, 2)))
+    weights = rng.normal(size=(8, 16, 16, 1))
+    b0 = rng.normal(0.0, 0.1, 16)
+    results = []
+    for spec in (spec32, spec64):
+        enc = E.Encoder(spec, seed=4)
+        enc.params["b0"].data[...] = b0
+        out = enc(x)
+        assert out.data.dtype == np.float64
+        T.backward(T.tsum(T.mul(out, weights)))
+        grads = [p.grad for _, p in enc.parameters()]
+        assert all(g.dtype == np.float64 for g in grads)
+        results.append([out.data] + grads)
+    for a32, a64 in zip(*results):
+        assert np.abs(a32 - a64).max() <= 1e-4 * np.abs(a64).max()
+        assert not np.array_equal(a32, a64)
+
+
+def _perturbed_pde_encoder():
+    enc = E.Encoder(E.pde_encoder_spec(n_visible=1, width=6), seed=5)
+    for p in enc.params.values():
+        p.data += np.random.default_rng(0).normal(0.0, 0.1, size=p.shape)
+    return enc
+
+
+def test_pde_checkpoint_roundtrip_keeps_dtype(tmp_path):
+    enc = _perturbed_pde_encoder()
+    path = tmp_path / "enc.ckpt"
+    E.save_checkpoint(enc, path)
+    loaded = E.load_checkpoint(path)
+    assert loaded.spec == enc.spec and loaded.spec.dtype == "float32"
+    x = T.Tensor(np.random.default_rng(1).normal(size=(9, 8, 8, 1)))
+    assert np.array_equal(loaded(x).data, enc(x).data)
+
+
+def test_checkpoint_without_dtype_loads_as_float64(tmp_path):
+    # the header of a checkpoint saved before specs had a dtype, and of a
+    # float64 encoder's, names none
+    enc = _perturbed_pde_encoder()
+    path = tmp_path / "enc.ckpt"
+    E.save_checkpoint(enc, path)
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + hlen])
+    assert header["spec"].pop("dtype") == "float32"
+    head = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(head).to_bytes(8, "little") + head
+                     + raw[16 + hlen:])
+    loaded = E.load_checkpoint(path)
+    assert loaded.spec == dataclasses.replace(enc.spec, dtype="float64")
+    E.save_checkpoint(loaded, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+    x = T.Tensor(np.random.default_rng(1).normal(size=(9, 8, 8, 1)))
+    enc64 = E.Encoder(loaded.spec)
+    for name, p in enc.params.items():
+        enc64.params[name].data[...] = p.data
+    assert np.array_equal(loaded(x).data, enc64(x).data)
+
+
+def test_loaded_parameters_take_no_gradient(tmp_path):
+    enc = _perturbed_pde_encoder()
+    E.save_checkpoint(enc, tmp_path / "enc.ckpt")
+    loaded = E.load_checkpoint(tmp_path / "enc.ckpt")
+    assert [n for n, _ in loaded.parameters()] == list(enc.params)
+    assert not any(p.requires_grad for _, p in loaded.parameters())
+    out = loaded(T.Tensor(np.zeros((5, 4, 4, 1))))
+    assert not out.requires_grad and out._parents == ()
