@@ -12,6 +12,9 @@ missing dataset or run input, 3 corrupt dataset, checkpoint or model file.
 
 SYMDER_THREADS limits the BLAS thread pools; it must be handled before numpy
 is first imported, which is why this module sets the environment up top.
+Each command imports the layers it runs when it runs: `generate` imports
+`datagen` alone (and what its normalization calls), and `report` neither
+`train` nor `recover` nor `encoders`.
 """
 
 import argparse
@@ -30,7 +33,7 @@ if "SYMDER_THREADS" in os.environ:
 
 import numpy as np
 
-from . import datagen, encoders, evaluate, library, recover, train
+from . import datagen
 
 # the run settings per system: every key its path reads, which a JSON config
 # and the flags may override. The system kind picks the path: ODE presets
@@ -95,12 +98,10 @@ def _positive(v):
 
 _COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
 _POSITIVE = (_positive, "a positive finite number")
-# the values each config key admits: (test, description)
+# the values each config key admits: (test, description); `load_config`
+# adds the rule of `alphas`, which reads `train.ORDER`
 CONFIG_RULES = {
     "steps": _COUNT, "width": _COUNT, "lr": _POSITIVE,
-    "alphas": (lambda v: type(v) is list and len(v) == train.ORDER
-               and all(map(_positive, v)),
-               f"a list of {train.ORDER} positive finite numbers"),
     "sparsify_every": _COUNT, "theta_threshold": _POSITIVE,
     "divergence_limit": _POSITIVE,
     "beta_phase": (lambda v: type(v) in (int, float) and 0 <= v < math.inf,
@@ -118,6 +119,7 @@ def load_config(ds, args):
     one of the preset's keys, the first value out of range, or a staged
     width whose distill normal matrix, taken twice, exceeds physical
     memory."""
+    from . import train
     user = {}
     if args.config is not None:
         path = Path(args.config)
@@ -137,13 +139,18 @@ def load_config(ds, args):
             f"the {'staged' if staged else 'joint'} path of {preset.name} "
             f"does not read {', '.join(sorted(unknown))}")
     cfg = {**DEFAULT_CONFIGS[preset.name], **user}
-    rules = CONFIG_RULES if staged else {**CONFIG_RULES,
-                                         "width": _JOINT_WIDTH}
+    rules = {**CONFIG_RULES,
+             "alphas": (lambda v: type(v) is list and len(v) == train.ORDER
+                        and all(map(_positive, v)),
+                        f"a list of {train.ORDER} positive finite numbers")}
+    if not staged:
+        rules["width"] = _JOINT_WIDTH
     for key, value in cfg.items():
         ok, what = rules[key]
         if not ok(value):
             raise CliError(f"config {key} must be {what}, got {value!r}")
     if staged and cfg["width"]:
+        from . import recover
         # distill's normal matrix, and the copy np.linalg.solve works on
         n = recover.distill_unknowns(ds.visible.shape[-1], cfg["width"])
         need = 2 * 8 * n * n
@@ -164,10 +171,12 @@ def check_out_dir(path):
         raise CliError(f"cannot write to {path}: {p} is not a directory")
 
 
-def load_dataset(path):
+def load_dataset(path, truth=True):
+    """`datagen.Dataset.load`, its failures turned into CliError: `truth`
+    False loads it for training, without the hidden truth."""
     path = Path(path)
     try:
-        return datagen.Dataset.load(path)
+        return datagen.Dataset.load(path, truth=truth)
     except (FileNotFoundError, NotADirectoryError) as e:
         raise CliError(f"dataset file not found: {e.filename}", EXIT_MISSING)
     except (KeyError, TypeError, IndexError, ValueError) as e:
@@ -181,6 +190,7 @@ def load_run(run_dir):
     config.json says of the data the run was trained on, `preset` and
     `data_seed`, as far as it says it: it is empty for a run without
     config.json."""
+    from . import encoders, library
     run_dir = Path(run_dir)
     model_path = run_dir / "model.json"
     ckpt_path = run_dir / "encoder.ckpt"
@@ -229,7 +239,9 @@ def cmd_generate(args):
 
 
 def cmd_train(args):
-    ds = load_dataset(args.data)
+    from . import train
+    # meta.json and visible.f64 alone: training never reads the truth
+    ds = load_dataset(args.data, truth=False)
     cfg = load_config(ds, args)
     check_out_dir(args.out)
     keep_freed_heap()
@@ -246,6 +258,7 @@ def cmd_train(args):
 def _train_joint(args, ds, cfg):
     """PDE and wave systems: the encoder and the coefficients descend
     jointly (`train.fit`)."""
+    from . import train
     model = train.default_model(ds.preset, seed=args.seed)
     enc = train.default_encoder(ds, cfg, seed=args.seed)
     # beta_phase weighs the hidden residual in physical time units; the
@@ -268,6 +281,7 @@ def _train_staged(args, ds, cfg):
     that width by least squares, in `recover.DISTILL_SOLVES` damped
     Gauss-Newton solves, which write no history rows; that encoder is then
     the one saved."""
+    from . import recover, train
     rcfg = recover.RecoveryConfig(cfg["steps"], cfg["lr"], seed=args.seed)
     rec = recover.EmbeddingRecovery(
         ds, train.default_model(ds.preset, seed=args.seed), rcfg)
@@ -287,14 +301,12 @@ def _train_staged(args, ds, cfg):
     return EXIT_OK
 
 
-def _evaluate_run(args, ds, model, encoder, record):
-    """`evaluate.evaluate_run` for eval and predict. A run that does not fit
-    the dataset (a model of another kind or state size than the preset's,
-    a conv encoder of other visible channels, a per-sample embedding of
-    another series; a run whose record names another preset, or, for a
-    per-sample embedding, another dataset seed), a series too short to
-    score, or a run `evaluate_run` cannot score (a constant hidden
-    estimate), raises CliError."""
+def check_fit(args, ds, model, encoder, record):
+    """Raise CliError for a run that does not fit the dataset: a model of
+    another kind or state size than the preset's, a conv encoder of other
+    visible channels, a per-sample embedding of another series; a run whose
+    record names another preset, or, for a per-sample embedding, another
+    dataset seed."""
     vis, spec = ds.visible.shape, encoder.spec
     embeds = spec.kind == "phase_embedding"
     checks = [
@@ -312,18 +324,42 @@ def _evaluate_run(args, ds, model, encoder, record):
         if have != want:
             raise CliError(f"run {args.run} does not fit {args.data}: "
                            f"{what} {have}, the dataset's {want}")
+
+
+def _evaluate_run(args, ds, model, encoder):
+    """`evaluate.evaluate_run` for eval and predict, on a run `check_fit`
+    passed. A series too short to score, or a run `evaluate_run` cannot
+    score (a constant hidden estimate), raises CliError."""
+    from . import evaluate
     try:
         return evaluate.evaluate_run(ds, model, encoder)
     except ValueError as e:     # train.SeriesTooShort among them
         raise CliError(f"cannot evaluate on {args.data}: {e}")
 
 
+def report_path(args, ds, record):
+    """Where eval writes its report: `--out`, or else the run's own
+    report.json, but only on the data seed the run's record names (any for
+    a run without the record; `check_fit` has matched the preset). On
+    another seed it raises CliError asking for `--out`, so a report on
+    other data never replaces the run's own."""
+    if args.out:
+        return Path(args.out)
+    seed = record.get("data_seed", ds.seed)
+    if seed != ds.seed:
+        raise CliError(f"run {args.run} was trained on data seed {seed}, "
+                       f"{args.data} is seed {ds.seed}; pass --out to write "
+                       "its report elsewhere")
+    return Path(args.run) / "report.json"
+
+
 def cmd_eval(args):
+    from . import evaluate
     ds = load_dataset(args.data)
     model, encoder, record = load_run(args.run)
-    doc = evaluate.report(model, ds,
-                          _evaluate_run(args, ds, model, encoder, record))
-    out = Path(args.out) if args.out else Path(args.run) / "report.json"
+    check_fit(args, ds, model, encoder, record)
+    out = report_path(args, ds, record)
+    doc = evaluate.report(model, ds, _evaluate_run(args, ds, model, encoder))
     try:
         evaluate.write_report(doc, out)
     except OSError as e:
@@ -336,11 +372,13 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
+    from . import evaluate
     ds = load_dataset(args.data)
     model, encoder, record = load_run(args.run)
     if ds.preset.kind != "ode":
         raise CliError("predict supports the ODE presets only", EXIT_FAIL)
-    res = _evaluate_run(args, ds, model, encoder, record)
+    check_fit(args, ds, model, encoder, record)
+    res = _evaluate_run(args, ds, model, encoder)
     start = args.start - res["lo"]
     if start < 0 or start >= res["hidden_estimate"].shape[0]:
         raise CliError(f"--start must be in [{res['lo']}, {res['hi']})",
@@ -359,6 +397,7 @@ def cmd_predict(args):
 
 
 def cmd_report(args):
+    from . import evaluate
     path = Path(args.run) / "report.json"
     if not path.exists():
         raise CliError(f"no report at {path}; run `symder eval` first",

@@ -16,7 +16,9 @@ step of dt/substeps; the NLSE uses Strang split-step Fourier. Chaotic ODEs
 discard a 100-time-unit transient so the data lies near the attractor.
 
 On-disk format: a directory holding meta.json plus visible.f64/hidden.f64 raw
-little-endian arrays, row-major, axis order (t, x, y, component).
+little-endian arrays, row-major, axis order (t, x, y, component). Training
+reads meta.json and visible.f64 alone, so a series without hidden.f64
+trains; evaluation reads hidden.f64 too.
 """
 
 from __future__ import annotations
@@ -364,6 +366,12 @@ class NormalizationRecord:
 
 @dataclass
 class Dataset:
+    """A series of one preset and seed: the visible channels in physical
+    units (`visible_raw`) and normalized (`visible`, which training reads),
+    the hidden channels (`hidden_truth`, which only evaluation reads), and
+    the normalization record. A dataset loaded for training
+    (`load(path, truth=False)`) holds `visible` alone: its `visible_raw`
+    and `hidden_truth` are None."""
     preset: SystemPreset
     seed: int
     visible_raw: np.ndarray     # physical units, shape (t[, x[, y]], n_vis)
@@ -403,7 +411,13 @@ class Dataset:
         self.hidden_truth.astype("<f8").tofile(path / "hidden.f64")
 
     @classmethod
-    def load(cls, path):
+    def load(cls, path, truth=True):
+        """The dataset stored under `path`, its record and arrays checked.
+        With `truth` False it is loaded for training: only meta.json and
+        visible.f64 are read, hidden.f64 is never opened, and the series is
+        normalized in place in the array it was read into, by the same
+        (x - mean) / std per element, so `visible` holds the same bits as a
+        full load's and no other array of the series' size is kept."""
         path = Path(path)
         meta = json.loads((path / "meta.json").read_text())
         preset = get_preset(meta["preset"],
@@ -417,8 +431,9 @@ class Dataset:
         if meta["grid"]["dt"] != preset.dt:
             raise ValueError(f"grid dt {meta['grid']['dt']} disagrees with "
                              f"the {preset.name} preset's {preset.dt}")
+        names = ("visible", "hidden") if truth else ("visible",)
         arrays = []
-        for name in ("visible", "hidden"):
+        for name in names:
             f, shape = path / f"{name}.f64", meta[f"{name}_shape"]
             if f.stat().st_size != 8 * int(np.prod(shape)):
                 raise ValueError(f"{f.name} does not hold the shape {shape}")
@@ -431,7 +446,7 @@ class Dataset:
             dt=meta["grid"]["dt"], spacing=tuple(meta["grid"]["spacing"]))
         scales = np.hstack([norm.mean, norm.std, norm.dt,
                             *norm.deriv_std.values()])
-        for name, arr in zip(("visible.f64", "hidden.f64", "normalization"),
+        for name, arr in zip([f"{n}.f64" for n in names] + ["normalization"],
                              arrays + [scales]):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} holds non-finite values")
@@ -440,6 +455,12 @@ class Dataset:
             if not (std > 0).all():
                 raise ValueError(f"normalization {name} {std.tolist()} is "
                                  "not positive")
+        if not truth:
+            visible = arrays[0]
+            visible -= norm.mean
+            visible /= norm.std
+            return cls(preset=preset, seed=meta["seed"], visible_raw=None,
+                       hidden_truth=None, norm=norm, visible=visible)
         return cls(preset=preset, seed=meta["seed"], visible_raw=arrays[0],
                    hidden_truth=arrays[1], norm=norm)
 

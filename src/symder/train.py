@@ -88,8 +88,10 @@ class GradientOptimizer:
 
 
 class Problem:
-    """Binds one dataset to a candidate model and encoder; precomputes the
-    finite-difference targets and the shared valid time interior. An ODE
+    """Binds one dataset to a candidate model and encoder and fixes the
+    shared valid time interior. It reads the dataset's normalized `visible`
+    series alone and holds no array of the series' size of its own: the
+    finite-difference targets are taken per window (`targets`). An ODE
     preset takes the accuracy-4 central stencils, so that the truncation
     floor sits well below the coefficient-level loss gaps of the staged
     recovery; the others take accuracy 2.
@@ -117,9 +119,10 @@ class Problem:
         dt = dataset.norm.dt
         n_time = vis.shape[0]
         r = encoder.radius
-        accuracy = 4 if dataset.preset.kind == "ode" else 2
-        margin = max(len(fd.stencil_weights(p, dt, accuracy)) // 2
-                     for p in range(1, ORDER + 1))
+        self.accuracy = accuracy = 4 if dataset.preset.kind == "ode" else 2
+        self.margin = margin = max(
+            len(fd.stencil_weights(p, dt, accuracy)) // 2
+            for p in range(1, ORDER + 1))
         lo = max(r, margin)
         hi = n_time - max(r, margin)
         # d/dt of the state in model time units, for the hidden residual
@@ -130,16 +133,15 @@ class Problem:
             raise SeriesTooShort(f"series of {n_time} samples too short "
                                  "for the stencils and the encoder window")
         self.lo, self.hi = lo, hi
-
-        # constant targets: FD_p(normalized visible) / sigma_p on [lo, hi)
-        self.targets = {}
-        self.deriv_scale = {}
-        for p in range(1, ORDER + 1):
-            d, valid = fd.time_derivative(vis, p, dt, accuracy)
-            sigma = np.asarray(dataset.norm.deriv_std[p])
-            self.targets[p] = d[lo - valid.start:hi - valid.start] / sigma
-            # symbolic derivatives come out in model time units
-            self.deriv_scale[p] = 1.0 / ((model.s_t * dt) ** p * sigma)
+        # the entries of each order's targets over the whole interior, which
+        # every window's loss parts divide by
+        self.count = (hi - lo) * int(np.prod(vis.shape[1:]))
+        # symbolic derivatives come out in model time units
+        self.deriv_scale = {
+            p: 1.0 / ((model.s_t * dt) ** p
+                      * np.asarray(dataset.norm.deriv_std[p]))
+            for p in range(1, ORDER + 1)}
+        self._targets = (None, None)
 
         self.vis_t = T.Tensor(vis)
         self.field_loss = (FieldLoss(self) if FieldLoss.takes(
@@ -154,6 +156,24 @@ class Problem:
             raise ValueError(f"window [{lo}, {hi}) is not a window of the "
                              f"interior [{self.lo}, {self.hi})")
         return lo, hi
+
+    def targets(self, lo, hi):
+        """{p: FD_p(normalized visible) / sigma_p} on the window [lo, hi) of
+        the interior, from the samples of [lo - margin, hi + margin): the
+        same bits as the whole series' targets sliced to the window. The
+        last window's are kept, so a descent on one window (the staged
+        recovery's) takes them once."""
+        if self._targets[0] != (lo, hi):
+            vis, norm = self.dataset.visible, self.dataset.norm
+            a = lo - self.margin
+            out = {}
+            for p in range(1, ORDER + 1):
+                d, valid = fd.time_derivative(vis[a:hi + self.margin], p,
+                                              norm.dt, self.accuracy)
+                out[p] = (d[lo - a - valid.start:hi - a - valid.start]
+                          / np.asarray(norm.deriv_std[p]))
+            self._targets = ((lo, hi), out)
+        return self._targets[1]
 
     def _encode(self, lo, hi):
         """The encoder's hidden estimate on the interior window [lo, hi),
@@ -203,6 +223,7 @@ class Problem:
         loss of the models `FieldLoss` does not take, and the reference the
         tests hold the closed form to."""
         lo, hi = self._window(lo, hi)
+        targets = self.targets(lo, hi)
         a, b = self._state_window(lo, hi)
         r = len(self.d_t) // 2 if self.beta else 0
         state = self.reconstruct(a, b)
@@ -213,9 +234,9 @@ class Problem:
         total = None
         parts = {}
         for p in range(1, ORDER + 1):
-            target = self.targets[p][lo - self.lo:hi - self.lo]
-            resid = T.sub(T.mul(sym[p - 1], self.deriv_scale[p]), target)
-            lp = T.tmean(T.square(resid), self.targets[p].size)
+            resid = T.sub(T.mul(sym[p - 1], self.deriv_scale[p]),
+                          targets[p])
+            lp = T.tmean(T.square(resid), self.count)
             parts[f"loss_p{p}"] = lp.item()
             term = T.mul(lp, self.alphas[p - 1])
             total = term if total is None else T.add(total, term)
@@ -388,13 +409,13 @@ class FieldLoss:
         if self.derivs.size:
             sym2 += W[:h].reshape(h, n * m) @ fp.reshape(n * m, N)
         s1, s2 = (prob.deriv_scale[p][:, None] for p in (1, 2))
-        t1, t2 = (prob.targets[p][lo - prob.lo:hi - prob.lo].reshape(N, h).T
-                  for p in (1, 2))
+        targets = prob.targets(lo, hi)
+        t1, t2 = (targets[p].reshape(N, h).T for p in (1, 2))
         r1 = F[:h] * s1 - t1
         r2 = sym2 * s2 - t2
-        c1, c2 = prob.targets[1].size, prob.targets[2].size
-        parts = {"loss_p1": float(r1.ravel() @ r1.ravel()) / c1,
-                 "loss_p2": float(r2.ravel() @ r2.ravel()) / c2,
+        c = prob.count
+        parts = {"loss_p1": float(r1.ravel() @ r1.ravel()) / c,
+                 "loss_p2": float(r2.ravel() @ r2.ravel()) / c,
                  "reg": 0.0}
         # the hidden residual on [a + r, b - r), inside [lo, hi). A series
         # of one value a sample takes its stencil as one convolution, three
@@ -416,9 +437,9 @@ class FieldLoss:
                  + prob.alphas[1] * parts["loss_p2"] + parts["reg"])
 
         # gradients in F, and in W, as in the stencils' weights
-        g2 = (2.0 * prob.alphas[1] / c2) * r2 * s2
+        g2 = (2.0 * prob.alphas[1] / c) * r2 * s2
         gF = self.forms.along_vjp(Y, g2)
-        gF[:h] += (2.0 * prob.alphas[0] / c1) * r1 * s1
+        gF[:h] += (2.0 * prob.alphas[0] / c) * r1 * s1
         if scored:
             ge = (2.0 * weight / count) * e
             gF[h:, c0:c0 + ge.shape[1]] += ge

@@ -10,6 +10,9 @@
 - the tracemalloc peak of an eval-style reconstruct of that field, with
   its encoder saved and loaded back, so that its parameters take no
   gradient, as `cli.load_run` hands it over;
+- the tracemalloc peak and live memory of what a run holds before its
+  first step: that field saved, loaded for training as `symder train`
+  loads it (`cli.load_dataset(..., truth=False)`) and its `Problem` built;
 - on the staged fixture, the largest difference of the closed-form gradient
   (`EmbeddingRecovery.loss_and_grad`, which calls `train.FieldLoss`) to
   the tape reference's, over the largest tape entry of each parameter, and
@@ -113,6 +116,30 @@ def reconstruct_peak_mb(prob):
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def training_load_mb(n_time, nx):
+    """The tracemalloc peak and live memory, in MB, of loading the n_time x
+    nx x nx diffusion_source dataset for training and building its joint
+    problem under the preset's settings, as `symder train` does before its
+    first step."""
+    ds = datagen.simulate(datagen.get_preset("diffusion_source",
+                                             n_time=n_time, nx=nx), seed=0)
+    settings = cli.DEFAULT_CONFIGS["diffusion_source"]
+    with tempfile.TemporaryDirectory() as tmp:
+        ds.save(tmp)
+        del ds
+        tracemalloc.start()
+        try:
+            ds = cli.load_dataset(tmp, truth=False)
+            # held, so that the live figure counts the problem's arrays
+            prob = train.Problem(ds, train.default_model(ds.preset),
+                                 train.default_encoder(ds, settings),
+                                 alphas=settings["alphas"])
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return peak / 2 ** 20, live / 2 ** 20
 
 
 def conv_stack_line(prob, calls, label):
@@ -229,6 +256,9 @@ def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
     yield (f"diffusion_source eval reconstruct, encoder without gradients, "
            f"{pde_time}x{pde_nx}x{pde_nx}, tracemalloc peak MB: "
            f"{reconstruct_peak_mb(prob):.1f}")
+    peak, live = training_load_mb(pde_time, pde_nx)
+    yield (f"diffusion_source training load and Problem, {pde_time}x{pde_nx}"
+           f"x{pde_nx}, tracemalloc MB: peak {peak:.2f}, live {live:.2f}")
 
     yield simulate_line(datagen.get_preset("lorenz", n_time=sim_time),
                         f"Lorenz simulate, {sim_time} samples")

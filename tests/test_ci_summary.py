@@ -21,6 +21,8 @@ def test_summary_lines_at_small_size():
               "first window of 20 frames, tracemalloc peak MB: ",
               "diffusion_source eval reconstruct, encoder without "
               "gradients, 24x8x8, tracemalloc peak MB: ",
+              "diffusion_source training load and Problem, 24x8x8, "
+              "tracemalloc MB: peak ",
               "Lorenz simulate, 120 samples: median of 3 ",
               "diffusion_source simulate, 24x8x8: median of 3 ",
               "staged Lorenz fit, 120 samples, 20 steps, wall time without "

@@ -1,12 +1,14 @@
 import json
+import os
 import platform
+import shutil
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from symder import cli, datagen, encoders, train
+from symder import cli, datagen, encoders, recover, train
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +64,7 @@ def test_out_that_is_no_directory_exits_1(workspace, tmp_path, capsys,
     # before it simulates or trains, and the file is left as it was
     blocker = tmp_path / "file"
     blocker.write_text("keep")
-    monkeypatch.setattr(cli.recover.EmbeddingRecovery, "fit", None)
+    monkeypatch.setattr(recover.EmbeddingRecovery, "fit", None)
     monkeypatch.setattr(cli.datagen, "simulate", None)
     argv = [str(workspace / "data") if a == "DATA" else a for a in argv]
     capsys.readouterr()
@@ -77,6 +79,53 @@ def test_eval_out_in_a_missing_folder_exits_1(workspace, tmp_path, capsys):
     assert cli.main(["eval", "--data", str(workspace / "data"),
                      "--run", str(workspace / "run"), "--out", str(out)]) == 1
     _one_error_line(capsys, f"cannot write {out}")
+
+
+@pytest.mark.parametrize("generate,flags", [
+    (["--preset", "diffusion_source", "--n-time", "24", "--nx", "8"],
+     ["--steps", "3"]),
+    (["--preset", "lorenz", "--n-time", "120"], ["--steps", "20",
+                                                 "--width", "8"])])
+def test_train_never_reads_the_truth(tmp_path, capsys, generate, flags):
+    """A copy of the dataset without hidden.f64 trains to the same bytes as
+    the dataset itself; eval, which needs the truth, exits 2 on it."""
+    full, blind = tmp_path / "full", tmp_path / "blind"
+    assert cli.main(["generate", "--out", str(full)] + generate) == 0
+    shutil.copytree(full, blind)
+    (blind / "hidden.f64").unlink()
+    runs = {}
+    for data in (full, blind):
+        runs[data] = tmp_path / f"run-{data.name}"
+        assert cli.main(["train", "--data", str(data), "--out",
+                         str(runs[data])] + flags) == 0
+    for name in ("history.csv", "model.json", "encoder.ckpt"):
+        assert (runs[full] / name).read_bytes() == \
+            (runs[blind] / name).read_bytes(), name
+    capsys.readouterr()
+    assert cli.main(["eval", "--data", str(blind), "--run",
+                     str(runs[blind])]) == 2
+    _one_error_line(capsys, "hidden.f64")
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["generate", "--preset", "lorenz", "--n-time", "20", "--out", "OUT"],
+     {"symder.encoders", "symder.evaluate", "symder.jets", "symder.library",
+      "symder.recover", "symder.train"}),
+    (["report", "--run", "OUT"],
+     {"symder.encoders", "symder.recover", "symder.train"})])
+def test_each_command_imports_what_it_runs(tmp_path, argv, absent):
+    import subprocess
+    import sys
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\nfrom symder import cli\ncli.main(sys.argv[1:])\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('symder')))")
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", code] + argv, env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "symder.datagen" in loaded and not loaded & absent, loaded
 
 
 def test_closed_stdout_exits_1_quietly(tmp_path):
@@ -717,6 +766,30 @@ def test_run_without_its_record_is_scored(misfits, tmp_path):
     (run / "config.json").write_text(json.dumps(doc))
     assert cli.main(["eval", "--data", str(misfits["rossler"]),
                      "--run", str(run)]) == 0
+
+
+def test_eval_of_other_data_keeps_the_run_report(misfits, tmp_path,
+                                                capsys):
+    """Without --out, eval writes the run's report.json only for the
+    dataset its record names: another seed exits 1 in one line asking for
+    --out, before any work, and leaves the run's report as it was."""
+    run = tmp_path / "run"
+    shutil.copytree(misfits["lorenz_conv"], run)
+    report = run / "report.json"
+    report.write_text("kept")
+    capsys.readouterr()
+    assert cli.main(["eval", "--data", str(misfits["lorenz_seed1"]),
+                     "--run", str(run)]) == 1
+    _one_error_line(capsys, "pass --out")
+    assert report.read_text() == "kept"
+    out = tmp_path / "seed1.json"
+    assert cli.main(["eval", "--data", str(misfits["lorenz_seed1"]),
+                     "--run", str(run), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 1
+    assert report.read_text() == "kept"
+    assert cli.main(["eval", "--data", str(misfits["lorenz"]),
+                     "--run", str(run)]) == 0
+    assert json.loads(report.read_text())["seed"] == 0
 
 
 @pytest.mark.parametrize("cmd", ["eval", "predict"])

@@ -161,6 +161,24 @@ def test_dataset_roundtrip(tmp_path):
     ds.save(tmp_path / "d", force=True)
 
 
+@pytest.mark.parametrize("name,kw", [
+    ("lorenz", {"n_time": 200}),
+    ("diffusion_source", {"n_time": 12, "nx": 8}),
+    ("nlse", {"n_time": 20, "nx": 16})])
+def test_training_load_holds_the_visible_series_alone(tmp_path, name, kw):
+    # normalized in place, the series has the bits of a full load's, and
+    # the load reads neither the truth nor keeps the raw series
+    dg.simulate(small(name, **kw), seed=3).save(tmp_path / "d")
+    full = dg.Dataset.load(tmp_path / "d")
+    (tmp_path / "d" / "hidden.f64").unlink()
+    ds = dg.Dataset.load(tmp_path / "d", truth=False)
+    assert ds.visible.tobytes() == full.visible.tobytes()
+    assert ds.visible_raw is None and ds.hidden_truth is None
+    assert ds.seed == 3
+    with pytest.raises(FileNotFoundError):
+        dg.Dataset.load(tmp_path / "d")
+
+
 def test_derivative_std_kept_only_where_it_spreads(tmp_path):
     # a 3-point stencil on 3 samples leaves one value per channel, and a
     # 5-point one on 5 samples too: no spread to scale by, so no record,

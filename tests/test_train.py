@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symder import tensor as T
-from symder import datagen, encoders, jets, library, train
+from symder import datagen, encoders, fd, jets, library, train
 
 
 @pytest.fixture(scope="module")
@@ -579,10 +579,48 @@ def test_loss_tape_sizes():
     assert _ops(loss) == ["conv3d", "field_loss"]
 
 
+def _sliced_targets(prob):
+    """The targets of the whole series, sliced to the interior."""
+    ds, out = prob.dataset, {}
+    for p in range(1, train.ORDER + 1):
+        d, valid = fd.time_derivative(ds.visible, p, ds.norm.dt,
+                                      prob.accuracy)
+        out[p] = (d[prob.lo - valid.start:prob.hi - valid.start]
+                  / ds.norm.deriv_std[p])
+    return out
+
+
+@pytest.mark.parametrize("case", ["lorenz", "field"])
+def test_window_targets_are_the_sliced_whole_series(lorenz_ds, monkeypatch,
+                                                    case):
+    # bit for bit, on every window of a step, the one-frame tail and the
+    # whole interior; the last window's are kept, and only its
+    if case == "lorenz":
+        monkeypatch.setattr(train, "CHUNK_POINTS", 97)
+        prob = small_problem(lorenz_ds)
+    else:
+        ds = datagen.simulate(datagen.get_preset(
+            "diffusion_source", n_time=24, nx=32), seed=0)
+        prob = train.Problem(ds, train.default_model(ds.preset),
+                             train.default_encoder(ds, {"width": 4}))
+    whole = _sliced_targets(prob)
+    windows = prob.chunks() + [(prob.hi - 1, prob.hi), (prob.lo, prob.hi)]
+    assert len(windows) > 3
+    for lo, hi in windows:
+        got = prob.targets(lo, hi)
+        assert sorted(got) == list(range(1, train.ORDER + 1))
+        for p, t in got.items():
+            want = whole[p][lo - prob.lo:hi - prob.lo]
+            assert t.shape == want.shape and t.tobytes() == want.tobytes()
+        assert prob.targets(lo, hi) is got
+    assert prob.targets(prob.lo, prob.lo + 1) is not got
+
+
 def test_jet_order_builds_only_its_coefficient(monkeypatch):
-    # 12 periodic stencils per jet order of the tape reference on the
-    # diffusion library (dx, dy, dxx, dyy and the two of dxy, for u and v);
-    # order 1 used to rebuild order 0's as well, 36 in all
+    # the window's two time stencils of the targets (orders 1 and 2, not
+    # periodic), then 12 periodic stencils per jet order of the tape
+    # reference on the diffusion library (dx, dy, dxx, dyy and the two of
+    # dxy, for u and v); order 1 used to rebuild order 0's as well, 36 in all
     from symder import cli
     ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=24,
                                              nx=8), seed=0)
@@ -599,10 +637,11 @@ def test_jet_order_builds_only_its_coefficient(monkeypatch):
 
     monkeypatch.setattr(T, "stencil", counted)
     prob.tape_loss()
-    assert calls == [True] * 24
-    # the closed form takes its stencils off the tape
+    assert calls == [False] * 2 + [True] * 24
+    # the closed form takes its stencils off the tape, and the window's
+    # targets are kept from the call before
     prob.compute_loss()
-    assert calls == [True] * 24
+    assert calls == [False] * 2 + [True] * 24
 
 
 def test_staged_loss_builds_one_lincomb_per_jet_order():
