@@ -19,6 +19,7 @@ Each command imports the layers it runs when it runs: `generate` imports
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -187,9 +188,9 @@ def load_run(run_dir):
     """(model, encoder, record) of a run. The encoder's parameters take no
     gradient (`encoders.load_checkpoint` freezes them), so its forward
     keeps no tape. The record holds what
-    config.json says of the data the run was trained on, `preset` and
-    `data_seed`, as far as it says it: it is empty for a run without
-    config.json."""
+    config.json says of the data the run was trained on, `preset`,
+    `data_seed` and `normalization` (a `datagen.NormalizationRecord`), as
+    far as it says it: it is empty for a run without config.json."""
     from . import encoders, library
     run_dir = Path(run_dir)
     model_path = run_dir / "model.json"
@@ -211,9 +212,14 @@ def load_run(run_dir):
             else {}
         if not isinstance(doc, dict):
             raise ValueError("not a JSON object")
-    except ValueError as e:
-        raise CliError(f"corrupt run config {config_path}: {e}", EXIT_CORRUPT)
-    record = {k: doc[k] for k in ("preset", "data_seed") if k in doc}
+        record = {k: doc[k] for k in ("preset", "data_seed") if k in doc}
+        if "normalization" in doc:
+            nrm = doc["normalization"]
+            record["normalization"] = datagen.NormalizationRecord.from_json(
+                nrm, nrm["dt"])
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise CliError(f"corrupt run config {config_path}: {e}",
+                       EXIT_CORRUPT)
     return model, encoder, record
 
 
@@ -305,9 +311,11 @@ def check_fit(args, ds, model, encoder, record):
     """Raise CliError for a run that does not fit the dataset: a model of
     another kind or state size than the preset's, a conv encoder of other
     visible channels, a per-sample embedding of another series; a run whose
-    record names another preset, or, for a per-sample embedding, another
-    dataset seed."""
+    record names another preset, a normalization of another time step or
+    of other channels, or, for a per-sample embedding, another dataset
+    seed."""
     vis, spec = ds.visible.shape, encoder.spec
+    norm = record.get("normalization", ds.norm)
     embeds = spec.kind == "phase_embedding"
     checks = [
         ("model kind and state size", (model.kind, model.state_dim),
@@ -316,7 +324,9 @@ def check_fit(args, ds, model, encoder, record):
         ("embedded series" if embeds else "visible channels",
          spec.shape[:len(vis) - 1] if embeds else spec.n_visible,
          vis[:-1] if embeds else vis[-1]),
-        ("preset", record.get("preset", ds.preset.name), ds.preset.name)]
+        ("preset", record.get("preset", ds.preset.name), ds.preset.name),
+        ("time step", norm.dt, ds.norm.dt),
+        ("normalized channels", len(norm.mean), vis[-1])]
     if embeds:
         checks.append(("data seed", record.get("data_seed", ds.seed),
                        ds.seed))
@@ -324,6 +334,20 @@ def check_fit(args, ds, model, encoder, record):
         if have != want:
             raise CliError(f"run {args.run} does not fit {args.data}: "
                            f"{what} {have}, the dataset's {want}")
+
+
+def in_run_units(ds, record):
+    """The dataset normalized by the run's training normalization in place
+    of its own, so that theta and the encoder see the units they were
+    trained in; a run saved without the record (before runs kept one)
+    takes the dataset as it is, in its own normalization. `check_fit` has
+    matched the record's dt and channels."""
+    norm = record.get("normalization")
+    if norm is None:
+        return ds
+    return dataclasses.replace(
+        ds, norm=dataclasses.replace(norm, spacing=ds.norm.spacing),
+        visible=None)
 
 
 def _evaluate_run(args, ds, model, encoder):
@@ -358,6 +382,7 @@ def cmd_eval(args):
     ds = load_dataset(args.data)
     model, encoder, record = load_run(args.run)
     check_fit(args, ds, model, encoder, record)
+    ds = in_run_units(ds, record)
     out = report_path(args, ds, record)
     doc = evaluate.report(model, ds, _evaluate_run(args, ds, model, encoder))
     try:
@@ -378,6 +403,7 @@ def cmd_predict(args):
     if ds.preset.kind != "ode":
         raise CliError("predict supports the ODE presets only", EXIT_FAIL)
     check_fit(args, ds, model, encoder, record)
+    ds = in_run_units(ds, record)
     res = _evaluate_run(args, ds, model, encoder)
     start = args.start - res["lo"]
     if start < 0 or start >= res["hidden_estimate"].shape[0]:

@@ -363,6 +363,37 @@ class NormalizationRecord:
     dt: float
     spacing: tuple = ()
 
+    def to_json(self):
+        """The scales as a JSON document: the mean, the std and the
+        derivative stds by order."""
+        return {"mean": self.mean.tolist(), "std": self.std.tolist(),
+                "deriv_std": {str(p): s.tolist()
+                              for p, s in self.deriv_std.items()}}
+
+    @classmethod
+    def from_json(cls, doc, dt, spacing=()):
+        """The record of the scales `to_json` wrote, at time step `dt`.
+        ValueError unless every scale is a list of one value per channel,
+        every scale and dt is finite and every std positive."""
+        norm = cls(mean=np.array(doc["mean"], dtype=float),
+                   std=np.array(doc["std"], dtype=float),
+                   deriv_std={int(p): np.array(s, dtype=float)
+                              for p, s in doc["deriv_std"].items()},
+                   dt=dt, spacing=tuple(spacing))
+        stds = [norm.std, *norm.deriv_std.values()]
+        if norm.mean.ndim != 1 or any(s.shape != norm.mean.shape
+                                      for s in stds):
+            raise ValueError("normalization scales are not one value per "
+                             "channel each")
+        if not np.isfinite(np.hstack([norm.mean, norm.dt, *stds])).all():
+            raise ValueError("normalization holds non-finite values")
+        for name, std in [("std", norm.std)] + [
+                (f"deriv_std {p}", s) for p, s in norm.deriv_std.items()]:
+            if not (std > 0).all():
+                raise ValueError(f"normalization {name} {std.tolist()} is "
+                                 "not positive")
+        return norm
+
 
 @dataclass
 class Dataset:
@@ -399,12 +430,7 @@ class Dataset:
             "params": self.preset.params,
             "visible_shape": list(self.visible_raw.shape),
             "hidden_shape": list(self.hidden_truth.shape),
-            "normalization": {
-                "mean": self.norm.mean.tolist(),
-                "std": self.norm.std.tolist(),
-                "deriv_std": {str(p): s.tolist()
-                              for p, s in self.norm.deriv_std.items()},
-            },
+            "normalization": self.norm.to_json(),
         }
         (path / "meta.json").write_text(json.dumps(meta, indent=1))
         self.visible_raw.astype("<f8").tofile(path / "visible.f64")
@@ -438,23 +464,12 @@ class Dataset:
             if f.stat().st_size != 8 * int(np.prod(shape)):
                 raise ValueError(f"{f.name} does not hold the shape {shape}")
             arrays.append(np.fromfile(f, dtype="<f8").reshape(shape))
-        nrm = meta["normalization"]
-        norm = NormalizationRecord(
-            mean=np.array(nrm["mean"]), std=np.array(nrm["std"]),
-            deriv_std={int(p): np.array(s)
-                       for p, s in nrm["deriv_std"].items()},
-            dt=meta["grid"]["dt"], spacing=tuple(meta["grid"]["spacing"]))
-        scales = np.hstack([norm.mean, norm.std, norm.dt,
-                            *norm.deriv_std.values()])
-        for name, arr in zip([f"{n}.f64" for n in names] + ["normalization"],
-                             arrays + [scales]):
+        for name, arr in zip(names, arrays):
             if not np.isfinite(arr).all():
-                raise ValueError(f"{name} holds non-finite values")
-        for name, std in [("std", norm.std)] + [
-                (f"deriv_std {p}", s) for p, s in norm.deriv_std.items()]:
-            if not (std > 0).all():
-                raise ValueError(f"normalization {name} {std.tolist()} is "
-                                 "not positive")
+                raise ValueError(f"{name}.f64 holds non-finite values")
+        norm = NormalizationRecord.from_json(
+            meta["normalization"], meta["grid"]["dt"],
+            meta["grid"]["spacing"])
         if not truth:
             visible = arrays[0]
             visible -= norm.mean

@@ -13,8 +13,8 @@ Three encoder kinds:
 Hidden layers use tanh; the final layer is linear. The whole stack is one
 tape node, `tensor.conv1d` or `tensor.conv3d` with the per-point layers
 passed as `then`, which runs on the window of frames it is handed
-(`train.Problem` tiles a field into windows) and rebuilds their spatial
-patch rows in its VJP. It computes in its spec's `dtype`: float32 for the
+(`train.Problem` tiles a field into windows) and rebuilds their patch
+matrix in its VJP. It computes in its spec's `dtype`: float32 for the
 PDE encoder, whose stack is most of a joint step, and float64 for the
 others (the ODE encoder's distill solves normal equations with condition
 numbers up to 1e12). The parameters are float64 whatever the dtype: they
@@ -97,20 +97,26 @@ def param_shapes(spec):
 
 class Encoder:
     """Parameter container + forward pass for one EncoderSpec. A conv
-    encoder's weights start uniform in +-1/sqrt(fan-in), its biases at
-    zero; a phase embedding's phases at zero."""
+    encoder's weights start uniform in +-1/sqrt(fan-in), drawn from `seed`,
+    its biases at zero; a phase embedding's phases at zero. Given `values`,
+    {name: array} of every parameter, the parameters take those instead,
+    and nothing is drawn."""
 
-    def __init__(self, spec: EncoderSpec, seed=0):
+    def __init__(self, spec: EncoderSpec, seed=0, values=None):
         self.spec = spec
         self.seed = seed
         self.params = {}
-        rng = np.random.default_rng(seed)
-        for name, shape in param_shapes(spec).items():
-            if name.startswith("w"):
-                s = 1.0 / np.sqrt(np.prod(shape[:-1]))
-                self._add(name, rng.uniform(-s, s, shape))
-            else:
-                self._add(name, np.zeros(shape))
+        shapes = param_shapes(spec)
+        if values is None:
+            values, rng = {}, np.random.default_rng(seed)
+            for name, shape in shapes.items():
+                if name.startswith("w"):
+                    s = 1.0 / np.sqrt(np.prod(shape[:-1]))
+                    values[name] = rng.uniform(-s, s, shape)
+                else:
+                    values[name] = np.zeros(shape)
+        for name, shape in shapes.items():
+            self._add(name, np.reshape(values[name], shape))
 
     def _add(self, name, value):
         self.params[name] = T.Tensor(np.asarray(value, dtype=np.float64),
@@ -207,10 +213,12 @@ class CheckpointError(ValueError):
 
 def load_checkpoint(path):
     """The encoder a checkpoint holds, with frozen parameters: they take no
-    gradient, so its forward keeps no tape. A header without a dtype is a
-    float64 encoder's. CheckpointError unless the header's spec builds an
-    Encoder whose parameters the records name once each, with their
-    shapes, at offsets that tile the blob, and every value is finite."""
+    gradient, so its forward keeps no tape. The parameters are the blob's,
+    and no seeded start is drawn; the header's seed is kept. A header
+    without a dtype is a float64 encoder's. CheckpointError unless the
+    header's spec builds an Encoder whose parameters the records name once
+    each, with their shapes, at offsets that tile the blob, every value is
+    finite and the seed is a non-negative integer."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not an encoder checkpoint")
@@ -223,6 +231,8 @@ def load_checkpoint(path):
         spec = EncoderSpec(**spec_doc)
         shapes = param_shapes(spec)
         seed = header["seed"]
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed {seed!r}")
         records = sorted((r["offset"], r["name"], r["shape"])
                          for r in header["params"])
     except (IndexError, KeyError, TypeError, ValueError) as e:
@@ -249,12 +259,9 @@ def load_checkpoint(path):
     if not np.isfinite(blob).all():
         raise CheckpointError(f"{path}: parameter values that are not "
                               "finite")
-    try:
-        enc = Encoder(spec, seed=seed)
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: malformed checkpoint ({e})") from e
-    for offset, name, _ in records:
-        n = int(np.prod(shapes[name]))
-        enc.params[name] = T.Tensor(
-            blob[offset:offset + n].reshape(shapes[name]).astype(np.float64))
+    enc = Encoder(spec, seed=seed, values={
+        name: blob[offset:offset + int(np.prod(shape))].astype(np.float64)
+        for offset, name, shape in records})
+    for p in enc.params.values():
+        p.requires_grad = False
     return enc

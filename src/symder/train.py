@@ -30,8 +30,13 @@ from . import fd, jets, encoders, library
 DIVERGENCE_LIMIT = 1e6
 ORDER = 2   # the loss matches time derivatives of orders 1..ORDER
 # grid points per window a `Problem` tiles the interior into, for a joint
-# step's loss and for the encoder alike; their peak memory follows them
-CHUNK_POINTS = 8192
+# step's loss and for the encoder alike; their peak memory follows them.
+# On a 128x32x32 field `train --steps 16` peaks at 43.4 MB RSS with 4096
+# points against 48.9 MB with 8192, in about the same time: the windows
+# double, each with its set-up and the encoder's 4-frame time halo, and
+# the conv sweep's one first-layer product pays for them. 2048 points
+# take 41.8 MB and about 15% more time
+CHUNK_POINTS = 4096
 
 
 class TrainingDiverged(RuntimeError):
@@ -625,12 +630,16 @@ def write_history(path, history):
 def save_run(out_dir, dataset, model, encoder, history, config):
     """Write a run's artifacts: history.csv, model.json, encoder.ckpt and
     config.json, which holds the JSON document `config` after the name of
-    the dataset's preset (`preset`) and its seed (`data_seed`)."""
+    the dataset's preset (`preset`), its seed (`data_seed`) and the
+    normalization the run was trained in (`normalization`: the dataset's
+    scales and its dt), which `eval` and `predict` apply to any dataset."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_history(out_dir / "history.csv", history)
     (out_dir / "model.json").write_text(model.to_json())
-    record = {"preset": dataset.preset.name, "data_seed": dataset.seed}
+    record = {"preset": dataset.preset.name, "data_seed": dataset.seed,
+              "normalization": {**dataset.norm.to_json(),
+                                "dt": dataset.norm.dt}}
     (out_dir / "config.json").write_text(
         json.dumps({**record, **config}, indent=1))
     encoders.save_checkpoint(encoder, out_dir / "encoder.ckpt")

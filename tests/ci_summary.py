@@ -13,6 +13,11 @@
 - the tracemalloc peak and live memory of what a run holds before its
   first step: that field saved, loaded for training as `symder train`
   loads it (`cli.load_dataset(..., truth=False)`) and its `Problem` built;
+- the windows of one joint step on a field of 64x64 frames (24x64x64, one
+  frame per window of `train.CHUNK_POINTS` grid points, each with the
+  encoder's time halo) and the median time of one step, every window's
+  `compute_loss` and `backward`: the preset-scale traffic the window's
+  size trades against its memory;
 - on the staged fixture, the largest difference of the closed-form gradient
   (`EmbeddingRecovery.loss_and_grad`, which calls `train.FieldLoss`) to
   the tape reference's, over the largest tape entry of each parameter, and
@@ -142,6 +147,23 @@ def training_load_mb(n_time, nx):
     return peak / 2 ** 20, live / 2 ** 20
 
 
+def joint_step_line(n_time, nx, steps=3):
+    """The windows of one joint step on the n_time x nx x nx
+    diffusion_source field under the preset's settings, and the median
+    wall time of `steps` steps, each of them every window's loss and
+    gradient as `train.fit` takes them."""
+    prob = pde_problem(n_time, nx)
+    windows = prob.chunks()
+
+    def step():
+        for lo, hi in windows:
+            T.backward(prob.compute_loss(lo, hi)[0])
+
+    t = median_ms(step, steps) / 1e3
+    return (f"diffusion_source joint step, {n_time}x{nx}x{nx}, windows per "
+            f"step: {len(windows)}, median s per step of {steps}: {t:.3f}")
+
+
 def conv_stack_line(prob, calls, label):
     """The conv stack of `prob`'s encoder on the first window of a training
     step, forward and backward, in float32 and in float64: the median time
@@ -191,11 +213,12 @@ def simulate_line(preset, label):
 
 
 def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
-            pde_time=128, pde_nx=32):
+            pde_time=128, pde_nx=32, step_time=24, step_nx=64):
     """Yield the summary lines: `calls` calls per loss-and-gradient timing,
     a diffusion_source chunk and simulation on a `pde_time` x `pde_nx` x
-    `pde_nx` field, a Lorenz simulation of `sim_time` samples, and a staged
-    fit of `fit_steps` steps on `fit_time` samples before the distill."""
+    `pde_nx` field, a joint step on a `step_time` x `step_nx` x `step_nx`
+    one, a Lorenz simulation of `sim_time` samples, and a staged fit of
+    `fit_steps` steps on `fit_time` samples before the distill."""
     ds = datagen.simulate(datagen.get_preset("lorenz", n_time=120), seed=0)
     rec = staged(ds, 10)
     yield ("staged Lorenz loss tape nodes: "
@@ -259,6 +282,7 @@ def summary(sim_time=2500, calls=200, fit_time=300, fit_steps=1000,
     peak, live = training_load_mb(pde_time, pde_nx)
     yield (f"diffusion_source training load and Problem, {pde_time}x{pde_nx}"
            f"x{pde_nx}, tracemalloc MB: peak {peak:.2f}, live {live:.2f}")
+    yield joint_step_line(step_time, step_nx)
 
     yield simulate_line(datagen.get_preset("lorenz", n_time=sim_time),
                         f"Lorenz simulate, {sim_time} samples")

@@ -5,7 +5,8 @@ def test_summary_lines_at_small_size():
     # the labels CI's job summary shows and the tape node counts; the times
     # and the fit's figures vary and are not checked
     lines = list(ci_summary.summary(sim_time=120, calls=3, fit_time=120,
-                                    fit_steps=20, pde_time=24, pde_nx=8))
+                                    fit_steps=20, pde_time=24, pde_nx=8,
+                                    step_time=12, step_nx=8))
     labels = ["staged Lorenz loss tape nodes: ",
               "staged Lorenz closed-form gradient, largest relative "
               "difference to the tape: ",
@@ -23,6 +24,8 @@ def test_summary_lines_at_small_size():
               "gradients, 24x8x8, tracemalloc peak MB: ",
               "diffusion_source training load and Problem, 24x8x8, "
               "tracemalloc MB: peak ",
+              "diffusion_source joint step, 12x8x8, windows per step: 1, "
+              "median s per step of 3: ",
               "Lorenz simulate, 120 samples: median of 3 ",
               "diffusion_source simulate, 24x8x8: median of 3 ",
               "staged Lorenz fit, 120 samples, 20 steps, wall time without "

@@ -112,16 +112,26 @@ def test_train_never_reads_the_truth(tmp_path, capsys, generate, flags):
      {"symder.encoders", "symder.evaluate", "symder.jets", "symder.library",
       "symder.recover", "symder.train"}),
     (["report", "--run", "OUT"],
-     {"symder.encoders", "symder.recover", "symder.train"})])
-def test_each_command_imports_what_it_runs(tmp_path, argv, absent):
+     {"symder.encoders", "symder.recover", "symder.train"}),
+    # a run's encoder is loaded from its checkpoint: no seeded start is
+    # drawn, so numpy.random is never imported
+    (["eval", "--data", "DATA", "--run", "RUN", "--out", "OUT"],
+     {"numpy.random"}),
+    (["predict", "--data", "DATA", "--run", "RUN"], {"numpy.random"})])
+def test_each_command_imports_what_it_runs(tmp_path, workspace, argv,
+                                           absent):
     import subprocess
     import sys
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parents[1]),
                       os.environ.get("PYTHONPATH")]))}
-    code = ("import sys\nfrom symder import cli\ncli.main(sys.argv[1:])\n"
-            "print(*sorted(m for m in sys.modules if m.startswith('symder')))")
-    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    code = ("import sys\nfrom symder import cli\n"
+            "assert cli.main(sys.argv[1:]) in (0, 2)\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.startswith(('symder', 'numpy.random'))))")
+    paths = {"OUT": tmp_path / "out", "DATA": workspace / "data",
+             "RUN": workspace / "run"}
+    argv = [str(paths.get(a, a)) for a in argv]
     proc = subprocess.run([sys.executable, "-c", code] + argv, env=env,
                           capture_output=True, text=True, check=True)
     loaded = set(proc.stdout.splitlines()[-1].split())
@@ -357,8 +367,10 @@ def test_joint_config_records_every_setting(pde_data, tmp_path):
     out = tmp_path / "run"
     assert cli.main(["train", "--data", str(pde_data), "--out", str(out),
                      "--config", str(cfg), "--steps", "2", "--seed", "3"]) == 0
+    norm = datagen.Dataset.load(pde_data, truth=False).norm
     assert json.loads((out / "config.json").read_text()) == {
         "preset": "diffusion_source", "data_seed": 0,
+        "normalization": {**norm.to_json(), "dt": norm.dt},
         **cli.DEFAULT_CONFIGS["diffusion_source"], "beta_phase": 2.0,
         "steps": 2, "seed": 3}
 
@@ -751,6 +763,78 @@ def test_conv_encoder_may_score_another_trajectory(misfits, tmp_path):
                      "--out", str(tmp_path / "report.json")]) == 0
 
 
+def _renormalized_copy(data, dest):
+    """A copy of the dataset at `data` whose stored normalization is
+    another: every mean shifted, every std scaled."""
+    shutil.copytree(data, dest)
+    meta = json.loads((dest / "meta.json").read_text())
+    nrm = meta["normalization"]
+    nrm["mean"] = [m + 0.5 for m in nrm["mean"]]
+    nrm["std"] = [1.7 * s for s in nrm["std"]]
+    nrm["deriv_std"] = {p: [2.0 * s for s in v]
+                        for p, v in nrm["deriv_std"].items()}
+    (dest / "meta.json").write_text(json.dumps(meta))
+    return dest
+
+
+def _scores(data, run, out, capsys):
+    """What eval (writing its report to `out`) and predict print on the
+    dataset at `data`, the line naming the report left out, and the
+    report."""
+    capsys.readouterr()
+    assert cli.main(["eval", "--data", str(data), "--run", str(run),
+                     "--out", str(out)]) == 0
+    assert cli.main(["predict", "--data", str(data), "--run", str(run),
+                     "--start", "50"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"wrote {out}"
+    return printed[1:], out.read_text()
+
+
+def test_run_scores_in_its_training_units(workspace, tmp_path, capsys):
+    """eval and predict normalize a dataset by the run's training
+    normalization, not by the dataset's own: rewriting the dataset's stored
+    normalization changes nothing they print or write."""
+    run = workspace / "run"
+    other = _renormalized_copy(workspace / "data", tmp_path / "other")
+    assert _scores(workspace / "data", run, tmp_path / "own.json",
+                   capsys) == _scores(other, run, tmp_path / "other.json",
+                                      capsys)
+
+
+def test_run_without_its_units_takes_the_datasets(workspace, tmp_path,
+                                                 capsys):
+    """A run saved before runs recorded their normalization is scored in
+    the dataset's own: the same numbers on its own data, others on a
+    dataset normalized otherwise."""
+    run = tmp_path / "run"
+    shutil.copytree(workspace / "run", run)
+    doc = json.loads((run / "config.json").read_text())
+    del doc["normalization"]
+    (run / "config.json").write_text(json.dumps(doc))
+    other = _renormalized_copy(workspace / "data", tmp_path / "other")
+    own = _scores(workspace / "data", run, tmp_path / "own.json", capsys)
+    assert own == _scores(workspace / "data", workspace / "run",
+                          tmp_path / "with.json", capsys)
+    assert own[1] != _scores(other, run, tmp_path / "other.json", capsys)[1]
+
+
+@pytest.mark.parametrize("cmd", ["eval", "predict"])
+def test_run_of_another_time_step_exits_1(workspace, tmp_path, capsys, cmd):
+    run = tmp_path / "run"
+    shutil.copytree(workspace / "run", run)
+    doc = json.loads((run / "config.json").read_text())
+    dt = doc["normalization"]["dt"]
+    doc["normalization"]["dt"] = 2 * dt
+    (run / "config.json").write_text(json.dumps(doc))
+    flags = ["--out", str(tmp_path / "r.json")] if cmd == "eval" else []
+    capsys.readouterr()
+    assert cli.main([cmd, "--data", str(workspace / "data"),
+                     "--run", str(run)] + flags) == 1
+    _one_error_line(capsys, f"time step {2 * dt}, the dataset's {dt}")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_run_without_its_record_is_scored(misfits, tmp_path):
     """A run whose config.json is missing, or predates the record of its
     data, is scored on any dataset that fits its shapes."""
@@ -819,7 +903,12 @@ def test_corrupt_run_config_exits_3(misfits, tmp_path, capsys):
     run.mkdir()
     for name in ("model.json", "encoder.ckpt"):
         (run / name).write_bytes((misfits["lorenz_emb"] / name).read_bytes())
-    for text in ("[1, 2", "[1, 2]"):
+    # and two normalization records: one without dt, one whose std is not
+    # positive
+    norm = {"mean": [0.0, 0.0], "std": [1.0, 1.0], "deriv_std": {}}
+    for text in ("[1, 2", "[1, 2]", json.dumps({"normalization": norm}),
+                 json.dumps({"normalization": {**norm, "std": [1.0, -1.0],
+                                               "dt": 0.01}})):
         (run / "config.json").write_text(text)
         capsys.readouterr()
         assert cli.main(["eval", "--data", str(misfits["lorenz"]),
@@ -859,8 +948,9 @@ def _record(header, name):
     (lambda h, b: h["spec"].update(dtype="float16"), "dtype 'float16'"),
     (lambda h, b: _record(h, "b2").update(name="b3"), "parameters ["),
     (lambda h, b: h["spec"].update(widths=[8, -8, 1]), "positive integers"),
+    (lambda h, b: h.update(seed=-1), "seed -1"),
 ], ids=["offset_past_blob", "narrow_spec", "nan_weight", "w1_reshaped",
-        "unknown_dtype", "renamed", "negative_width"])
+        "unknown_dtype", "renamed", "negative_width", "negative_seed"])
 def test_malformed_checkpoint_exits_3(misfits, tmp_path, capsys, edit,
                                       says):
     # each record is checked against the parameters its spec builds

@@ -164,13 +164,16 @@ def test_encoder_layers_are_single_nodes():
 
 def _field_problem(width):
     """A diffusion_source Problem on 28 frames of 32x32: its interior, 24
-    frames, is three encoder windows of 8 frames."""
+    frames, is encoder windows of `train.CHUNK_POINTS` grid points, whole
+    frames each."""
     from symder import datagen, train
     ds = datagen.simulate(datagen.get_preset("diffusion_source", n_time=28,
                                              nx=32), seed=0)
     prob = train.Problem(ds, train.default_model(ds.preset),
                          train.default_encoder(ds, {"width": width}))
-    assert prob.chunks() == [(2, 10), (10, 18), (18, 26)]
+    frames = train.CHUNK_POINTS // (32 * 32)
+    assert 24 % frames == 0 and 1 < frames < 24, frames
+    assert prob.chunks() == [(a, a + frames) for a in range(2, 26, frames)]
     return prob
 
 
@@ -187,11 +190,22 @@ def _peak(fn):
 def test_stack_peaks_below_its_patch_matrix():
     # the whole interior's loss on the tape, through the jets: the encoder
     # runs window by window, and the whole patch matrix (125 rows of 24
-    # frames of 1024 points) would take 23.4 MiB, one window's 7.8 MiB
+    # frames of 1024 points) would take 23.4 MiB in float64
     prob = _field_problem(4)
     patch_bytes = 125 * 24 * 32 * 32 * 8
     _, peak = _peak(lambda: T.backward(prob.tape_loss()[0]))
     assert peak < patch_bytes, peak / 2 ** 20
+
+
+def test_joint_window_peak_follows_the_window():
+    # one window of a training step, its loss and gradient, at the preset's
+    # width 64 on 32x32 frames: every array of the encoder, the closed form
+    # and the sweep follows the window's points. Windows of 8192 points
+    # peaked at 8.3 MiB
+    prob = _field_problem(64)
+    lo, hi = prob.chunks()[0]
+    _, peak = _peak(lambda: T.backward(prob.compute_loss(lo, hi)[0]))
+    assert peak < 6 * 2 ** 20, peak / 2 ** 20
 
 
 def test_no_grad_stack_keeps_no_activations():
@@ -211,12 +225,13 @@ def test_no_grad_stack_keeps_no_activations():
 
 
 def test_windowed_reconstruct_is_one_encoder_call():
-    # three windows of 8 frames give the bits of one call on the interior
+    # the windows of a step give the bits of one call on the interior
     prob = _field_problem(4)
     r = prob.encoder.radius
     whole = prob.encoder(prob.vis_t[prob.lo - r:prob.hi + r])
     hidden = prob._encode(prob.lo, prob.hi)
-    assert [p._op for p, _ in hidden._parents] == ["conv3d"] * 3
+    assert [p._op for p, _ in hidden._parents] == \
+        ["conv3d"] * len(prob.chunks())
     assert np.array_equal(prob.reconstruct().data[..., 1:], whole.data)
 
 

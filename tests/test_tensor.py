@@ -270,10 +270,11 @@ def _full_patches(x, ks):
     (T.conv1d, (88, 2), (9, 2, 8))])
 def test_first_weight_gradient_equals_full_patch_product(conv, xshape,
                                                          wshape):
-    # 150 or 80 output points: the VJP's products on windows of the spatial
-    # patch rows give the bits of the whole patch matrix's. The bits are
-    # the BLAS kernels' for a product this wide; OpenBLAS rounds a one- or
-    # two-column weight gradient of few rows differently
+    # 150 or 80 output points: the VJP's product over the patch matrix it
+    # rebuilds gives the bits of the whole patch matrix's, built here by
+    # index arithmetic. The bits are the BLAS kernels' for a product this
+    # wide; OpenBLAS rounds a one- or two-column weight gradient of few
+    # rows differently
     rng = np.random.default_rng(8)
     x = rng.standard_normal(xshape)
     w = T.Tensor(rng.standard_normal(wshape), requires_grad=True)

@@ -201,8 +201,10 @@ def test_save_run_roundtrip(lorenz_ds, tmp_path):
     cfg = settings(steps=5)
     history = train.fit(prob, cfg, out_dir=tmp_path)
     assert (tmp_path / "history.csv").exists()
+    norm = lorenz_ds.norm
     assert json.loads((tmp_path / "config.json").read_text()) == {
-        "preset": "lorenz", "data_seed": 0, **cfg}
+        "preset": "lorenz", "data_seed": 0,
+        "normalization": {**norm.to_json(), "dt": norm.dt}, **cfg}
     loaded = train.load_history(tmp_path / "history.csv")
     assert loaded == history
     model = library.SymbolicModel.from_json((tmp_path / "model.json").read_text())
